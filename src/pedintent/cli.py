@@ -226,6 +226,8 @@ def _cmd_train(args) -> int:
     cfg = load_run_config(args.config, data_dir=args.data, out=args.out)
     if cfg.out is None:
         raise ConfigError("no output directory; pass --out or set 'out' in the config")
+    if cfg.train.max_epochs < 1:
+        raise ConfigError(f"train.max_epochs is {cfg.train.max_epochs}; training needs at least 1 epoch")
     out_dir = Path(cfg.out)
     _write_resolved(cfg, out_dir)
     splits = _load_split_windows(cfg)

@@ -3,6 +3,11 @@
 The layer form is x + MHA(LN(x)) followed by + FFN(LN(.)), GELU inside the
 FFN, dropout on each sublayer output in training mode only. Masks are
 boolean with True = may attend; masked attention weights are exactly zero.
+
+Attention runs through the blocked `attention` op, which works in blocks of
+query rows, so a long sequence never holds its full (..., n_heads, S, S)
+weights, and returns only the attended values; `attention_weights`
+computes the weights on request, for inspection.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from ..errors import ConfigError, ContractError
 from ..tensor import (
     Tensor,
     add,
+    attention,
     dropout,
     gelu,
     layer_norm,
@@ -89,29 +95,39 @@ def _merge_heads(x: Tensor) -> Tensor:
     return reshape(x, lead + (s, h * dh))
 
 
+def _heads(x: Tensor, params: dict, prefix: str, n_heads: int) -> tuple[Tensor, Tensor, Tensor]:
+    """Split-head projections q, k, v; q carries the 1/sqrt(dh) scale."""
+    dh = x.shape[-1] // n_heads
+    q = mul(_split_heads(_affine(x, params, f"{prefix}attn.wq"), n_heads), 1.0 / np.sqrt(dh))
+    k = _split_heads(_affine(x, params, f"{prefix}attn.wk"), n_heads)
+    v = _split_heads(_affine(x, params, f"{prefix}attn.wv"), n_heads)
+    return q, k, v
+
+
 def multi_head_attention(
     x: Tensor,
     params: dict,
     prefix: str,
     n_heads: int,
     mask: Optional[np.ndarray] = None,
-) -> tuple[Tensor, np.ndarray]:
-    """Scaled dot-product attention over the trailing (S, d_model) axes.
+) -> Tensor:
+    """Scaled dot-product attention over the trailing (S, d_model) axes,
+    returning the output projection."""
+    ctx = _merge_heads(attention(*_heads(x, params, prefix, n_heads), mask=mask))
+    return _affine(ctx, params, f"{prefix}attn.wo")
 
-    Returns the projected output and the detached attention weights with
-    shape (..., n_heads, S, S); each row over allowed positions sums to 1.
-    """
-    d = x.shape[-1]
-    dh = d // n_heads
-    q = _split_heads(_affine(x, params, f"{prefix}attn.wq"), n_heads)
-    k = _split_heads(_affine(x, params, f"{prefix}attn.wk"), n_heads)
-    v = _split_heads(_affine(x, params, f"{prefix}attn.wv"), n_heads)
-    kt = transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
-    scores = mul(matmul(q, kt), 1.0 / np.sqrt(dh))
-    attn = softmax(scores, axis=-1, mask=mask)
-    ctx = _merge_heads(matmul(attn, v))
-    out = _affine(ctx, params, f"{prefix}attn.wo")
-    return out, np.array(attn.data, copy=True)
+
+def attention_weights(
+    x: Tensor,
+    params: dict,
+    prefix: str,
+    n_heads: int,
+    mask: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Detached attention weights of `multi_head_attention`, shape
+    (..., n_heads, S, S); each row over allowed positions sums to 1."""
+    q, k, _ = _heads(x, params, prefix, n_heads)
+    return softmax(Tensor(np.matmul(q.data, np.swapaxes(k.data, -1, -2))), axis=-1, mask=mask).data
 
 
 def encoder_layer(
@@ -125,7 +141,7 @@ def encoder_layer(
 ) -> Tensor:
     if training and cfg.dropout_rate > 0 and rng is None:
         raise ContractError("training-mode encoder needs an rng for dropout")
-    attn_out, _ = multi_head_attention(
+    attn_out = multi_head_attention(
         layer_norm(x, params[f"{prefix}ln1.gamma"], params[f"{prefix}ln1.beta"]),
         params,
         prefix,

@@ -1,9 +1,17 @@
 """Dense float tensors with define-by-run reverse-mode differentiation.
 
 A `Tape` records every operation whose inputs track gradients; `backward`
-replays it in reverse to populate leaf gradients. Tensors are float32 by
+replays it in reverse to populate leaf gradients, releasing each entry (and
+the activations only it holds) as it goes, so a replayed tape holds no
+reference cycle and one backward runs per tape. Tensors are float32 by
 default; building them from float64 arrays keeps float64, which is how the
 gradient checker runs the whole graph at 64-bit.
+
+`attention` is the one fused op: softmax(q k^T) v over split heads, computed
+in blocks of query rows so that at most one block of attention weights
+exists at a time (Rabe & Staats, arXiv:2112.05682), with a closed-form
+backward that recomputes a block's weights instead of storing them
+(Dao et al., arXiv:2205.14135).
 
 Concurrency: a tape is confined to the thread that opened it. Tensors that
 do not track gradients are immutable values and safe to share across
@@ -13,6 +21,7 @@ threads; parallel evaluation is allowed only across independent tapes.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -51,7 +60,13 @@ REGISTERED_OPS = (
     "reshape",
     "broadcast_to",
     "dropout",
+    "attention",
 )
+
+# Byte budget for the attention weights of one query block. It bounds the
+# attention op's working set whatever the sequence length; a call whose
+# weights fit in one block keeps them for backward instead of recomputing.
+ATTENTION_BLOCK_BYTES = 32 << 20
 
 
 def _active_tape() -> Optional["Tape"]:
@@ -70,6 +85,7 @@ class Tape:
         self.leaves: list[Tensor] = []
         self._leaf_ids: set[int] = set()
         self._produced: set[int] = set()
+        self.replayed = False
 
     def __enter__(self) -> "Tape":
         self._outer = _active_tape()
@@ -349,12 +365,11 @@ def softmax(x: Tensor, axis: int = -1, mask=None) -> Tensor:
         if not m.any(axis=axis).all():
             raise DegenerateMaskError("softmax slice is fully masked")
         z = np.where(m, xd, -np.inf)
-        z = z - z.max(axis=axis, keepdims=True)
-        e = np.where(m, np.exp(z), 0.0).astype(xd.dtype)
+        z -= z.max(axis=axis, keepdims=True)
     else:
         z = xd - xd.max(axis=axis, keepdims=True)
-        e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = np.exp(z, out=z)  # exp(-inf) = 0 exactly on masked entries
+    out /= out.sum(axis=axis, keepdims=True)
 
     def backward(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
@@ -498,6 +513,60 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     return _result(x.data * keep * scale, (x,), lambda g: (g * keep * scale,))
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
+    """softmax(q k^T) v over split heads of shape (..., S, dh).
+
+    Scaling is the caller's: fold it into q. `mask` (boolean, broadcastable
+    to (..., S, S)) is applied by `softmax` with its contract: masked weights
+    are exactly 0 and a fully masked row raises DegenerateMaskError. Query
+    rows are processed in blocks whose weights take at most
+    ATTENTION_BLOCK_BYTES (at least one row per block); backward recomputes
+    each block's weights when there is more than one block.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
+        raise DimensionError(f"attention needs equal (..., S, dh) q/k/v shapes, got {q.shape}, {k.shape}, {v.shape}")
+    qd, kd, vd = q.data, k.data, v.data
+    s = qd.shape[-2]
+    m = None if mask is None else (mask.data if isinstance(mask, Tensor) else np.asarray(mask))
+    row_bytes = math.prod(qd.shape[:-2]) * s * qd.itemsize
+    rows = max(1, ATTENTION_BLOCK_BYTES // row_bytes)
+    blocks = [(r, min(r + rows, s)) for r in range(0, s, rows)]
+    kt = np.swapaxes(kd, -1, -2)
+
+    def weights(r0: int, r1: int) -> np.ndarray:
+        # the mask's row axis is absent, 1 or S; only the last needs slicing
+        mb = m[..., r0:r1, :] if m is not None and m.ndim >= 2 and m.shape[-2] == s else m
+        return softmax(Tensor(np.matmul(qd[..., r0:r1, :], kt)), axis=-1, mask=mb).data
+
+    if len(blocks) == 1:
+        kept = weights(0, s)
+        out = np.matmul(kept, vd)
+    else:
+        kept = None
+        out = np.empty_like(qd)
+        for r0, r1 in blocks:
+            out[..., r0:r1, :] = np.matmul(weights(r0, r1), vd)
+
+    def backward(g):
+        dq = np.empty_like(qd)
+        dk = np.zeros_like(kd)
+        dv = np.zeros_like(vd)
+        vt = np.swapaxes(vd, -1, -2)
+        for r0, r1 in blocks:
+            p = kept if kept is not None else weights(r0, r1)
+            gb = g[..., r0:r1, :]
+            dv += np.matmul(np.swapaxes(p, -1, -2), gb)
+            ds = np.matmul(gb, vt)
+            ds -= (gb * out[..., r0:r1, :]).sum(axis=-1, keepdims=True)
+            ds *= p
+            dq[..., r0:r1, :] = np.matmul(ds, kd)
+            dk += np.matmul(np.swapaxes(ds, -1, -2), qd[..., r0:r1, :])
+        return dq, dk, dv
+
+    return _result(out, (q, k, v), backward)
+
+
 # ---------------------------------------------------------------------------
 # reverse pass
 
@@ -508,14 +577,20 @@ def backward(loss: Tensor):
     Populates `.grad` on every gradient-tracking leaf seen by the tape;
     leaves the loss does not depend on get exact zeros. Gradients are
     assigned (not accumulated across calls); run one backward per tape.
+    The tape's entries are detached and dropped as they are replayed, so
+    each activation is freed once the backward rules needing it have run.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ContractError("backward requires a scalar loss tensor")
     tape = loss.tape
+    if tape is not None and tape.replayed:
+        raise ContractError("tape was already replayed; run one backward per tape")
     if tape is None or not tape.entries:
         raise ContractError("loss was not recorded on an active tape")
+    entries, tape.entries, tape.replayed = tape.entries, [], True
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    for entry in reversed(tape.entries):
+    while entries:
+        entry = entries.pop()
         g = grads.pop(entry.out_id, None)
         if g is None:
             continue

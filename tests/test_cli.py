@@ -83,6 +83,14 @@ class TestTrainEval:
         assert rc == EXIT_DATA
         assert capsys.readouterr().err != ""
 
+    def test_zero_epochs_exit_1_before_writing(self, dataset, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", epochs=0)
+        rc = main(["train", "--config", str(cfg), "--data", str(dataset), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.strip()
+        assert "train.max_epochs" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_train_reproducible_bitwise(self, dataset, tmp_path):
         cfg = write_config(tmp_path / "c.json", seed=3, epochs=3)
         for name in ("r1", "r2"):

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from pedintent.errors import ContractError, DegenerateMaskError
-from pedintent.model import EncoderConfig, causal_mask, encode, encoder_layer, init_encoder_params, multi_head_attention
+from pedintent.model import (
+    EncoderConfig,
+    attention_weights,
+    causal_mask,
+    encode,
+    encoder_layer,
+    init_encoder_params,
+    multi_head_attention,
+)
 from pedintent.tensor import Tape, Tensor, backward, check_gradients, tensor_sum
 
 
@@ -24,14 +32,16 @@ class TestMultiHeadAttention:
     def test_identical_tokens_uniform_attention(self):
         params = make_params(CFG, seed=1)
         x = Tensor(np.tile(np.random.default_rng(2).normal(size=16).astype(np.float32), (5, 1)))
-        out, weights = multi_head_attention(x, params, "enc.L0.", CFG.n_heads)
+        out = multi_head_attention(x, params, "enc.L0.", CFG.n_heads)
+        weights = attention_weights(x, params, "enc.L0.", CFG.n_heads)
         assert np.allclose(weights, 0.2, atol=1e-6)
         assert np.allclose(out.data, np.tile(out.data[0], (5, 1)), atol=1e-5)
 
     def test_single_position(self):
         params = make_params(CFG, seed=3)
         x = Tensor(np.random.default_rng(4).normal(size=(1, 16)).astype(np.float32))
-        out, weights = multi_head_attention(x, params, "enc.L0.", CFG.n_heads)
+        out = multi_head_attention(x, params, "enc.L0.", CFG.n_heads)
+        weights = attention_weights(x, params, "enc.L0.", CFG.n_heads)
         assert weights.shape == (4, 1, 1)
         assert np.allclose(weights, 1.0)
         # output = OutProj(VProj(x))
@@ -42,7 +52,7 @@ class TestMultiHeadAttention:
     def test_causal_mask_zeroes_future(self):
         params = make_params(CFG, seed=5)
         x = Tensor(np.random.default_rng(6).normal(size=(3, 16)).astype(np.float32))
-        _, weights = multi_head_attention(x, params, "enc.L0.", CFG.n_heads, mask=causal_mask(3))
+        weights = attention_weights(x, params, "enc.L0.", CFG.n_heads, mask=causal_mask(3))
         upper = np.triu_indices(3, k=1)
         assert np.all(weights[:, upper[0], upper[1]] == 0.0)
         assert np.allclose(weights[:, 0, 0], 1.0)
@@ -52,7 +62,7 @@ class TestMultiHeadAttention:
         x = Tensor(np.random.default_rng(8).normal(size=(6, 16)).astype(np.float32))
         mask = np.random.default_rng(9).random((6, 6)) > 0.4
         mask[:, 0] = True
-        _, weights = multi_head_attention(x, params, "enc.L0.", CFG.n_heads, mask=mask)
+        weights = attention_weights(x, params, "enc.L0.", CFG.n_heads, mask=mask)
         assert np.all(weights >= 0)
         assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
 

@@ -1,9 +1,12 @@
 """Tensor kernel: forward semantics, backward rules, gradcheck oracle,
 checkpoint format."""
 
+import gc
+
 import numpy as np
 import pytest
 
+import pedintent.tensor.core as core
 from pedintent.errors import (
     CheckpointError,
     ContractError,
@@ -17,6 +20,7 @@ from pedintent.tensor import (
     Tape,
     Tensor,
     add,
+    attention,
     backward,
     broadcast_to,
     check_gradients,
@@ -100,6 +104,26 @@ class TestSoftmax:
     def test_fully_masked_slice(self):
         with pytest.raises(DegenerateMaskError):
             softmax(Tensor([[1.0, 2.0], [3.0, 4.0]]), axis=-1, mask=np.array([[True, True], [False, False]]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bit_identical_to_reference_formula(self, dtype, masked):
+        rng = np.random.default_rng(17)
+        xd = (rng.normal(size=(3, 5, 9)) * 4).astype(dtype)
+        if masked:
+            m = rng.random((5, 9)) > 0.4
+            m[:, 2] = True
+            mb = np.broadcast_to(m, xd.shape)
+            z = np.where(mb, xd, -np.inf)
+            z = z - z.max(axis=-1, keepdims=True)
+            e = np.where(mb, np.exp(z), 0.0).astype(dtype)
+        else:
+            m = None
+            e = np.exp(xd - xd.max(axis=-1, keepdims=True))
+        expected = e / e.sum(axis=-1, keepdims=True)
+        out = softmax(Tensor(xd), axis=-1, mask=m).data
+        assert out.dtype == dtype
+        assert np.array_equal(out, expected)
 
 
 class TestLayerNorm:
@@ -198,6 +222,31 @@ class TestBackward:
             backward(loss)
         assert np.allclose(x.grad, [5.0])
 
+    def test_replayed_tape_leaves_no_garbage(self):
+        x = Tensor(np.random.default_rng(2).normal(size=(2, 4, 3)), requires_grad=True)
+
+        def step():
+            with Tape():
+                backward(tensor_sum(attention(x, mul(x, 0.5), x)))
+
+        gc.collect()
+        gc.disable()
+        try:
+            step()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert x.grad is not None and x.grad.shape == x.shape
+
+    def test_second_backward_on_a_tape_rejected(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with Tape():
+            loss = tensor_sum(mul(x, x))
+            backward(loss)
+            with pytest.raises(ContractError):
+                backward(loss)
+        assert np.allclose(x.grad, 2.0)
+
     def test_purity_bit_identical(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 4)).astype(np.float32)
@@ -224,6 +273,8 @@ def _op_cases():
     gamma = t64(r.normal(size=6) + 1.5)
     beta = t64(r.normal(size=6))
 
+    att_const = t64(r.normal(size=(2, 5, 3)))
+
     def frozen_dropout(x):
         return tensor_sum(dropout(x, 0.4, np.random.default_rng(123), training=True))
 
@@ -247,6 +298,7 @@ def _op_cases():
         "reshape": ((3, 4), lambda x: tensor_sum(mul(reshape(x, (2, 6)), reshape(x, (2, 6))))),
         "broadcast_to": ((4,), lambda x: tensor_sum(mul(broadcast_to(x, (3, 4)), mul_const[0]))),
         "dropout": ((3, 4), frozen_dropout),
+        "attention": ((3, 2, 5, 3), lambda x: tensor_sum(mul(attention(x[0], x[1], x[2]), att_const))),
     }
 
 
@@ -286,6 +338,65 @@ def test_op_gradients_match_finite_differences_32bit(op):
     x = Tensor((_rng(13).normal(size=shape) * 0.6).astype(np.float32))
     report = check_gradients(fn, x, eps=1e-3)
     assert report.max_rel_err < 1e-3, f"{op}: {report.max_rel_err}"
+
+
+def _composed_attention(q, k, v, mask=None, scale=1.0):
+    """The unfused chain the attention op replaces."""
+    kt = transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    return matmul(softmax(mul(matmul(q, kt), scale), axis=-1, mask=mask), v)
+
+
+def _masks(s):
+    r = _rng(31).random((s, s)) > 0.5
+    r[:, 3] = True
+    return {"none": None, "causal": np.tril(np.ones((s, s), dtype=bool)), "random": r}
+
+
+class TestAttention:
+    """Multi-block cases set the block budget to 3 rows of a (2, 7, 3)
+    float64 input: blocks of 3, 3 and 1 rows."""
+
+    S = 7
+    THREE_ROWS = 3 * 2 * S * 8
+
+    @pytest.mark.parametrize("blocks", ["single", "multi"])
+    @pytest.mark.parametrize("mask", ["none", "causal", "random"])
+    def test_gradients_match_finite_differences(self, monkeypatch, blocks, mask):
+        if blocks == "multi":
+            monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", self.THREE_ROWS)
+        m = _masks(self.S)[mask]
+        c = t64(_rng(32).normal(size=(2, self.S, 3)))
+        x = Tensor(_rng(33).normal(size=(3, 2, self.S, 3)), dtype=np.float64)
+        report = check_gradients(lambda t: tensor_sum(mul(attention(t[0], t[1], t[2], mask=m), c)), x, eps=1e-5)
+        assert report.max_rel_err < 1e-5, f"{blocks}/{mask}: {report.max_rel_err}"
+
+    def test_fully_masked_row_in_a_later_block(self, monkeypatch):
+        monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", self.THREE_ROWS)
+        m = np.ones((self.S, self.S), dtype=bool)
+        m[4] = False
+        x = Tensor(np.ones((2, self.S, 3)))
+        with pytest.raises(DegenerateMaskError):
+            attention(x, x, x, mask=m)
+
+    @pytest.mark.parametrize("blocks", ["single", "multi"])
+    @pytest.mark.parametrize("mask", ["none", "causal", "random"])
+    def test_float32_matches_composed_ops(self, monkeypatch, blocks, mask):
+        if blocks == "multi":
+            monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", 5 * 4 * 12 * 4)  # blocks of 5, 5, 2 rows
+        m = _masks(12)[mask]
+        q, k, v = (Tensor(a.astype(np.float32)) for a in _rng(35).normal(size=(3, 2, 2, 12, 8)))
+        scale = 1.0 / np.sqrt(8)
+        fused = attention(mul(q, scale), k, v, mask=m).data
+        composed = _composed_attention(q, k, v, mask=m, scale=scale).data
+        assert fused.dtype == np.float32
+        assert np.max(np.abs(fused - composed)) < 1e-6
+
+    def test_shape_errors(self):
+        x = Tensor(np.ones((2, 4, 3)))
+        with pytest.raises(DimensionError):
+            attention(x, Tensor(np.ones((2, 5, 3))), x)
+        with pytest.raises(DimensionError):
+            attention(Tensor(np.ones(3)), Tensor(np.ones(3)), Tensor(np.ones(3)))
 
 
 class TestCheckGradients:

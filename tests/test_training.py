@@ -1,5 +1,8 @@
 """Loss, optimizer, schedules, and the full training loop."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -199,6 +202,40 @@ class TestTrainLoop:
             adam_step(model.params, {k: p.grad for k, p in model.params.items()}, state, 1e-3)
             after = evaluate_loss(model, sample)
             assert after < before
+
+    def test_taped_step_leaves_no_garbage(self):
+        windows = make_windows(4)[:8]
+        model = build(named_model_spec("ours6_bboxes", seed=1))
+
+        def step():
+            with Tape():
+                probs = forward_batch(model, windows, training=True, rng=np.random.default_rng(1))
+                backward(weighted_bce([w.label for w in windows], probs))
+
+        gc.collect()
+        gc.disable()
+        try:
+            step()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_ft_step_peak_below_full_score_tensors(self):
+        """One ours8_ft step at B=4 (706 tokens, 2 layers, 4 heads) peaks
+        below the three (4, 4, 706, 706) float32 score tensors per layer
+        that the unfused attention chain kept for backward."""
+        windows = make_windows(4)[:4]
+        model = build(named_model_spec("ours8_ft", seed=0))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with Tape():
+                probs = forward_batch(model, windows, training=True, rng=np.random.default_rng(0))
+                backward(weighted_bce([w.label for w in windows], probs))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 * 4 * 4 * 706 * 706 * 4
 
     def test_bit_identical_reproducibility(self):
         windows = make_windows(10)

@@ -8,8 +8,8 @@ from pedintent.model import (
     EncoderConfig,
     TubeletConfig,
     ViViTConfig,
+    attention_weights,
     init_vivit_params,
-    multi_head_attention,
     pool_tokens,
     vivit_factorised,
     vivit_forward,
@@ -118,13 +118,13 @@ class TestFactorisedSemantics:
 
         tokens = tubelet_embed(Tensor(clip), cfg.tubelet, params["vv.tubelet.w"], params["vv.tubelet.b"])
         grouped = Tensor(tokens.data.reshape(4, 4, 16))
-        _, weights = multi_head_attention(grouped, params, "vv.spatial.L0.", cfg.spatial.n_heads)
+        weights = attention_weights(grouped, params, "vv.spatial.L0.", cfg.spatial.n_heads)
         assert weights.shape == (4, 2, 4, 4)  # slices x heads x N_sp x N_sp
         joint = ViViTConfig(
             variant="spatiotemporal", tubelet=cfg.tubelet, spatial=EncoderConfig(1, 2, 16, dropout_rate=0.0)
         )
         jparams = make_params(joint, seed=13)
-        _, jweights = multi_head_attention(tokens, jparams, "vv.spatial.L0.", 2)
+        jweights = attention_weights(tokens, jparams, "vv.spatial.L0.", 2)
         assert jweights.shape == (2, 16, 16)  # heads x (T*N_sp) x (T*N_sp)
 
 
