@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -50,9 +51,10 @@ from .errors import (
     WindowError,
 )
 from .model import ModelSpec, build, ensemble_predict, forward, load_model, named_model_spec, save_model
+from .model.assembly import config_from_dict
 from .model.verify import check_model_gradients
-from .tensor import Tape, Tensor, backward, save_checkpoint
-from .training import TrainConfig, adam_step, TrainState, weighted_bce
+from .tensor import Tensor, save_checkpoint
+from .training import TrainConfig, TrainState, fit_step
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -100,6 +102,8 @@ class DataConfig:
     def __post_init__(self):
         self.local_size = tuple(self.local_size)
         self.global_size = tuple(self.global_size)
+        if self.split_seed < 0:
+            raise ConfigError(f"data.split_seed must be >= 0, got {self.split_seed}")
 
 
 @dataclass
@@ -111,35 +115,36 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
     out: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "train": dataclasses.asdict(self.train),
-            "data": dataclasses.asdict(self.data),
-            "out": self.out,
-        }
 
-
-def _model_from_dict(obj: dict) -> ModelSpec:
-    if "preset" in obj:
-        return named_model_spec(obj["preset"], seed=int(obj.get("seed", 0)))
-    return ModelSpec.from_dict(obj)
+def _model_from_dict(obj, where: str) -> ModelSpec:
+    if not (isinstance(obj, dict) and "preset" in obj):
+        return ModelSpec.from_dict(obj)
+    extra = sorted(set(obj) - {"preset", "seed"})
+    if extra:
+        raise ConfigError(f"unknown config key '{where}.{extra[0]}' (a preset takes only 'seed')")
+    seed = obj.get("seed", 0)
+    if not isinstance(seed, int):
+        raise ConfigError(f"{where}.seed must be int, got {type(seed).__name__}")
+    return named_model_spec(obj["preset"], seed=seed)
 
 
 def load_run_config(path, data_dir: Optional[str] = None, out: Optional[str] = None) -> RunConfig:
-    """Parse the JSON run config; CLI flags override file values."""
+    """Parse the JSON run config; CLI flags override file values. A
+    malformed section or an unknown key raises ConfigError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as e:
             raise ParseError(f"config {path}: invalid JSON ({e.msg})") from e
-    if "model" not in obj:
-        raise ConfigError(f"config {path}: missing 'model' section")
-    cfg = RunConfig(
-        model=_model_from_dict(obj["model"]),
-        train=TrainConfig(**obj.get("train", {})),
-        data=DataConfig(**obj.get("data", {})),
-        out=obj.get("out"),
+    if not isinstance(obj, dict) or "model" not in obj:
+        raise ConfigError(f"config {path}: the top level must be a JSON object with a 'model' section")
+    cfg = config_from_dict(
+        RunConfig,
+        obj,
+        "",
+        model=_model_from_dict,
+        train=partial(config_from_dict, TrainConfig),
+        data=partial(config_from_dict, DataConfig),
     )
     if data_dir is not None:
         cfg.data.annotations = str(Path(data_dir) / "annotations.jsonl")
@@ -152,7 +157,7 @@ def load_run_config(path, data_dir: Optional[str] = None, out: Optional[str] = N
 
 def _write_resolved(cfg: RunConfig, out_dir: Path, extra: Optional[dict] = None):
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = cfg.to_dict()
+    doc = dataclasses.asdict(cfg)
     if extra:
         doc.update(extra)
     with open(out_dir / "resolved_config.json", "w", encoding="utf-8") as fh:
@@ -265,11 +270,6 @@ def _cmd_finetune(args) -> int:
     return EXIT_OK
 
 
-def _member_scores(members, windows) -> np.ndarray:
-    cols = [training_mod.predict_scores(m, windows) for m in members]
-    return np.stack(cols, axis=1)
-
-
 def _cmd_ensemble(args) -> int:
     if len(args.members) != 3:
         raise ConfigError("the ensemble takes exactly 3 member checkpoints")
@@ -304,12 +304,7 @@ def _cmd_ensemble(args) -> int:
     state = TrainState(lr=cfg.train.lr, rng=np.random.default_rng(cfg.train.seed))
     loss_val = float("nan")
     for _ in range(cfg.train.max_epochs):
-        with Tape():
-            probs = ensemble_predict(Tensor(member_probs), w, b)
-            loss = weighted_bce(labels, probs, weights)
-            backward(loss)
-        adam_step(head_params, {k: p.grad for k, p in head_params.items()}, state, state.lr)
-        loss_val = float(loss.data)
+        loss_val = fit_step(head_params, lambda: ensemble_predict(Tensor(member_probs), w, b), labels, weights, state)
 
     hashes_after = [_sha256(p) for p in args.members]
     if hashes_after != hashes_before:
@@ -383,7 +378,8 @@ def _cmd_gradcheck(args) -> int:
     status = "ok" if report.max_rel_err < tol else "FAIL"
     print(
         f"gradcheck {status}: max_rel_err={report.max_rel_err:.3e} "
-        f"mean_rel_err={report.mean_rel_err:.3e} checked={report.n_checked} tol={tol:.0e}"
+        f"mean_rel_err={report.mean_rel_err:.3e} checked={report.n_checked} tol={tol:.0e} "
+        f"worst={report.worst_param}[{report.worst_index}]"
     )
     if report.max_rel_err >= tol:
         raise NumericalError(f"gradient check failed: max relative error {report.max_rel_err:.3e} >= {tol:.0e}")

@@ -28,6 +28,7 @@ from .types import (
     Frame,
     ObservationWindow,
     PedestrianTrack,
+    speed_one_hot,
 )
 
 GREY_MASK_VALUE = 128  # pre-normalization grey used to hide the pedestrian
@@ -141,8 +142,6 @@ def _window_features(records: Sequence, tte: int, pid: str, clips: dict) -> Obse
     bbox = np.stack([r.bbox.as_array() for r in records])
     center = np.stack([r.center.as_array() for r in records])
     pose = np.stack([r.pose for r in records])
-    from .types import speed_one_hot
-
     speed = np.stack([speed_one_hot(r.speed) for r in records])
     return ObservationWindow(
         bbox_delta=delta_encode(bbox).astype(np.float32),

@@ -7,7 +7,7 @@ windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -137,9 +137,6 @@ class PedestrianTrack:
     def pose_array(self) -> np.ndarray:
         return np.stack([f.pose for f in self.frames])
 
-    def speed_array(self) -> np.ndarray:
-        return np.stack([speed_one_hot(f.speed) for f in self.frames])
-
 
 @dataclass
 class ObservationWindow:
@@ -174,11 +171,6 @@ class ObservationWindow:
     @property
     def n_frames(self) -> int:
         return self.bbox_delta.shape[0]
-
-    @property
-    def nonvisual(self) -> np.ndarray:
-        """All four channels concatenated in the fixed column order."""
-        return np.hstack([self.bbox_delta, self.center_delta, self.pose, self.speed])
 
     def clip(self, name: str) -> Optional[np.ndarray]:
         if name not in VISUAL_INPUTS:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -69,6 +70,10 @@ class ModelSpec:
             problems.append("causal masking is frame-level and incompatible with the feature tokenizer")
         if self.causal and not self.channels:
             problems.append("causal masking applies to the non-visual encoder, which is disabled")
+        if self.nonvisual_encoder is not None and self.nonvisual_encoder.causal:
+            problems.append("nonvisual_encoder.causal is not used; set model.causal instead")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         d_models = {v.d_model for _, v in self.visual_configs}
         if self.nonvisual_encoder is not None:
             d_models.add(self.nonvisual_encoder.d_model)
@@ -109,61 +114,54 @@ class ModelSpec:
     # -- JSON round trip ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        def enc(cfg):
-            return None if cfg is None else dataclasses.asdict(cfg)
-
-        def viv(cfg):
-            if cfg is None:
-                return None
-            return {
-                "variant": cfg.variant,
-                "tubelet": dataclasses.asdict(cfg.tubelet),
-                "spatial": dataclasses.asdict(cfg.spatial),
-                "temporal": enc(cfg.temporal),
-            }
-
-        return {
-            "channels": list(self.channels),
-            "nonvisual_encoder": enc(self.nonvisual_encoder),
-            "use_feature_tokenizer": self.use_feature_tokenizer,
-            "causal": self.causal,
-            "local_context": viv(self.local_context),
-            "local_surround": viv(self.local_surround),
-            "global_context": viv(self.global_context),
-            "fusion": {
-                "strategy": self.fusion.strategy,
-                "encoder": enc(self.fusion.encoder),
-            },
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelSpec":
-        def enc(d):
-            return None if d is None else EncoderConfig(**d)
+        def enc(d, where):
+            return None if d is None else config_from_dict(EncoderConfig, d, where)
 
-        def viv(d):
-            if d is None:
-                return None
-            return ViViTConfig(
-                variant=d["variant"],
-                tubelet=TubeletConfig(**d["tubelet"]),
-                spatial=EncoderConfig(**d["spatial"]),
-                temporal=enc(d.get("temporal")),
-            )
+        def viv(d, where):
+            parts = dict(tubelet=partial(config_from_dict, TubeletConfig), spatial=partial(config_from_dict, EncoderConfig))
+            return None if d is None else config_from_dict(ViViTConfig, d, where, temporal=enc, **parts)
 
-        fusion = obj.get("fusion", {"strategy": "concat_ffn", "encoder": None})
-        return cls(
-            channels=tuple(obj.get("channels", ())),
-            nonvisual_encoder=enc(obj.get("nonvisual_encoder")),
-            use_feature_tokenizer=bool(obj.get("use_feature_tokenizer", False)),
-            causal=bool(obj.get("causal", False)),
-            local_context=viv(obj.get("local_context")),
-            local_surround=viv(obj.get("local_surround")),
-            global_context=viv(obj.get("global_context")),
-            fusion=FusionConfig(strategy=fusion["strategy"], encoder=enc(fusion.get("encoder"))),
-            seed=int(obj.get("seed", 0)),
-        )
+        fusion = partial(config_from_dict, FusionConfig, encoder=enc)
+        visual = dict.fromkeys(VISUAL_INPUTS, viv)
+        return config_from_dict(cls, obj, "model", nonvisual_encoder=enc, fusion=fusion, **visual)
+
+
+# JSON types a config field accepts, by the field's annotation.
+_JSON_TYPES = {
+    "int": int,
+    "float": (int, float),
+    "bool": bool,
+    "str": str,
+    "tuple": (list, tuple),
+    "Optional[int]": (int, type(None)),
+    "Optional[str]": (str, type(None)),
+}
+
+
+def config_from_dict(cls, obj, where: str, **parsers):
+    """The config dataclass `cls` from a parsed JSON object; `parsers` map
+    field names to `parse(value, where)` for nested sections. A non-object,
+    an unknown key, a wrongly typed value or a value `cls` rejects raises
+    ConfigError naming where it is."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where or 'config'} must be a JSON object, got {type(obj).__name__}")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in obj.items():
+        name = f"{where}.{key}" if where else key
+        if key not in types:
+            raise ConfigError(f"unknown config key {name!r}")
+        if not isinstance(value, _JSON_TYPES.get(types[key], object)):
+            raise ConfigError(f"{name} must be {types[key]}, got {type(value).__name__}")
+        kwargs[key] = parsers[key](value, name) if key in parsers else value
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{where or 'config'}: {e}") from e
 
 
 class Model:
@@ -185,11 +183,12 @@ class Model:
         extra = set(state) - set(self.params)
         if missing or extra:
             raise CheckpointError(f"checkpoint/spec mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+        arrays = {name: np.asarray(state[name], dtype=p.data.dtype) for name, p in self.params.items()}
+        for name, p in self.params.items():  # check every shape before assigning any
+            if arrays[name].shape != p.shape:
+                raise CheckpointError(f"shape mismatch for {name}: {arrays[name].shape} vs {p.shape}")
         for name, p in self.params.items():
-            arr = np.asarray(state[name], dtype=p.data.dtype)
-            if arr.shape != p.shape:
-                raise CheckpointError(f"shape mismatch for {name}: {arr.shape} vs {p.shape}")
-            p.data = arr.copy()
+            p.data = arrays[name].copy()
 
 
 def build(spec: ModelSpec, dtype=np.float32) -> Model:
@@ -234,18 +233,16 @@ def _branch_outputs(model: Model, nonvis, clips: dict, training: bool, rng) -> l
         x = nonvis if isinstance(nonvis, Tensor) else Tensor(nonvis)
         if spec.use_feature_tokenizer:
             tokens = feature_tokenize(x, params["nonvisual.tok.w"], params["nonvisual.tok.b"], params["nonvisual.tok.cls"])
-            tokens = layer_norm(tokens, params["nonvisual.emb_ln.gamma"], params["nonvisual.emb_ln.beta"])
-            pe = positional_encoding(tokens.shape[-2], spec.d_model, dtype=tokens.data.dtype)
-            tokens = add(tokens, Tensor(pe, dtype=tokens.data.dtype))
-            encoded = encode(tokens, spec.nonvisual_encoder, params, "nonvisual.enc.", training=training, rng=rng)
-            branches.append(tensor_slice(encoded, (Ellipsis, slice(0, 1), slice(None))))
         else:
             tokens = add(matmul(x, params["nonvisual.proj.w"]), params["nonvisual.proj.b"])
-            tokens = layer_norm(tokens, params["nonvisual.emb_ln.gamma"], params["nonvisual.emb_ln.beta"])
-            pe = positional_encoding(tokens.shape[-2], spec.d_model, dtype=tokens.data.dtype)
-            tokens = add(tokens, Tensor(pe, dtype=tokens.data.dtype))
-            cfg = dataclasses.replace(spec.nonvisual_encoder, causal=spec.causal)
-            branches.append(encode(tokens, cfg, params, "nonvisual.enc.", training=training, rng=rng))
+        tokens = layer_norm(tokens, params["nonvisual.emb_ln.gamma"], params["nonvisual.emb_ln.beta"])
+        pe = positional_encoding(tokens.shape[-2], spec.d_model, dtype=tokens.data.dtype)
+        tokens = add(tokens, Tensor(pe, dtype=tokens.data.dtype))
+        cfg = dataclasses.replace(spec.nonvisual_encoder, causal=spec.causal)
+        encoded = encode(tokens, cfg, params, "nonvisual.enc.", training=training, rng=rng)
+        if spec.use_feature_tokenizer:  # the cls token summarises the sequence
+            encoded = tensor_slice(encoded, (Ellipsis, slice(0, 1), slice(None)))
+        branches.append(encoded)
     for name, cfg in spec.visual_configs:
         clip = clips.get(name)
         if clip is None:

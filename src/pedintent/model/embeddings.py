@@ -44,9 +44,6 @@ class TubeletConfig:
     def flat_size(self) -> int:
         return self.t_patch * self.h_patch * self.w_patch * 3
 
-    def token_count(self, t: int, h: int, w: int) -> int:
-        return (t // self.t_patch) * (h // self.h_patch) * (w // self.w_patch)
-
 
 def tubelet_embed(clip: Tensor, cfg: TubeletConfig, weight: Tensor, bias: Tensor) -> Tensor:
     """Project non-overlapping (t, h, w) patches of a (..., T, H, W, 3) clip

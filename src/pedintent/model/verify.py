@@ -7,22 +7,14 @@ each branch of the architecture is exercised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import ContractError
-from ..tensor import Tape, backward, tensor_sum
-from ..tensor.gradcheck import GradCheckReport
+from ..tensor import Tape, Tensor, backward, tensor_sum
+from ..tensor.gradcheck import GradCheckReport, finite_difference_errors, gradcheck_report
 from .assembly import Model, forward_arrays, stack_windows
-
-
-@dataclass(frozen=True)
-class ParamGradError:
-    name: str
-    index: int
-    rel_err: float
 
 
 def check_model_gradients(
@@ -34,51 +26,23 @@ def check_model_gradients(
     denom_floor: float = 1e-3,
 ) -> GradCheckReport:
     """Compare d(sum of output probabilities)/d(theta) against central
-    differences on a random subset of parameter elements."""
+    differences on a random subset of parameter elements; the report names
+    the parameter holding the worst element."""
     if not 1e-6 <= eps <= 1e-3:
         raise ContractError("eps must lie in [1e-6, 1e-3]")
+    if max_elements < 1:
+        raise ContractError(f"max_elements is {max_elements}; the check needs at least 1 element")
     dtype = next(iter(model.params.values())).data.dtype
     nonvis, clips = stack_windows(model.spec, windows, dtype=dtype)
 
-    def loss_value() -> float:
-        return float(tensor_sum(forward_arrays(model, nonvis, clips, training=False)).data)
+    def loss() -> Tensor:
+        return tensor_sum(forward_arrays(model, nonvis, clips, training=False))
 
     with Tape():
-        loss = tensor_sum(forward_arrays(model, nonvis, clips, training=False))
-        backward(loss)
-    grads = {name: np.array(p.grad, copy=True) for name, p in model.params.items()}
-
-    names = list(model.params)
-    sizes = np.array([model.params[n].data.size for n in names])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-    rng = np.random.default_rng(seed)
-    chosen = np.sort(rng.choice(total, size=min(max_elements, total), replace=False))
-
-    rel = np.empty(len(chosen))
-    worst = ParamGradError("", -1, -1.0)
-    for k, flat_idx in enumerate(chosen):
-        p_i = int(np.searchsorted(offsets, flat_idx, side="right") - 1)
-        name = names[p_i]
-        local = int(flat_idx - offsets[p_i])
-        data = model.params[name].data.ravel()
-        saved = data[local]
-        data[local] = saved + eps
-        fp = loss_value()
-        data[local] = saved - eps
-        fm = loss_value()
-        data[local] = saved
-        fd = (fp - fm) / (2.0 * eps)
-        ad = float(grads[name].ravel()[local])
-        err = abs(ad - fd) / max(abs(ad), abs(fd), denom_floor)
-        rel[k] = err
-        if err > worst.rel_err:
-            worst = ParamGradError(name, local, err)
-
-    return GradCheckReport(
-        max_rel_err=float(rel.max()),
-        mean_rel_err=float(rel.mean()),
-        n_checked=len(chosen),
-        worst_index=worst.index,
-        rel_errors=rel,
-    )
+        backward(loss())
+    arrays = [p.data for p in model.params.values()]
+    grads = [p.grad for p in model.params.values()]
+    total = sum(a.size for a in arrays)
+    chosen = np.sort(np.random.default_rng(seed).choice(total, size=min(max_elements, total), replace=False))
+    rel = finite_difference_errors(arrays, grads, lambda: float(loss().data), chosen, eps, denom_floor)
+    return gradcheck_report(rel, chosen, arrays, list(model.params))

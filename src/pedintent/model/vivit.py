@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ConfigError, ContractError
-from ..tensor import Tensor, add, mean_over_axis, reshape, tensor_slice
+from ..errors import ConfigError
+from ..tensor import Tensor, add, mean_over_axis, reshape
 from .common import add_param, glorot_uniform
 from .embeddings import TubeletConfig, positional_encoding, tubelet_embed
 from .encoder import EncoderConfig, encode, init_encoder_params
@@ -106,14 +106,3 @@ def vivit_forward(
     fn = vivit_spatiotemporal if cfg.variant == "spatiotemporal" else vivit_factorised
     return fn(clip, cfg, params, prefix, training=training, rng=rng)
 
-
-def pool_tokens(tokens: Tensor, mode: str) -> Tensor:
-    """Collapse a (..., S, d) token sequence to (..., d): arithmetic mean
-    over tokens, or the cls token at index 0."""
-    if tokens.shape[-2] < 1:
-        raise ContractError("cannot pool an empty token sequence")
-    if mode == "mean":
-        return mean_over_axis(tokens, axis=-2)
-    if mode == "cls":
-        return tensor_slice(tokens, (Ellipsis, 0, slice(None)))
-    raise ConfigError(f"unknown pooling mode {mode!r}")

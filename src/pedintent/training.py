@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BalanceError, ConfigError, ContractError, NumericalError
+from .errors import BalanceError, ConfigError, ContractError, NumericalError, WindowError
 from .model.assembly import Model, forward_batch
 from .tensor import Tape, Tensor, add, backward, clamp, log, mean_over_axis, mul
 
@@ -43,8 +43,8 @@ class TrainConfig:
             raise ConfigError("plateau_factor must be in (0, 1)")
         if self.plateau_patience < 1 or self.early_stop_patience < 1:
             raise ConfigError("patiences must be >= 1")
-        if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 0:
-            raise ConfigError("lr must be > 0, batch_size >= 1, max_epochs >= 0")
+        if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 0 or self.seed < 0:
+            raise ConfigError("lr must be > 0, batch_size >= 1, max_epochs >= 0, seed >= 0")
 
 
 @dataclass
@@ -120,6 +120,17 @@ def adam_step(params: dict, grads: dict, state: TrainState, lr: float):
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
+def fit_step(params: dict, probs_fn: Callable[[], Tensor], labels, weights: Optional[dict], state: TrainState) -> float:
+    """One optimisation step on one batch: probabilities from `probs_fn` on
+    a fresh tape, weighted BCE, backward, Adam. Returns the batch loss
+    before the update."""
+    with Tape():
+        loss = weighted_bce(labels, probs_fn(), weights)
+        backward(loss)
+    adam_step(params, {name: p.grad for name, p in params.items()}, state, state.lr)
+    return float(loss.data)
+
+
 def plateau_scheduler(state: TrainState, val_loss: float, patience: int, factor: float) -> float:
     """Multiply the LR by `factor` after `patience` consecutive epochs
     without improvement beyond MIN_DELTA; returns the current LR."""
@@ -180,6 +191,8 @@ def train(
     per-epoch history; the model ends at its best-validation weights."""
     train_windows = list(train_windows)
     val_windows = list(val_windows)
+    if not train_windows:
+        raise WindowError("no training windows: the train split yields no observation windows for this data config")
     labels = np.array([w.label for w in train_windows])
     weights = class_weights(labels) if cfg.use_class_weights else None
     if state is None:
@@ -188,19 +201,15 @@ def train(
     history: list[EpochStats] = []
     for epoch in range(1, cfg.max_epochs + 1):
         order = state.rng.permutation(len(train_windows))
-        total, seen = 0.0, 0
+        total = 0.0
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             batch = [train_windows[i] for i in idx]
-            with Tape():
-                probs = forward_batch(model, batch, training=True, rng=state.rng)
-                loss = weighted_bce(labels[idx], probs, weights)
-                backward(loss)
-            grads = {name: p.grad for name, p in model.params.items()}
-            adam_step(model.params, grads, state, state.lr)
-            total += float(loss.data) * len(idx)
-            seen += len(idx)
-        train_loss = total / max(seen, 1)
+            loss = fit_step(
+                model.params, lambda: forward_batch(model, batch, training=True, rng=state.rng), labels[idx], weights, state
+            )
+            total += loss * len(idx)
+        train_loss = total / len(train_windows)
         val_loss = evaluate_loss(model, val_windows) if val_windows else train_loss
         plateau_scheduler(state, val_loss, cfg.plateau_patience, cfg.plateau_factor)
         stop = early_stopping(state, val_loss, cfg.early_stop_patience, model.params)

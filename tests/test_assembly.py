@@ -66,6 +66,34 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="d_model"):
             ModelSpec(channels=("bbox",), nonvisual_encoder=EncoderConfig(1, 2, 16), local_context=vivit)
 
+    @pytest.mark.parametrize("tokenizer", [False, True], ids=["projection", "tokenizer"])
+    def test_nonvisual_encoder_causal_rejected(self, tokenizer):
+        with pytest.raises(ConfigError, match="model.causal"):
+            ModelSpec(
+                channels=("bbox",),
+                nonvisual_encoder=EncoderConfig(1, 2, 8, causal=True),
+                use_feature_tokenizer=tokenizer,
+            )
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda d: d.update(bogus=1), "model.bogus"),
+            (lambda d: d["nonvisual_encoder"].update(depth=2), "model.nonvisual_encoder.depth"),
+            (lambda d: d["local_context"].pop("tubelet"), "tubelet"),
+            (lambda d: d.update(local_context=[1, 2]), "model.local_context"),
+            (lambda d: d.update(fusion={"encoder": None}), "strategy"),
+            (lambda d: d.update(channels="bbox"), "model.channels"),
+            (lambda d: d.update(seed="2"), "model.seed"),
+        ],
+        ids=["top-key", "encoder-key", "no-tubelet", "section-type", "no-strategy", "channels-type", "seed-type"],
+    )
+    def test_malformed_dict_names_the_key(self, edit, key):
+        d = named_model_spec("ours1").to_dict()
+        edit(d)
+        with pytest.raises(ConfigError, match=key):
+            ModelSpec.from_dict(d)
+
     def test_json_round_trip(self):
         for name in NAMED_CONFIGS:
             spec = named_model_spec(name, seed=5)
@@ -172,6 +200,17 @@ class TestPersistence:
         save_checkpoint(path, model.params)  # no sidecar
         with pytest.raises(CheckpointError, match="sidecar"):
             load_model(path)
+
+    def test_failed_load_leaves_model_unchanged(self):
+        model = build(named_model_spec("ours6_bboxes"))
+        before = model.state_dict()
+        state = {k: v + 1.0 for k, v in before.items()}
+        last = list(state)[-1]
+        state[last] = np.zeros((2,) + state[last].shape, np.float32)  # only the last shape is wrong
+        with pytest.raises(CheckpointError, match=last):
+            model.load_state_dict(state)
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, before[name]), name
 
     def test_spec_checkpoint_mismatch(self):
         model = build(named_model_spec("ours6_bboxes"))

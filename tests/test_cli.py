@@ -5,8 +5,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from pedintent.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from pedintent import cli
+from pedintent.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_run_config, main
+from pedintent.model import build, named_model_spec
 
 
 def sha(path):
@@ -91,6 +95,13 @@ class TestTrainEval:
         assert "train.max_epochs" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_no_training_windows_exit_2_names_cause(self, dataset, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", extra_data={"obs_len": 70})  # 78-frame tracks
+        rc = main(["train", "--config", str(cfg), "--data", str(dataset), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err.strip()
+        assert "no training windows" in err and len(err.splitlines()) == 1
+
     def test_train_reproducible_bitwise(self, dataset, tmp_path):
         cfg = write_config(tmp_path / "c.json", seed=3, epochs=3)
         for name in ("r1", "r2"):
@@ -151,11 +162,20 @@ class TestGradcheckCommand:
     def test_ok_exit_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
         assert main(["gradcheck", "--config", str(cfg), "--elements", "40"]) == EXIT_OK
-        assert "gradcheck ok" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "gradcheck ok" in out
+        worst = out.split("worst=")[1].split("[")[0]
+        assert worst in build(named_model_spec("ours6_bboxes")).params
 
     def test_bad_eps_exit_usage(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
         assert main(["gradcheck", "--config", str(cfg), "--eps", "0.5"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_no_elements_exit_usage(self, tmp_path, capsys, n):
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["gradcheck", "--config", str(cfg), "--elements", n]) == EXIT_USAGE
+        assert "max_elements" in capsys.readouterr().err
 
 
 class TestUsage:
@@ -169,3 +189,85 @@ class TestUsage:
         cfg = tmp_path / "c.json"
         cfg.write_text("{}", encoding="utf-8")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"model": {"preset": "ours6_bboxes"}, "train": {"bogus": 1}}, "train.bogus"),
+            ({"model": {"preset": "ours6_bboxes"}, "data": {"bogus": 3}}, "data.bogus"),
+            ({"model": {"preset": "ours6_bboxes"}, "train": {"lr": "fast"}}, "train.lr"),
+            ({"model": {"preset": "ours6_bboxes"}, "data": []}, "data"),
+            ({"model": {"preset": "ours6_bboxes", "causal": True}}, "model.causal"),
+            ({"model": {"preset": "ours6_bboxes", "seed": -1}}, "seed must be >= 0"),
+            ({"model": {"preset": "ours6_bboxes"}, "train": {"seed": -1}}, "seed >= 0"),
+            ({"model": {"preset": "ours6_bboxes"}, "data": {"split_seed": -1}}, "data.split_seed"),
+            (
+                {
+                    "model": {
+                        "local_context": {
+                            "variant": "spatiotemporal",
+                            "spatial": {"n_layers": 1, "n_heads": 2, "d_model": 8},
+                        }
+                    }
+                },
+                "tubelet",
+            ),
+            ([{"model": {"preset": "ours6_bboxes"}}], "top level"),
+        ],
+        ids=[
+            "train-key",
+            "data-key",
+            "train-type",
+            "data-section",
+            "preset-key",
+            "model-seed",
+            "train-seed",
+            "split-seed",
+            "no-tubelet",
+            "array",
+        ],
+    )
+    def test_malformed_config_exit_1_names_key(self, tmp_path, capsys, doc, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err.strip()
+        assert key in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+
+# Keys and strings of the run-config schema, so that generated documents
+# reach the nested sections as well as the top level.
+_KEYS = (
+    "model train data out preset seed channels nonvisual_encoder use_feature_tokenizer causal "
+    "local_context local_surround global_context fusion strategy encoder variant tubelet spatial "
+    "temporal n_layers n_heads d_model d_ff dropout_rate t_patch h_patch w_patch lr batch_size "
+    "max_epochs plateau_factor obs_len local_size annotations"
+).split()
+_WORDS = ["ours1", "ours8_ft", "bbox", "pose", "speed", "spatiotemporal", "factorised", "concat_ffn", "transformer"]
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(0, 64)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(_WORDS)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=30,
+)
+_MAPPED = cli._USAGE_ERRORS + cli._DATA_ERRORS + cli._NUMERIC_ERRORS
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_JSON | st.fixed_dictionaries({"model": _JSON}, optional={"train": _JSON, "data": _JSON, "out": _JSON}))
+def test_load_run_config_raises_only_mapped_errors(tmp_path, doc):
+    """Whatever JSON value the config file holds, loading it returns a
+    config or raises an error class `main` maps to an exit code."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        load_run_config(path)
+    except _MAPPED:
+        pass

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from pedintent.data import extract_windows, generate_synthetic
-from pedintent.errors import BalanceError, ConfigError, ContractError, NumericalError
-from pedintent.model import build, forward_batch, named_model_spec
+from pedintent.errors import BalanceError, ConfigError, ContractError, NumericalError, WindowError
+from pedintent.model import build, ensemble_predict, forward_batch, named_model_spec
 from pedintent.tensor import Tape, Tensor, backward
 from pedintent.training import (
     EpochStats,
@@ -19,6 +19,7 @@ from pedintent.training import (
     early_stopping,
     evaluate_loss,
     finetune,
+    fit_step,
     history_to_csv,
     plateau_scheduler,
     train,
@@ -126,6 +127,42 @@ class TestAdam:
                 adam_step(params, {"w": g}, state, 1e-3)
             results.append(params["w"].data.copy())
         assert np.array_equal(results[0], results[1])
+
+
+class TestFitStep:
+    def test_returns_loss_before_update_and_takes_one_adam_step(self):
+        w = Tensor(np.zeros(3, np.float32), requires_grad=True)
+        b = Tensor(np.zeros((), np.float32), requires_grad=True)
+        params = {"w": w, "b": b}
+        x = Tensor(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]], np.float32))
+        state = fresh_state(lr=0.1)
+        loss = fit_step(params, lambda: ensemble_predict(x, w, b), [1, 0], None, state)
+        assert abs(loss - np.log(2.0)) < 1e-6  # sigmoid(0) = 1/2 for both samples
+        assert state.step == 1
+        # a first Adam step moves each parameter by lr against its gradient's
+        # sign; b's gradient is exactly 0 (the two samples cancel)
+        assert np.allclose(w.data, [0.1, -0.1, 0.1], atol=1e-6)
+        assert float(b.data) == 0.0
+
+    def test_matches_hand_rolled_step(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.random((6, 3)).astype(np.float32))
+        b = Tensor(np.zeros((), np.float32))
+        labels = np.array([1, 0, 1, 1, 0, 0])
+        runs = []
+        for use_helper in (True, False):
+            w = Tensor(np.full(3, 0.1, np.float32), requires_grad=True)
+            params, state = {"w": w}, fresh_state(lr=0.05)
+            for _ in range(3):
+                if use_helper:
+                    fit_step(params, lambda: ensemble_predict(x, w, b), labels, {0: 2.0, 1: 0.5}, state)
+                else:
+                    with Tape():
+                        loss = weighted_bce(labels, ensemble_predict(x, w, b), {0: 2.0, 1: 0.5})
+                        backward(loss)
+                    adam_step(params, {"w": w.grad}, state, state.lr)
+            runs.append(w.data.copy())
+        assert np.array_equal(runs[0], runs[1])
 
 
 class TestPlateauScheduler:
@@ -272,6 +309,13 @@ class TestTrainLoop:
         history = train(model, windows[:20], windows[20:30], cfg)
         best = min(h.val_loss for h in history)
         assert abs(evaluate_loss(model, windows[20:30]) - best) < 1e-6
+
+
+class TestEmptyTrainSplit:
+    def test_no_windows_named_as_the_cause(self):
+        model = build(named_model_spec("ours6_bboxes"))
+        with pytest.raises(WindowError, match="no training windows"):
+            train(model, [], make_windows(4)[:4], TrainConfig(max_epochs=1))
 
 
 class TestFinetune:

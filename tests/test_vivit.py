@@ -1,16 +1,15 @@
-"""Video encoders: joint spatio-temporal and factorised variants, pooling."""
+"""Video encoders: joint spatio-temporal and factorised variants."""
 
 import numpy as np
 import pytest
 
-from pedintent.errors import ConfigError, ContractError
+from pedintent.errors import ConfigError
 from pedintent.model import (
     EncoderConfig,
     TubeletConfig,
     ViViTConfig,
     attention_weights,
     init_vivit_params,
-    pool_tokens,
     vivit_factorised,
     vivit_forward,
     vivit_spatiotemporal,
@@ -152,31 +151,6 @@ class TestGradients:
         b = vivit_spatiotemporal(Tensor(altered), cfg, params, "vv.").data
         # tokens from the unchanged first tubelet still differ via attention
         assert np.abs(a[:4] - b[:4]).max() > 1e-6
-
-
-class TestPoolTokens:
-    def test_mean(self):
-        out = pool_tokens(Tensor(np.array([[1.0, 3.0], [3.0, 5.0]], np.float32)), "mean")
-        assert out.data.tolist() == [2.0, 4.0]
-
-    def test_single_token_both_modes(self):
-        tok = Tensor(np.array([[2.5, -1.0]], np.float32))
-        assert np.array_equal(pool_tokens(tok, "mean").data, tok.data[0])
-        assert np.array_equal(pool_tokens(tok, "cls").data, tok.data[0])
-
-    def test_mean_permutation_invariant(self):
-        rng = np.random.default_rng(19)
-        tokens = rng.normal(size=(9, 5)).astype(np.float32)
-        perm = rng.permutation(9)
-        a = pool_tokens(Tensor(tokens), "mean").data
-        b = pool_tokens(Tensor(tokens[perm]), "mean").data
-        assert np.allclose(a, b, atol=1e-6)
-
-    def test_empty_and_bad_mode(self):
-        with pytest.raises(ContractError):
-            pool_tokens(Tensor(np.zeros((0, 4), np.float32)), "mean")
-        with pytest.raises(ConfigError):
-            pool_tokens(Tensor(np.zeros((2, 4), np.float32)), "max")
 
 
 class TestConfigValidation:
