@@ -53,7 +53,7 @@ from .errors import (
 from .model import ModelSpec, build, ensemble_predict, forward, load_model, named_model_spec, save_model
 from .model.assembly import config_from_dict
 from .model.verify import check_model_gradients
-from .tensor import Tensor, save_checkpoint
+from .tensor import Tensor, save_checkpoint, write_atomic
 from .training import TrainConfig, TrainState, fit_step
 
 EXIT_OK = 0
@@ -70,7 +70,7 @@ _DATA_ERRORS = (
     BalanceError,
     DegenerateCropError,
     DimensionError,
-    FileNotFoundError,
+    OSError,
 )
 _USAGE_ERRORS = (ConfigError, ContractError)
 _NUMERIC_ERRORS = (NumericalError, DeterminismError, DegenerateMaskError)
@@ -152,6 +152,9 @@ def load_run_config(path, data_dir: Optional[str] = None, out: Optional[str] = N
         cfg.data.frames = str(frames) if frames.exists() else None
     if out is not None:
         cfg.out = out
+    for key, value in (("data.annotations", cfg.data.annotations), ("data.frames", cfg.data.frames), ("out", cfg.out)):
+        if value is not None and "\0" in value:  # no OS path holds one; open() would raise ValueError
+            raise ConfigError(f"{key} contains a NUL character")
     return cfg
 
 
@@ -160,8 +163,7 @@ def _write_resolved(cfg: RunConfig, out_dir: Path, extra: Optional[dict] = None)
     doc = dataclasses.asdict(cfg)
     if extra:
         doc.update(extra)
-    with open(out_dir / "resolved_config.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+    write_atomic(out_dir / "resolved_config.json", json.dumps(doc, indent=2).encode("utf-8"))
 
 
 def _clip_config(spec: ModelSpec, data: DataConfig) -> ClipConfig:
@@ -173,34 +175,25 @@ def _clip_config(spec: ModelSpec, data: DataConfig) -> ClipConfig:
     )
 
 
-def _load_split_windows(cfg: RunConfig) -> dict:
-    if cfg.data.annotations is None:
+def _load_split_windows(spec: ModelSpec, data: DataConfig, names: Sequence[str]) -> dict:
+    """Observation windows of the named splits ("train", "val", "test" or
+    "all"); tracks of other splits are not extracted."""
+    if data.annotations is None:
         raise ConfigError("no annotations path configured; pass --data or set data.annotations")
-    tracks = load_annotations(cfg.data.annotations)
+    tracks = load_annotations(data.annotations)
     frames = None
-    if cfg.model.visual_inputs:
-        if cfg.data.frames is None:
+    if spec.visual_inputs:
+        if data.frames is None:
             raise ConfigError("model enables visual inputs but no frame container is configured")
-        frames = FrameStore.load(cfg.data.frames)
-    clip_cfg = _clip_config(cfg.model, cfg.data)
-    splits = split_tracks(tracks, cfg.data.split_seed)
-    out = {}
-    for name, split in splits.items():
-        windows = []
-        for track in split:
-            windows.extend(
-                extract_windows(
-                    track,
-                    cfg.data.obs_len,
-                    (cfg.data.tte_lo, cfg.data.tte_hi),
-                    cfg.data.stride,
-                    frames=frames,
-                    clip_cfg=clip_cfg,
-                )
-            )
-        out[name] = windows
-    out["all"] = out["train"] + out["val"] + out["test"]
-    return out
+        frames = FrameStore.load(data.frames)
+    clip_cfg = _clip_config(spec, data)
+    splits = split_tracks(tracks, data.split_seed)
+    splits["all"] = splits["train"] + splits["val"] + splits["test"]
+
+    def windows(track):
+        return extract_windows(track, data.obs_len, (data.tte_lo, data.tte_hi), data.stride, frames=frames, clip_cfg=clip_cfg)
+
+    return {name: [w for track in splits[name] for w in windows(track)] for name in names}
 
 
 def _sha256(path) -> str:
@@ -235,7 +228,7 @@ def _cmd_train(args) -> int:
         raise ConfigError(f"train.max_epochs is {cfg.train.max_epochs}; training needs at least 1 epoch")
     out_dir = Path(cfg.out)
     _write_resolved(cfg, out_dir)
-    splits = _load_split_windows(cfg)
+    splits = _load_split_windows(cfg.model, cfg.data, ("train", "val"))
     train_windows = splits["train"]
     if cfg.data.balance:
         train_windows = resample_balance(train_windows, cfg.train.seed)
@@ -259,7 +252,7 @@ def _cmd_finetune(args) -> int:
     cfg.model = model.spec
     out_dir = Path(cfg.out)
     _write_resolved(cfg, out_dir, extra={"finetune_from": str(args.checkpoint)})
-    splits = _load_split_windows(cfg)
+    splits = _load_split_windows(cfg.model, cfg.data, ("train", "val"))
     train_windows = splits["train"]
     if cfg.data.balance:
         train_windows = resample_balance(train_windows, cfg.train.seed)
@@ -280,18 +273,13 @@ def _cmd_ensemble(args) -> int:
     members = [load_model(p) for p in args.members]
     cfg.model = members[0].spec
     out_dir = Path(cfg.out)
-    _write_resolved(
-        cfg,
-        out_dir,
-        extra={"ensemble_members": [str(p) for p in args.members], "member_sha256": hashes_before},
-    )
+    member_paths = [str(p) for p in args.members]
+    _write_resolved(cfg, out_dir, extra={"ensemble_members": member_paths, "member_sha256": hashes_before})
 
     # Member specs may enable different inputs; build windows per member.
     labels, scores = None, []
-    for member, path in zip(members, args.members):
-        member_cfg = RunConfig(model=member.spec, train=cfg.train, data=cfg.data, out=cfg.out)
-        splits = _load_split_windows(member_cfg)
-        windows = splits["train"]
+    for member in members:
+        windows = _load_split_windows(member.spec, cfg.data, ("train",))["train"]
         if labels is None:
             labels = np.array([w.label for w in windows], dtype=np.float32)
         scores.append(training_mod.predict_scores(member, windows))
@@ -309,13 +297,7 @@ def _cmd_ensemble(args) -> int:
     hashes_after = [_sha256(p) for p in args.members]
     if hashes_after != hashes_before:
         raise IntegrityError("member checkpoints changed during ensemble-head training; aborting")
-    save_checkpoint(out_dir / "ensemble.itn", head_params)
-    with open(out_dir / "ensemble_config.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {"members": [str(p) for p in args.members], "member_sha256": hashes_before},
-            fh,
-            indent=2,
-        )
+    save_checkpoint(out_dir / "ensemble.itn", head_params, {"members": member_paths, "member_sha256": hashes_before})
     print(
         f"ensemble head trained: loss={loss_val:.6f} w={np.round(w.data, 4).tolist()} "
         f"b={float(b.data):.4f} out={out_dir / 'ensemble.itn'}"
@@ -325,17 +307,13 @@ def _cmd_ensemble(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_model(args.checkpoint)
-    cfg = RunConfig(model=model.spec, out=args.out)
-    cfg.data.annotations = str(Path(args.data) / "annotations.jsonl")
+    data = DataConfig(annotations=str(Path(args.data) / "annotations.jsonl"))
     frames_path = Path(args.data) / "frames.pvf"
-    cfg.data.frames = str(frames_path) if frames_path.exists() else None
+    data.frames = str(frames_path) if frames_path.exists() else None
     for name, value in (("obs_len", args.obs_len), ("tte_lo", args.tte_lo), ("tte_hi", args.tte_hi), ("stride", args.stride)):
         if value is not None:
-            setattr(cfg.data, name, value)
-    splits = _load_split_windows(cfg)
-    if args.split not in splits:
-        raise ConfigError(f"unknown split {args.split!r}; choose from train/val/test/all")
-    windows = splits[args.split]
+            setattr(data, name, value)
+    windows = _load_split_windows(model.spec, data, (args.split,))[args.split]
     if not windows:
         raise WindowError(f"split {args.split!r} produced no observation windows")
     scores = training_mod.predict_scores(model, windows)
@@ -343,7 +321,7 @@ def _cmd_eval(args) -> int:
     csv_text = metrics_mod.report_to_csv(report)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.csv").write_text(csv_text, encoding="utf-8")
+    write_atomic(out_dir / "metrics.csv", csv_text.encode("utf-8"))
     print(csv_text.strip())
     return EXIT_OK
 
@@ -427,7 +405,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a checkpoint; writes metrics.csv")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
     p.add_argument("--out", required=True)
     p.add_argument("--obs-len", type=int, default=None, dest="obs_len")
     p.add_argument("--tte-lo", type=int, default=None, dest="tte_lo")

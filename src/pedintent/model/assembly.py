@@ -9,10 +9,8 @@ seeds give bit-identical checkpoints.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +21,7 @@ from ..errors import CheckpointError, ConfigError, InputError
 from ..tensor import Tensor, add, layer_norm, load_checkpoint, matmul, save_checkpoint, tensor_slice
 from .common import add_affine, add_param, glorot_uniform
 from .embeddings import TubeletConfig, feature_tokenize, positional_encoding
-from .encoder import EncoderConfig, encode, init_encoder_params
+from .encoder import EncoderConfig, causal_mask, encode, init_encoder_params
 from .fusion import FusionConfig, fuse, head, init_fusion_params
 from .vivit import ViViTConfig, init_vivit_params, vivit_forward
 
@@ -70,8 +68,6 @@ class ModelSpec:
             problems.append("causal masking is frame-level and incompatible with the feature tokenizer")
         if self.causal and not self.channels:
             problems.append("causal masking applies to the non-visual encoder, which is disabled")
-        if self.nonvisual_encoder is not None and self.nonvisual_encoder.causal:
-            problems.append("nonvisual_encoder.causal is not used; set model.causal instead")
         if self.seed < 0:
             problems.append(f"seed must be >= 0, got {self.seed}")
         d_models = {v.d_model for _, v in self.visual_configs}
@@ -172,6 +168,10 @@ class Model:
         self.params = params
 
     @property
+    def dtype(self):
+        return next(iter(self.params.values())).data.dtype
+
+    @property
     def parameter_count(self) -> int:
         return sum(int(np.prod(p.shape)) if p.ndim else 1 for p in self.params.values())
 
@@ -238,8 +238,8 @@ def _branch_outputs(model: Model, nonvis, clips: dict, training: bool, rng) -> l
         tokens = layer_norm(tokens, params["nonvisual.emb_ln.gamma"], params["nonvisual.emb_ln.beta"])
         pe = positional_encoding(tokens.shape[-2], spec.d_model, dtype=tokens.data.dtype)
         tokens = add(tokens, Tensor(pe, dtype=tokens.data.dtype))
-        cfg = dataclasses.replace(spec.nonvisual_encoder, causal=spec.causal)
-        encoded = encode(tokens, cfg, params, "nonvisual.enc.", training=training, rng=rng)
+        mask = causal_mask(tokens.shape[-2]) if spec.causal else None
+        encoded = encode(tokens, spec.nonvisual_encoder, params, "nonvisual.enc.", mask=mask, training=training, rng=rng)
         if spec.use_feature_tokenizer:  # the cls token summarises the sequence
             encoded = tensor_slice(encoded, (Ellipsis, slice(0, 1), slice(None)))
         branches.append(encoded)
@@ -275,8 +275,7 @@ def stack_windows(model_spec: ModelSpec, windows: Sequence[ObservationWindow], d
 
 
 def forward_batch(model: Model, windows: Sequence[ObservationWindow], training: bool = False, rng=None) -> Tensor:
-    dtype = next(iter(model.params.values())).data.dtype
-    nonvis, clips = stack_windows(model.spec, windows, dtype=dtype)
+    nonvis, clips = stack_windows(model.spec, windows, dtype=model.dtype)
     return forward_arrays(model, nonvis, clips, training=training, rng=rng)
 
 
@@ -364,22 +363,15 @@ def named_model_spec(name: str, seed: int = 0) -> ModelSpec:
 # persistence
 
 
-def spec_sidecar_path(checkpoint_path) -> Path:
-    return Path(checkpoint_path).with_suffix(".spec.json")
-
-
 def save_model(model: Model, checkpoint_path):
-    save_checkpoint(checkpoint_path, model.params)
-    with open(spec_sidecar_path(checkpoint_path), "w", encoding="utf-8") as fh:
-        json.dump(model.spec.to_dict(), fh, indent=2)
+    """One checkpoint file: the spec in its header, the weights after it."""
+    save_checkpoint(checkpoint_path, model.params, {"model": model.spec.to_dict()})
 
 
 def load_model(checkpoint_path) -> Model:
-    sidecar = spec_sidecar_path(checkpoint_path)
-    if not sidecar.exists():
-        raise CheckpointError(f"missing model spec sidecar {sidecar}")
-    with open(sidecar, "r", encoding="utf-8") as fh:
-        spec = ModelSpec.from_dict(json.load(fh))
-    model = build(spec)
-    model.load_state_dict(load_checkpoint(checkpoint_path))
+    meta, arrays = load_checkpoint(checkpoint_path)
+    if "model" not in meta:
+        raise CheckpointError(f"{checkpoint_path} holds no model: its header has no 'model' spec")
+    model = build(ModelSpec.from_dict(meta["model"]))
+    model.load_state_dict(arrays)
     return model

@@ -12,7 +12,7 @@ computes the weights on request, for inspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,7 +41,6 @@ class EncoderConfig:
     d_model: int
     d_ff: Optional[int] = None
     dropout_rate: float = 0.1
-    causal: bool = False
 
     def __post_init__(self):
         if self.n_layers < 0 or self.n_heads < 1 or self.d_model < 1:
@@ -167,12 +166,8 @@ def encode(
 ) -> Tensor:
     """Apply n_layers encoder layers; n_layers = 0 is the exact identity.
 
-    Positional encoding is the caller's responsibility. When the config is
-    causal and no mask is given, a causal mask over the trailing sequence
-    axis is applied.
+    Positional encoding and masking are the caller's responsibility.
     """
-    if mask is None and cfg.causal:
-        mask = causal_mask(x.shape[-2])
     for i in range(cfg.n_layers):
         x = encoder_layer(x, params, f"{prefix}L{i}.", cfg, mask=mask, training=training, rng=rng)
     return x

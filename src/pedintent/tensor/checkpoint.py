@@ -1,26 +1,50 @@
-"""Binary weight checkpoints.
+"""Binary weight checkpoints, self-describing and written atomically.
 
-Layout: magic "ITN1", little-endian u32 entry count, then per entry a u16
-name length, the UTF-8 name, a u8 rank, rank little-endian u32 dims, and
-the row-major float32 payload. Round-trips are bit-exact for float32 data.
+Layout: magic "ITN2", a little-endian u32 header length, the header (a
+UTF-8 JSON object, such as the model spec), a u32 entry count, then per
+entry a u16 name length, the UTF-8 name, a u8 rank, rank little-endian u32
+dims, and the row-major float32 payload. Round-trips are bit-exact for
+float32 data.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import struct
-from typing import Mapping
+import tempfile
+from pathlib import Path
+from typing import Mapping, Optional
 
 import numpy as np
 
 from ..errors import CheckpointError
 from .core import Tensor
 
-MAGIC = b"ITN1"
+MAGIC = b"ITN2"
 
 
-def save_checkpoint(path, params: Mapping[str, "Tensor | np.ndarray"]):
-    """Write named tensors in mapping order."""
-    blobs = [MAGIC, struct.pack("<I", len(params))]
+def write_atomic(path, data: bytes):
+    """Replace `path` with `data` whole or not at all: write a temp file in
+    the same directory, flush it to disk, then rename it over `path`. On
+    failure the temp file is removed and `path` is left as it was."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def save_checkpoint(path, params: Mapping[str, "Tensor | np.ndarray"], meta: Optional[dict] = None):
+    """Write the JSON object `meta` and the named tensors, in mapping order."""
+    header = json.dumps(meta or {}).encode("utf-8")
+    blobs = [MAGIC, struct.pack("<I", len(header)), header, struct.pack("<I", len(params))]
     for name, value in params.items():
         arr = value.data if isinstance(value, Tensor) else np.asarray(value)
         # asarray, not ascontiguousarray: the latter promotes rank 0 to rank 1
@@ -35,16 +59,16 @@ def save_checkpoint(path, params: Mapping[str, "Tensor | np.ndarray"]):
         blobs.append(struct.pack("<B", arr.ndim))
         blobs.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         blobs.append(arr.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(blobs))
+    write_atomic(path, b"".join(blobs))
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into name -> float32 array, preserving order."""
+def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a checkpoint back into (header object, name -> float32 array),
+    preserving entry order."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != MAGIC:
-        raise CheckpointError(f"bad checkpoint magic in {path}")
+        raise CheckpointError(f"bad checkpoint magic {buf[:4]!r} in {path}; expected {MAGIC!r}")
     view = memoryview(buf)
     pos = 4
 
@@ -56,11 +80,24 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         pos += n
         return chunk
 
+    def text(n: int) -> str:
+        try:
+            return bytes(take(n)).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"checkpoint text is not UTF-8 in {path}: {e}") from e
+
+    (header_len,) = struct.unpack("<I", take(4))
+    try:
+        meta = json.loads(text(header_len))
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"checkpoint header is not JSON in {path}: {e}") from e
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"checkpoint header is not a JSON object in {path}")
     (count,) = struct.unpack("<I", take(4))
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        name = text(name_len)
         (rank,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
         size = int(np.prod(dims, dtype=np.int64)) if rank else 1
@@ -70,4 +107,4 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         out[name] = np.array(data, dtype=np.float32)
     if pos != len(buf):
         raise CheckpointError(f"trailing bytes in checkpoint: {path}")
-    return out
+    return meta, out

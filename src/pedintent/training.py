@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -18,13 +19,14 @@ import numpy as np
 
 from .errors import BalanceError, ConfigError, ContractError, NumericalError, WindowError
 from .model.assembly import Model, forward_batch
-from .tensor import Tape, Tensor, add, backward, clamp, log, mean_over_axis, mul
+from .tensor import Tape, Tensor, add, backward, clamp, log, mean_over_axis, mul, write_atomic
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 MIN_DELTA = 1e-4  # improvement threshold shared by both callbacks
 PROB_CLAMP = 1e-7  # keeps the loss finite at p in {0, 1}
+EVAL_CHUNK = 32  # windows per eval forward, so eval memory does not grow with the split
 
 
 @dataclass
@@ -167,25 +169,19 @@ def restore_best(state: TrainState, params: dict):
 
 
 def evaluate_loss(model: Model, windows: Sequence, weights: Optional[dict] = None) -> float:
-    """Eval-mode loss over all windows (single batch, no gradient tape)."""
-    probs = forward_batch(model, list(windows), training=False)
-    labels = [w.label for w in windows]
-    return float(weighted_bce(labels, probs, weights).data)
+    """Eval-mode loss over all windows, from `predict_scores` (no gradient tape)."""
+    probs = Tensor(predict_scores(model, windows), dtype=model.dtype)
+    return float(weighted_bce([w.label for w in windows], probs, weights).data)
 
 
 def predict_scores(model: Model, windows: Sequence) -> np.ndarray:
-    if not windows:
-        return np.zeros(0, dtype=np.float64)
-    return np.asarray(forward_batch(model, list(windows), training=False).data, dtype=np.float64)
+    """Eval-mode probabilities as float64, EVAL_CHUNK windows per forward."""
+    windows = list(windows)
+    chunks = [forward_batch(model, windows[i : i + EVAL_CHUNK]).data for i in range(0, len(windows), EVAL_CHUNK)]
+    return np.concatenate(chunks or [np.zeros(0)]).astype(np.float64)
 
 
-def train(
-    model: Model,
-    train_windows: Sequence,
-    val_windows: Sequence,
-    cfg: TrainConfig,
-    state: Optional[TrainState] = None,
-) -> list[EpochStats]:
+def train(model: Model, train_windows: Sequence, val_windows: Sequence, cfg: TrainConfig) -> list[EpochStats]:
     """Epoch loop of batched forward / weighted BCE / backward / Adam, with
     validation-driven LR plateau reduction and early stopping. Returns the
     per-epoch history; the model ends at its best-validation weights."""
@@ -195,8 +191,7 @@ def train(
         raise WindowError("no training windows: the train split yields no observation windows for this data config")
     labels = np.array([w.label for w in train_windows])
     weights = class_weights(labels) if cfg.use_class_weights else None
-    if state is None:
-        state = TrainState(lr=cfg.lr, rng=np.random.default_rng(cfg.seed))
+    state = TrainState(lr=cfg.lr, rng=np.random.default_rng(cfg.seed))
 
     history: list[EpochStats] = []
     for epoch in range(1, cfg.max_epochs + 1):
@@ -224,13 +219,13 @@ def finetune(model: Model, train_windows: Sequence, val_windows: Sequence, cfg: 
     """Second training phase on an already-trained model: fresh optimizer
     state, no class weights, plateau factor forced to 0.1."""
     forced = dataclasses.replace(cfg, use_class_weights=False, plateau_factor=0.1)
-    state = TrainState(lr=forced.lr, rng=np.random.default_rng(forced.seed))
-    return train(model, train_windows, val_windows, forced, state=state)
+    return train(model, train_windows, val_windows, forced)
 
 
 def history_to_csv(history: Sequence[EpochStats], path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "lr"])
-        for row in history:
-            writer.writerow([row.epoch, repr(row.train_loss), repr(row.val_loss), repr(row.lr)])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["epoch", "train_loss", "val_loss", "lr"])
+    for row in history:
+        writer.writerow([row.epoch, repr(row.train_loss), repr(row.val_loss), repr(row.lr)])
+    write_atomic(path, buf.getvalue().encode("utf-8"))

@@ -288,7 +288,7 @@ def test_c10_ensemble_freeze(tmp_path):
     ) == 0
     assert [sha(m) for m in members] == before
 
-    head = load_checkpoint(tmp_path / "ens" / "ensemble.itn")
+    _, head = load_checkpoint(tmp_path / "ens" / "ensemble.itn")
     w, b = head["ensemble.w"], head["ensemble.b"]
     probs = np.array([0.8, 0.6, 0.7], np.float64)
     ours = float(ensemble_predict(probs.astype(np.float32), Tensor(w), Tensor(b)).data)

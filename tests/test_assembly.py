@@ -1,5 +1,7 @@
 """Model construction from specs, named configurations, forward contracts."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -68,12 +70,11 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("tokenizer", [False, True], ids=["projection", "tokenizer"])
     def test_nonvisual_encoder_causal_rejected(self, tokenizer):
-        with pytest.raises(ConfigError, match="model.causal"):
-            ModelSpec(
-                channels=("bbox",),
-                nonvisual_encoder=EncoderConfig(1, 2, 8, causal=True),
-                use_feature_tokenizer=tokenizer,
-            )
+        """Causal masking has one switch, model.causal; encoders have none."""
+        d = named_model_spec("ours8_ft" if tokenizer else "ours2_nonvisual").to_dict()
+        d["nonvisual_encoder"]["causal"] = True
+        with pytest.raises(ConfigError, match="unknown config key 'model.nonvisual_encoder.causal'"):
+            ModelSpec.from_dict(d)
 
     @pytest.mark.parametrize(
         "edit, key",
@@ -194,11 +195,26 @@ class TestPersistence:
             assert np.array_equal(loaded.params[name].data, p.data)
         assert forward(loaded, windows[0]) == forward(model, windows[0])
 
-    def test_missing_sidecar(self, tmp_path):
-        model = build(named_model_spec("ours6_bboxes"))
-        path = tmp_path / "m.itn"
-        save_checkpoint(path, model.params)  # no sidecar
-        with pytest.raises(CheckpointError, match="sidecar"):
+    def test_one_file_holds_spec_and_weights(self, tmp_path):
+        """The checkpoint is ITN2, the spec as its header, then the weight
+        entries exactly as a checkpoint without a header stores them."""
+        for name in NAMED_CONFIGS:
+            model = build(named_model_spec(name, seed=4))
+            path, bare = tmp_path / "m.itn", tmp_path / "bare.itn"
+            save_model(model, path)
+            save_checkpoint(bare, model.params)
+            raw = path.read_bytes()
+            n = int.from_bytes(raw[4:8], "little")
+            assert raw[:4] == b"ITN2"
+            header = json.loads(raw[8 : 8 + n].decode("utf-8"))
+            assert list(header) == ["model"] and ModelSpec.from_dict(header["model"]) == model.spec
+            assert raw[8 + n :] == bare.read_bytes()[len(b"ITN2{}") + 4 :]
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["bare.itn", "m.itn"], name
+
+    def test_header_without_model(self, tmp_path):
+        path = tmp_path / "ensemble.itn"
+        save_checkpoint(path, {"ensemble.w": np.zeros(3, np.float32)}, {"members": ["a", "b", "c"]})
+        with pytest.raises(CheckpointError, match="no 'model'"):
             load_model(path)
 
     def test_failed_load_leaves_model_unchanged(self):

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 
 from pedintent import cli
 from pedintent.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_run_config, main
+from pedintent.data import load_annotations, split_tracks
 from pedintent.model import build, named_model_spec
+from pedintent.tensor import load_checkpoint
 
 
 def sha(path):
@@ -62,10 +66,7 @@ class TestGenerate:
 
 class TestTrainEval:
     def test_outputs_exist(self, trained):
-        assert (trained / "checkpoint.itn").exists()
-        assert (trained / "checkpoint.spec.json").exists()
-        assert (trained / "history.csv").exists()
-        assert (trained / "resolved_config.json").exists()
+        assert sorted(p.name for p in trained.iterdir()) == ["checkpoint.itn", "history.csv", "resolved_config.json"]
 
     def test_resolved_config_has_expanded_model(self, trained):
         doc = json.loads((trained / "resolved_config.json").read_text())
@@ -101,6 +102,29 @@ class TestTrainEval:
         assert rc == EXIT_DATA
         err = capsys.readouterr().err.strip()
         assert "no training windows" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("name", ["resolved_config.json", "checkpoint.itn", "history.csv", "metrics.csv"])
+    def test_failed_write_keeps_the_previous_file(self, trained, dataset, tmp_path, monkeypatch, capsys, name):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).write_bytes(b"previous")
+        replace = os.replace
+
+        def fail_on_name(src, dst):
+            if Path(dst).name == name:
+                raise OSError(f"disk full writing {name}")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_name)
+        if name == "metrics.csv":
+            argv = ["eval", "--checkpoint", str(trained / "checkpoint.itn"), "--data", str(dataset), "--out", str(out)]
+        else:
+            cfg = write_config(tmp_path / "c.json", epochs=1)
+            argv = ["train", "--config", str(cfg), "--data", str(dataset), "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert "disk full" in capsys.readouterr().err
+        assert (out / name).read_bytes() == b"previous"
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
     def test_train_reproducible_bitwise(self, dataset, tmp_path):
         cfg = write_config(tmp_path / "c.json", seed=3, epochs=3)
@@ -149,9 +173,10 @@ class TestEnsemble:
         )
         assert rc == EXIT_OK
         assert [sha(m) for m in members] == before
-        assert (tmp_path / "ens" / "ensemble.itn").exists()
-        doc = json.loads((tmp_path / "ens" / "ensemble_config.json").read_text())
-        assert doc["member_sha256"] == before
+        assert sorted(p.name for p in (tmp_path / "ens").iterdir()) == ["ensemble.itn", "resolved_config.json"]
+        meta, head = load_checkpoint(tmp_path / "ens" / "ensemble.itn")
+        assert meta == {"members": list(map(str, members)), "member_sha256": before}
+        assert list(head) == ["ensemble.w", "ensemble.b"]
 
     def test_wrong_member_count_exit_1(self, tmp_path):
         rc = main(["ensemble", "--members", "a", "b", "--config", "x", "--out", str(tmp_path)])
@@ -176,6 +201,62 @@ class TestGradcheckCommand:
         cfg = write_config(tmp_path / "c.json")
         assert main(["gradcheck", "--config", str(cfg), "--elements", n]) == EXIT_USAGE
         assert "max_elements" in capsys.readouterr().err
+
+
+class TestSplits:
+    """Commands extract windows only for the splits they use."""
+
+    @pytest.fixture
+    def extracted(self, monkeypatch):
+        tracks = []
+        extract = cli.extract_windows
+
+        def counting(track, *args, **kwargs):
+            tracks.append(track.pedestrian_id)
+            return extract(track, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "extract_windows", counting)
+        return tracks
+
+    def _split_ids(self, dataset, names):
+        splits = split_tracks(load_annotations(dataset / "annotations.jsonl"), 0)
+        return [t.pedestrian_id for name in names for t in splits[name]]
+
+    def test_eval_extracts_only_its_split(self, trained, dataset, tmp_path, extracted, capsys):
+        rc = main(["eval", "--checkpoint", str(trained / "checkpoint.itn"), "--data", str(dataset), "--split", "val", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert extracted == self._split_ids(dataset, ["val"])
+
+    def test_train_extracts_train_and_val(self, dataset, tmp_path, extracted):
+        cfg = write_config(tmp_path / "c.json", epochs=1)
+        assert main(["train", "--config", str(cfg), "--data", str(dataset), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert extracted == self._split_ids(dataset, ["train", "val"])
+
+    def test_unknown_split_rejected_before_extracting(self, trained, dataset, tmp_path, extracted, capsys):
+        rc = main(["eval", "--checkpoint", str(trained / "checkpoint.itn"), "--data", str(dataset), "--split", "dev", "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert "dev" in capsys.readouterr().err
+        assert extracted == []
+
+
+class TestOSErrors:
+    """An operating-system error exits 2 with a one-line message."""
+
+    def _assert_data_error(self, argv, capsys):
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        self._assert_data_error(["train", "--config", str(tmp_path), "--out", str(tmp_path / "o")], capsys)
+
+    def test_annotations_is_a_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", extra_data={"annotations": str(tmp_path)})
+        self._assert_data_error(["train", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+
+    def test_out_below_a_file(self, dataset, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json")
+        self._assert_data_error(["train", "--config", str(cfg), "--data", str(dataset), "--out", str(cfg / "x")], capsys)
 
 
 class TestUsage:
@@ -271,3 +352,29 @@ def test_load_run_config_raises_only_mapped_errors(tmp_path, doc):
         load_run_config(path)
     except _MAPPED:
         pass
+
+
+# A directory, an empty path, a path no OS accepts, a missing file.
+_PATHS = st.sampled_from([".", "", "a\0", "missing.jsonl"])
+_RUN_CONFIG = st.fixed_dictionaries(
+    {"model": st.just({"preset": "ours6_bboxes"}) | _JSON},
+    optional={
+        "train": _JSON,
+        "data": st.fixed_dictionaries({}, optional={"annotations": _PATHS | _JSON, "frames": _PATHS | _JSON}) | _JSON,
+        "out": _JSON,
+    },
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_JSON | _RUN_CONFIG)
+def test_train_command_always_returns_an_exit_code(tmp_path, monkeypatch, capsys, doc):
+    """Whatever JSON value the config file holds, `pedintent train` returns
+    a documented exit code and raises nothing. It runs in an empty working
+    directory, so relative data paths in the config name nothing."""
+    work = tmp_path / "work"
+    work.mkdir(exist_ok=True)
+    monkeypatch.chdir(work)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) in {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC}

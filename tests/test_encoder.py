@@ -168,14 +168,14 @@ class TestCausalMask:
         assert causal_mask(6).sum(axis=1).tolist() == [1, 2, 3, 4, 5, 6]
 
     def test_future_perturbation_invariance(self):
-        cfg = EncoderConfig(n_layers=2, n_heads=4, d_model=16, dropout_rate=0.0, causal=True)
+        cfg = EncoderConfig(n_layers=2, n_heads=4, d_model=16, dropout_rate=0.0)
         params = make_params(cfg, seed=29)
         rng = np.random.default_rng(30)
         x = rng.normal(size=(8, 16)).astype(np.float32)
         t = 3
         perturbed = x.copy()
         perturbed[t + 1 :] += rng.normal(size=(8 - t - 1, 16)).astype(np.float32) * 5
-        base = encode(Tensor(x), cfg, params, "enc.").data
-        moved = encode(Tensor(perturbed), cfg, params, "enc.").data
+        base = encode(Tensor(x), cfg, params, "enc.", mask=causal_mask(8)).data
+        moved = encode(Tensor(perturbed), cfg, params, "enc.", mask=causal_mask(8)).data
         assert np.max(np.abs(base[: t + 1] - moved[: t + 1])) < 1e-6
         assert np.max(np.abs(base[t + 1 :] - moved[t + 1 :])) > 1e-3

@@ -2,6 +2,9 @@
 checkpoint format."""
 
 import gc
+import json
+import os
+import struct
 
 import numpy as np
 import pytest
@@ -462,40 +465,91 @@ class TestCheckpoint:
             "head.b": Tensor(np.zeros((), dtype=np.float32)),
             "enc.L0.attn.wq.w": Tensor(rng.normal(size=(4, 4)).astype(np.float32)),
         }
+        meta = {"model": {"seed": 3, "channels": ["bbox"]}, "note": "\u00e4"}
         path = tmp_path / "m.itn"
-        save_checkpoint(path, params)
-        loaded = load_checkpoint(path)
+        save_checkpoint(path, params, meta)
+        loaded_meta, loaded = load_checkpoint(path)
+        assert loaded_meta == meta
         assert list(loaded) == list(params)
         for name, p in params.items():
             assert loaded[name].shape == p.shape
             assert np.array_equal(loaded[name], p.data)
         # saving what was loaded reproduces the same bytes
         twin = tmp_path / "m2.itn"
-        save_checkpoint(twin, loaded)
+        save_checkpoint(twin, loaded, loaded_meta)
         assert path.read_bytes() == twin.read_bytes()
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "m.itn"
-        save_checkpoint(path, {"ab": Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))})
+        save_checkpoint(path, {"ab": Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))}, {"k": [1, "x"]})
         raw = path.read_bytes()
-        assert raw[:4] == b"ITN1"
-        assert int.from_bytes(raw[4:8], "little") == 1
-        assert int.from_bytes(raw[8:10], "little") == 2  # name length
-        assert raw[10:12] == b"ab"
-        assert raw[12] == 2  # rank
-        assert int.from_bytes(raw[13:17], "little") == 2
-        assert int.from_bytes(raw[17:21], "little") == 3
-        assert np.array_equal(np.frombuffer(raw[21:], dtype="<f4"), np.arange(6, dtype=np.float32))
+        assert raw[:4] == b"ITN2"
+        n = int.from_bytes(raw[4:8], "little")
+        assert json.loads(raw[8 : 8 + n].decode("utf-8")) == {"k": [1, "x"]}
+        body = raw[8 + n :]
+        assert int.from_bytes(body[0:4], "little") == 1
+        assert int.from_bytes(body[4:6], "little") == 2  # name length
+        assert body[6:8] == b"ab"
+        assert body[8] == 2  # rank
+        assert int.from_bytes(body[9:13], "little") == 2
+        assert int.from_bytes(body[13:17], "little") == 3
+        assert np.array_equal(np.frombuffer(body[17:], dtype="<f4"), np.arange(6, dtype=np.float32))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.itn"
-        path.write_bytes(b"NOPE" + b"\x00" * 8)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+        for magic in (b"NOPE", b"ITN1"):  # ITN1 checkpoints carry no header and must be re-saved
+            path.write_bytes(magic + b"\x00" * 8)
+            with pytest.raises(CheckpointError, match="magic"):
+                load_checkpoint(path)
+
+    def test_no_meta_is_an_empty_header(self, tmp_path):
+        path = tmp_path / "m.itn"
+        save_checkpoint(path, {})
+        assert path.read_bytes() == b"ITN2" + struct.pack("<I", 2) + b"{}" + struct.pack("<I", 0)
+        assert load_checkpoint(path) == ({}, {})
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "m.itn"
+        save_checkpoint(path, {"w": Tensor(np.ones(5, dtype=np.float32))}, {"model": {}})
+        raw = path.read_bytes()
+        for cut in (len(raw) - 3, 12, 6):  # in the payload, the header, the header length
+            path.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "m.itn"
         save_checkpoint(path, {"w": Tensor(np.ones(5, dtype=np.float32))})
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(CheckpointError):
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [b"{not json", b"[1, 2]", b"3", b"\xff\xfe"], ids=["invalid", "array", "number", "not-utf8"])
+    def test_header_not_a_json_object(self, tmp_path, header):
+        path = tmp_path / "m.itn"
+        path.write_bytes(b"ITN2" + struct.pack("<I", len(header)) + header + struct.pack("<I", 0))
+        with pytest.raises(CheckpointError, match="header|UTF-8"):
+            load_checkpoint(path)
+
+    def test_entry_name_not_utf8(self, tmp_path):
+        path = tmp_path / "m.itn"
+        save_checkpoint(path, {"w": Tensor(np.ones(5, dtype=np.float32))})
+        raw = bytearray(path.read_bytes())
+        raw[len(b"ITN2") + 4 + len(b"{}") + 4 + 2] = 0xFF  # the name's first byte
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.itn"
+        save_checkpoint(path, {"w": Tensor(np.ones(5, dtype=np.float32))})
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, {"w": Tensor(np.zeros(5, dtype=np.float32))}, {"model": {}})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.itn"]

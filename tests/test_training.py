@@ -10,7 +10,9 @@ from pedintent.data import extract_windows, generate_synthetic
 from pedintent.errors import BalanceError, ConfigError, ContractError, NumericalError, WindowError
 from pedintent.model import build, ensemble_predict, forward_batch, named_model_spec
 from pedintent.tensor import Tape, Tensor, backward
+from pedintent import training
 from pedintent.training import (
+    EVAL_CHUNK,
     EpochStats,
     TrainConfig,
     TrainState,
@@ -22,6 +24,7 @@ from pedintent.training import (
     fit_step,
     history_to_csv,
     plateau_scheduler,
+    predict_scores,
     train,
     weighted_bce,
 )
@@ -301,6 +304,7 @@ class TestTrainLoop:
         assert lines[0] == "epoch,train_loss,val_loss,lr"
         assert lines[1].startswith("1,0.5,0.6,")
         assert len(lines) == 3
+        assert path.read_bytes().count(b"\r\n") == 3  # csv module line ends
 
     def test_final_weights_reproduce_best_val_loss(self):
         windows = make_windows(12, rule="random", seed=3)
@@ -309,6 +313,37 @@ class TestTrainLoop:
         history = train(model, windows[:20], windows[20:30], cfg)
         best = min(h.val_loss for h in history)
         assert abs(evaluate_loss(model, windows[20:30]) - best) < 1e-6
+
+
+class TestEvalChunks:
+    """Eval runs EVAL_CHUNK windows per forward, so its memory is bounded by
+    the chunk, not by the number of windows."""
+
+    def test_chunked_matches_one_batch(self, monkeypatch):
+        windows = make_windows(30)[:70]
+        assert len(windows) == 70
+        model = build(named_model_spec("ours6_bboxes", seed=1))
+        one = forward_batch(model, windows).data
+        sizes = []
+
+        def sized(model, batch, **kwargs):
+            sizes.append(len(batch))
+            return forward_batch(model, batch, **kwargs)
+
+        monkeypatch.setattr(training, "forward_batch", sized)
+        chunked = predict_scores(model, windows)
+        assert sizes == [EVAL_CHUNK, EVAL_CHUNK, 70 - 2 * EVAL_CHUNK]
+        assert chunked.dtype == np.float64 and np.max(np.abs(chunked - one)) < 1e-6
+
+    def test_one_chunk_bit_identical(self):
+        model = build(named_model_spec("ours6_bboxes", seed=1))
+        for n in (1, EVAL_CHUNK):
+            windows = make_windows(12)[:n]
+            one = forward_batch(model, windows)
+            assert predict_scores(model, windows).tobytes() == one.data.astype(np.float64).tobytes()
+            labels = [w.label for w in windows]
+            assert evaluate_loss(model, windows) == float(weighted_bce(labels, one).data)
+        assert predict_scores(model, []).shape == (0,)
 
 
 class TestEmptyTrainSplit:
