@@ -2,6 +2,14 @@
 ensemble-head training, evaluation, single-window prediction, and gradient
 checking.
 
+Settings come from the JSON run config (--config) for train, finetune and
+ensemble; finetune and ensemble take the model spec from their checkpoints.
+train and finetune store the config's window settings (its data section less
+the paths) in the checkpoint; eval and predict read them there (the defaults
+if absent), and --tte-lo, --tte-hi and --stride override which windows eval
+scores. --data names a dataset directory (annotations.jsonl and, if present,
+frames.pvf) and overrides the config's paths, as --out does its output dir.
+
 Every command is deterministic given its flags and seeds. A fully-resolved
 config snapshot is written into the output directory before long-running
 work starts. Exit codes: 0 success, 1 usage/config error, 2 data error,
@@ -25,6 +33,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import training as training_mod
 from .data import (
+    VISUAL_INPUTS,
     ClipConfig,
     FrameStore,
     extract_window_at,
@@ -134,6 +143,8 @@ def load_run_config(path, data_dir: Optional[str] = None, out: Optional[str] = N
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
+        except UnicodeDecodeError as e:
+            raise ParseError(f"config {path}: not UTF-8 text ({e.reason})") from e
         except json.JSONDecodeError as e:
             raise ParseError(f"config {path}: invalid JSON ({e.msg})") from e
     if not isinstance(obj, dict) or "model" not in obj:
@@ -147,9 +158,7 @@ def load_run_config(path, data_dir: Optional[str] = None, out: Optional[str] = N
         data=partial(config_from_dict, DataConfig),
     )
     if data_dir is not None:
-        cfg.data.annotations = str(Path(data_dir) / "annotations.jsonl")
-        frames = Path(data_dir) / "frames.pvf"
-        cfg.data.frames = str(frames) if frames.exists() else None
+        _use_data_dir(cfg.data, data_dir)
     if out is not None:
         cfg.out = out
     for key, value in (("data.annotations", cfg.data.annotations), ("data.frames", cfg.data.frames), ("out", cfg.out)):
@@ -166,27 +175,38 @@ def _write_resolved(cfg: RunConfig, out_dir: Path, extra: Optional[dict] = None)
     write_atomic(out_dir / "resolved_config.json", json.dumps(doc, indent=2).encode("utf-8"))
 
 
-def _clip_config(spec: ModelSpec, data: DataConfig) -> ClipConfig:
-    return ClipConfig(
-        inputs=spec.visual_inputs,
-        ratio=data.clip_ratio,
-        local_size=data.local_size,
-        global_size=data.global_size,
-    )
+def _use_data_dir(data: DataConfig, data_dir) -> DataConfig:
+    """Point `data` at the annotations.jsonl and, if present, frames.pvf in `data_dir`."""
+    data.annotations = str(Path(data_dir) / "annotations.jsonl")
+    frames = Path(data_dir) / "frames.pvf"
+    data.frames = str(frames) if frames.exists() else None
+    return data
 
 
-def _load_split_windows(spec: ModelSpec, data: DataConfig, names: Sequence[str]) -> dict:
-    """Observation windows of the named splits ("train", "val", "test" or
-    "all"); tracks of other splits are not extracted."""
+def _load_trained(args) -> tuple:
+    """The --checkpoint model and its window settings, for the dataset in --data."""
+    model = load_model(args.checkpoint)
+    return model, _use_data_dir(config_from_dict(DataConfig, model.data, "checkpoint data"), args.data)
+
+
+def _load_inputs(data: DataConfig, inputs: tuple) -> tuple:
+    """Tracks, frames (None without `inputs`) and the ClipConfig rendering the visual inputs `inputs`."""
     if data.annotations is None:
         raise ConfigError("no annotations path configured; pass --data or set data.annotations")
     tracks = load_annotations(data.annotations)
     frames = None
-    if spec.visual_inputs:
+    if inputs:
         if data.frames is None:
             raise ConfigError("model enables visual inputs but no frame container is configured")
         frames = FrameStore.load(data.frames)
-    clip_cfg = _clip_config(spec, data)
+    clip_cfg = ClipConfig(inputs=inputs, ratio=data.clip_ratio, local_size=data.local_size, global_size=data.global_size)
+    return tracks, frames, clip_cfg
+
+
+def _load_split_windows(data: DataConfig, inputs: tuple, names: Sequence[str]) -> dict:
+    """Windows, with clips of the visual inputs `inputs`, of the named splits
+    ("train", "val", "test" or "all"); tracks of other splits are not extracted."""
+    tracks, frames, clip_cfg = _load_inputs(data, inputs)
     splits = split_tracks(tracks, data.split_seed)
     splits["all"] = splits["train"] + splits["val"] + splits["test"]
 
@@ -196,11 +216,18 @@ def _load_split_windows(spec: ModelSpec, data: DataConfig, names: Sequence[str])
     return {name: [w for track in splits[name] for w in windows(track)] for name in names}
 
 
+def _training_run(args) -> tuple:
+    """The run config and output directory of train, finetune or ensemble, checked before any write."""
+    cfg = load_run_config(args.config, data_dir=args.data, out=args.out)
+    if cfg.out is None:
+        raise ConfigError("no output directory; pass --out or set 'out' in the config")
+    if cfg.train.max_epochs < 1:
+        raise ConfigError(f"train.max_epochs is {cfg.train.max_epochs}; training needs at least 1 epoch")
+    return cfg, Path(cfg.out)
+
+
 def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +248,21 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = load_run_config(args.config, data_dir=args.data, out=args.out)
-    if cfg.out is None:
-        raise ConfigError("no output directory; pass --out or set 'out' in the config")
-    if cfg.train.max_epochs < 1:
-        raise ConfigError(f"train.max_epochs is {cfg.train.max_epochs}; training needs at least 1 epoch")
-    out_dir = Path(cfg.out)
-    _write_resolved(cfg, out_dir)
-    splits = _load_split_windows(cfg.model, cfg.data, ("train", "val"))
+    """`train` builds the config's model; `finetune` continues the --checkpoint
+    model (its spec replaces the config's) on the fine-tune schedule."""
+    cfg, out_dir = _training_run(args)
+    if args.checkpoint is None:
+        model, fit, extra = build(cfg.model), training_mod.train, None
+    else:
+        model, fit = load_model(args.checkpoint), training_mod.finetune
+        cfg.model, extra = model.spec, {"finetune_from": str(args.checkpoint)}
+    _write_resolved(cfg, out_dir, extra)
+    splits = _load_split_windows(cfg.data, cfg.model.visual_inputs, ("train", "val"))
     train_windows = splits["train"]
     if cfg.data.balance:
         train_windows = resample_balance(train_windows, cfg.train.seed)
-    model = build(cfg.model)
-    history = training_mod.train(model, train_windows, splits["val"], cfg.train)
+    history = fit(model, train_windows, splits["val"], cfg.train)
+    model.data = {k: v for k, v in dataclasses.asdict(cfg.data).items() if k not in ("annotations", "frames")}
     save_model(model, out_dir / "checkpoint.itn")
     training_mod.history_to_csv(history, out_dir / "history.csv")
     last = history[-1]
@@ -244,45 +273,19 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_finetune(args) -> int:
-    cfg = load_run_config(args.config, data_dir=args.data, out=args.out)
-    if cfg.out is None:
-        raise ConfigError("no output directory; pass --out or set 'out' in the config")
-    model = load_model(args.checkpoint)
-    cfg.model = model.spec
-    out_dir = Path(cfg.out)
-    _write_resolved(cfg, out_dir, extra={"finetune_from": str(args.checkpoint)})
-    splits = _load_split_windows(cfg.model, cfg.data, ("train", "val"))
-    train_windows = splits["train"]
-    if cfg.data.balance:
-        train_windows = resample_balance(train_windows, cfg.train.seed)
-    history = training_mod.finetune(model, train_windows, splits["val"], cfg.train)
-    save_model(model, out_dir / "checkpoint.itn")
-    training_mod.history_to_csv(history, out_dir / "history.csv")
-    print(f"finetuned for {len(history)} epochs; checkpoint={out_dir / 'checkpoint.itn'}")
-    return EXIT_OK
-
-
 def _cmd_ensemble(args) -> int:
-    if len(args.members) != 3:
-        raise ConfigError("the ensemble takes exactly 3 member checkpoints")
-    cfg = load_run_config(args.config, data_dir=args.data, out=args.out)
-    if cfg.out is None:
-        raise ConfigError("no output directory; pass --out or set 'out' in the config")
+    cfg, out_dir = _training_run(args)
     hashes_before = [_sha256(p) for p in args.members]
     members = [load_model(p) for p in args.members]
     cfg.model = members[0].spec
-    out_dir = Path(cfg.out)
-    member_paths = [str(p) for p in args.members]
-    _write_resolved(cfg, out_dir, extra={"ensemble_members": member_paths, "member_sha256": hashes_before})
+    _write_resolved(cfg, out_dir, extra={"ensemble_members": args.members, "member_sha256": hashes_before})
 
-    # Member specs may enable different inputs; build windows per member.
-    labels, scores = None, []
-    for member in members:
-        windows = _load_split_windows(member.spec, cfg.data, ("train",))["train"]
-        if labels is None:
-            labels = np.array([w.label for w in windows], dtype=np.float32)
-        scores.append(training_mod.predict_scores(member, windows))
+    # One extraction serves every member: it renders each visual input some
+    # member enables, and each member stacks only its own.
+    inputs = tuple(name for name in VISUAL_INPUTS if any(name in m.spec.visual_inputs for m in members))
+    windows = _load_split_windows(cfg.data, inputs, ("train",))["train"]
+    labels = np.array([w.label for w in windows], dtype=np.float32)
+    scores = [training_mod.predict_scores(member, windows) for member in members]
     member_probs = np.stack(scores, axis=1).astype(np.float32)  # (B, 3)
 
     w = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
@@ -290,14 +293,13 @@ def _cmd_ensemble(args) -> int:
     head_params = {"ensemble.w": w, "ensemble.b": b}
     weights = training_mod.class_weights(labels) if cfg.train.use_class_weights else None
     state = TrainState(lr=cfg.train.lr, rng=np.random.default_rng(cfg.train.seed))
-    loss_val = float("nan")
     for _ in range(cfg.train.max_epochs):
         loss_val = fit_step(head_params, lambda: ensemble_predict(Tensor(member_probs), w, b), labels, weights, state)
 
     hashes_after = [_sha256(p) for p in args.members]
     if hashes_after != hashes_before:
         raise IntegrityError("member checkpoints changed during ensemble-head training; aborting")
-    save_checkpoint(out_dir / "ensemble.itn", head_params, {"members": member_paths, "member_sha256": hashes_before})
+    save_checkpoint(out_dir / "ensemble.itn", head_params, {"members": args.members, "member_sha256": hashes_before})
     print(
         f"ensemble head trained: loss={loss_val:.6f} w={np.round(w.data, 4).tolist()} "
         f"b={float(b.data):.4f} out={out_dir / 'ensemble.itn'}"
@@ -306,14 +308,11 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = load_model(args.checkpoint)
-    data = DataConfig(annotations=str(Path(args.data) / "annotations.jsonl"))
-    frames_path = Path(args.data) / "frames.pvf"
-    data.frames = str(frames_path) if frames_path.exists() else None
-    for name, value in (("obs_len", args.obs_len), ("tte_lo", args.tte_lo), ("tte_hi", args.tte_hi), ("stride", args.stride)):
-        if value is not None:
-            setattr(data, name, value)
-    windows = _load_split_windows(model.spec, data, (args.split,))[args.split]
+    model, data = _load_trained(args)
+    for name in ("tte_lo", "tte_hi", "stride"):
+        if getattr(args, name) is not None:
+            setattr(data, name, getattr(args, name))
+    windows = _load_split_windows(data, model.spec.visual_inputs, (args.split,))[args.split]
     if not windows:
         raise WindowError(f"split {args.split!r} produced no observation windows")
     scores = training_mod.predict_scores(model, windows)
@@ -327,17 +326,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    model = load_model(args.checkpoint)
-    tracks = load_annotations(Path(args.data) / "annotations.jsonl")
+    model, data = _load_trained(args)
+    tracks, frames, clip_cfg = _load_inputs(data, model.spec.visual_inputs)
     track = next((t for t in tracks if t.pedestrian_id == args.pid), None)
     if track is None:
         raise IntegrityError(f"no pedestrian {args.pid!r} in {args.data}")
-    frames = None
-    if model.spec.visual_inputs:
-        frames = FrameStore.load(Path(args.data) / "frames.pvf")
-    data_cfg = DataConfig(obs_len=args.obs_len if args.obs_len is not None else 16)
-    clip_cfg = _clip_config(model.spec, data_cfg)
-    window = extract_window_at(track, data_cfg.obs_len, args.frame, frames=frames, clip_cfg=clip_cfg)
+    window = extract_window_at(track, data.obs_len, args.frame, frames=frames, clip_cfg=clip_cfg)
     prob = forward(model, window)
     decision = "crossing" if prob >= 0.5 else "not_crossing"
     print(f"pid={args.pid} frame={args.frame} probability={prob:.6f} decision={decision}")
@@ -346,10 +340,9 @@ def _cmd_predict(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     cfg = load_run_config(args.config)
-    spec = cfg.model
-    model = build(spec, dtype=np.float64)
+    model = build(cfg.model, dtype=np.float64)
     tracks, frames = generate_synthetic(cfg.train.seed, 2, "random", track_len=70)
-    clip_cfg = _clip_config(spec, DataConfig(local_size=(32, 32), global_size=(32, 32)))
+    clip_cfg = ClipConfig(inputs=cfg.model.visual_inputs)
     windows = extract_windows(tracks[0], 4, (30, 60), 30, frames=frames, clip_cfg=clip_cfg)[:2]
     report = check_model_gradients(model, windows, eps=args.eps, max_elements=args.elements)
     tol = 1e-5
@@ -371,6 +364,13 @@ def _cmd_gradcheck(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="pedintent", description="Pedestrian crossing-intention models, desk scale.")
     sub = parser.add_subparsers(dest="command", required=True)
+    run = _Parser(add_help=False)  # the inputs of the commands that train
+    run.add_argument("--config", required=True)
+    run.add_argument("--out", default=None)
+    run.add_argument("--data", default=None, help="dataset directory (overrides config paths)")
+    trained = _Parser(add_help=False)  # the inputs of the commands that score a checkpoint
+    trained.add_argument("--checkpoint", required=True)
+    trained.add_argument("--data", required=True)
 
     p = sub.add_parser("generate", help="write a synthetic dataset (annotations.jsonl + frames.pvf)")
     p.add_argument("--seed", type=int, required=True)
@@ -382,43 +382,28 @@ def build_parser() -> _Parser:
     p.add_argument("--frame-width", type=int, default=96)
     p.set_defaults(fn=_cmd_generate)
 
-    p = sub.add_parser("train", help="train a model from a JSON run config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--data", default=None, help="dataset directory (overrides config paths)")
+    p = sub.add_parser("train", parents=[run], help="train a model from a JSON run config")
+    p.set_defaults(fn=_cmd_train, checkpoint=None)
+
+    p = sub.add_parser("finetune", parents=[run], help="second-phase training from an existing checkpoint")
+    p.add_argument("--checkpoint", required=True)
     p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("finetune", help="second-phase training from an existing checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--data", default=None)
-    p.set_defaults(fn=_cmd_finetune)
-
-    p = sub.add_parser("ensemble", help="train the 3-member frozen-ensemble head")
+    p = sub.add_parser("ensemble", parents=[run], help="train the 3-member frozen-ensemble head")
     p.add_argument("--members", nargs=3, required=True, metavar=("M1", "M2", "M3"))
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--data", default=None)
     p.set_defaults(fn=_cmd_ensemble)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint; writes metrics.csv")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("eval", parents=[trained], help="evaluate a checkpoint; writes metrics.csv")
     p.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
     p.add_argument("--out", required=True)
-    p.add_argument("--obs-len", type=int, default=None, dest="obs_len")
     p.add_argument("--tte-lo", type=int, default=None, dest="tte_lo")
     p.add_argument("--tte-hi", type=int, default=None, dest="tte_hi")
     p.add_argument("--stride", type=int, default=None)
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("predict", help="single-window crossing probability")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("predict", parents=[trained], help="single-window crossing probability")
     p.add_argument("--pid", required=True)
     p.add_argument("--frame", type=int, required=True)
-    p.add_argument("--obs-len", type=int, default=None, dest="obs_len")
     p.set_defaults(fn=_cmd_predict)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all model gradients")

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import IntegrityError, ParseError
+from ..tensor import write_atomic
 from .preprocess import FrameSource
 from .types import (
     POSE_DIM,
@@ -72,22 +73,25 @@ def load_annotations(path) -> list[PedestrianTrack]:
     """Parse tracks grouped by pedestrian id, frames sorted ascending."""
     grouped: dict[str, list[TrackFrame]] = {}
     meta: dict[str, tuple[int, int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"line {lineno}: invalid JSON ({e.msg})") from e
-            if not isinstance(obj, dict):
-                raise ParseError(f"line {lineno}: record must be a JSON object")
-            pid, record, event_frame, label = _parse_record(obj, lineno)
-            if pid in meta and meta[pid] != (event_frame, label):
-                raise IntegrityError(f"pedestrian {pid!r} has inconsistent event_frame/label")
-            meta[pid] = (event_frame, label)
-            grouped.setdefault(pid, []).append(record)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise ParseError(f"line {lineno}: invalid JSON ({e.msg})") from e
+                if not isinstance(obj, dict):
+                    raise ParseError(f"line {lineno}: record must be a JSON object")
+                pid, record, event_frame, label = _parse_record(obj, lineno)
+                if pid in meta and meta[pid] != (event_frame, label):
+                    raise IntegrityError(f"pedestrian {pid!r} has inconsistent event_frame/label")
+                meta[pid] = (event_frame, label)
+                grouped.setdefault(pid, []).append(record)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"annotations {path} are not UTF-8 text ({e.reason})") from e
 
     tracks = []
     for pid, records in grouped.items():
@@ -101,20 +105,21 @@ def load_annotations(path) -> list[PedestrianTrack]:
 
 
 def save_annotations(path, tracks: Sequence[PedestrianTrack]):
-    with open(path, "w", encoding="utf-8") as fh:
-        for track in tracks:
-            for rec in track.frames:
-                obj = {
-                    "pid": track.pedestrian_id,
-                    "frame": rec.frame,
-                    "bbox": [float(v) for v in rec.bbox.as_array()],
-                    "center": [float(rec.center.x), float(rec.center.y)],
-                    "pose": [float(v) for v in rec.pose],
-                    "speed": rec.speed,
-                    "event_frame": track.event_frame,
-                    "label": track.label,
-                }
-                fh.write(json.dumps(obj) + "\n")
+    records = (
+        {
+            "pid": track.pedestrian_id,
+            "frame": rec.frame,
+            "bbox": [float(v) for v in rec.bbox.as_array()],
+            "center": [float(rec.center.x), float(rec.center.y)],
+            "pose": [float(v) for v in rec.pose],
+            "speed": rec.speed,
+            "event_frame": track.event_frame,
+            "label": track.label,
+        }
+        for track in tracks
+        for rec in track.frames
+    )
+    write_atomic(path, "".join(json.dumps(obj) + "\n" for obj in records).encode("utf-8"))
 
 
 class FrameStore(FrameSource):
@@ -143,10 +148,8 @@ class FrameStore(FrameSource):
         return Frame(self.height, self.width, self.frames[index])
 
     def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(FRAME_MAGIC)
-            fh.write(struct.pack("<III", self.height, self.width, len(self)))
-            fh.write(self.frames.tobytes())
+        header = FRAME_MAGIC + struct.pack("<III", self.height, self.width, len(self))
+        write_atomic(path, header + self.frames.tobytes())
 
     @classmethod
     def load(cls, path) -> "FrameStore":

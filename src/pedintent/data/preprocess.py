@@ -9,7 +9,7 @@ global frame; smaller sizes are accepted for desk-scale runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -138,7 +138,7 @@ class FrameSource:
         raise NotImplementedError
 
 
-def _window_features(records: Sequence, tte: int, pid: str, clips: dict) -> ObservationWindow:
+def _window_features(records: Sequence, label: int, tte: int, pid: str, clips: dict) -> ObservationWindow:
     bbox = np.stack([r.bbox.as_array() for r in records])
     center = np.stack([r.center.as_array() for r in records])
     pose = np.stack([r.pose for r in records])
@@ -148,7 +148,7 @@ def _window_features(records: Sequence, tte: int, pid: str, clips: dict) -> Obse
         center_delta=delta_encode(center).astype(np.float32),
         pose=pose[1:].astype(np.float32),
         speed=speed[1:].astype(np.float32),
-        label=0,  # caller overwrites
+        label=label,
         time_to_event=tte,
         pedestrian_id=pid,
         **clips,
@@ -171,6 +171,18 @@ def _build_clips(records: Sequence, frames: FrameSource, cfg: ClipConfig) -> dic
                 raise ConfigError(f"unknown visual input {name!r}")
         clips[name] = np.stack(per_frame)
     return clips
+
+
+def _build_window(
+    track: PedestrianTrack, by_index: dict, end_frame: int, obs_len: int, frames, clip_cfg
+) -> Optional[ObservationWindow]:
+    """The window of raw frames end_frame - obs_len + 1 .. end_frame, or None if `track` lacks one."""
+    needed = range(end_frame - obs_len + 1, end_frame + 1)
+    if needed[0] < 0 or any(i not in by_index for i in needed):
+        return None
+    records = [by_index[i] for i in needed]
+    clips = _build_clips(records, frames, clip_cfg) if clip_cfg and clip_cfg.inputs else {}
+    return _window_features(records, track.label, track.event_frame - end_frame, track.pedestrian_id, clips)
 
 
 def extract_windows(
@@ -198,18 +210,9 @@ def extract_windows(
         raise ConfigError("clip construction requires a frame source")
 
     by_index = track.frame_map()
-    windows: list[ObservationWindow] = []
-    for tte in range(lo, hi + 1, stride):
-        t_end = track.event_frame - tte
-        needed = range(t_end - obs_len + 1, t_end + 1)
-        if needed[0] < 0 or any(i not in by_index for i in needed):
-            continue
-        records = [by_index[i] for i in needed]
-        clips = _build_clips(records, frames, clip_cfg) if clip_cfg and clip_cfg.inputs else {}
-        window = _window_features(records, tte, track.pedestrian_id, clips)
-        window.label = track.label
-        windows.append(window)
-    return windows
+    ends = (track.event_frame - tte for tte in range(lo, hi + 1, stride))
+    windows = (_build_window(track, by_index, end, obs_len, frames, clip_cfg) for end in ends)
+    return [w for w in windows if w is not None]
 
 
 def extract_window_at(
@@ -220,14 +223,9 @@ def extract_window_at(
     clip_cfg: Optional[ClipConfig] = None,
 ) -> ObservationWindow:
     """Single window whose last observed frame is `end_frame` (for prediction)."""
-    by_index = track.frame_map()
-    needed = range(end_frame - obs_len + 1, end_frame + 1)
-    if needed[0] < 0 or any(i not in by_index for i in needed):
-        raise WindowError(f"track {track.pedestrian_id!r} lacks frames {needed[0]}..{end_frame}")
-    records = [by_index[i] for i in needed]
-    clips = _build_clips(records, frames, clip_cfg) if clip_cfg and clip_cfg.inputs else {}
-    window = _window_features(records, track.event_frame - end_frame, track.pedestrian_id, clips)
-    window.label = track.label
+    window = _build_window(track, track.frame_map(), end_frame, obs_len, frames, clip_cfg)
+    if window is None:
+        raise WindowError(f"track {track.pedestrian_id!r} lacks frames {end_frame - obs_len + 1}..{end_frame}")
     return window
 
 

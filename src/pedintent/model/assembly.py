@@ -166,6 +166,7 @@ class Model:
     def __init__(self, spec: ModelSpec, params: dict):
         self.spec = spec
         self.params = params
+        self.data: dict = {}  # the window settings it was trained with; {} means the defaults
 
     @property
     def dtype(self):
@@ -364,14 +365,19 @@ def named_model_spec(name: str, seed: int = 0) -> ModelSpec:
 
 
 def save_model(model: Model, checkpoint_path):
-    """One checkpoint file: the spec in its header, the weights after it."""
-    save_checkpoint(checkpoint_path, model.params, {"model": model.spec.to_dict()})
+    """One checkpoint file: a header {"model": spec, "data": model.data (if any)}, then the weights."""
+    meta = {"model": model.spec.to_dict()}
+    if model.data:
+        meta["data"] = model.data
+    save_checkpoint(checkpoint_path, model.params, meta)
 
 
 def load_model(checkpoint_path) -> Model:
+    """The model in a `save_model` file: the header's "model" spec and "data" ({} if absent), the weights."""
     meta, arrays = load_checkpoint(checkpoint_path)
     if "model" not in meta:
         raise CheckpointError(f"{checkpoint_path} holds no model: its header has no 'model' spec")
     model = build(ModelSpec.from_dict(meta["model"]))
     model.load_state_dict(arrays)
+    model.data = meta.get("data", {})
     return model

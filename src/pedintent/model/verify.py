@@ -32,8 +32,7 @@ def check_model_gradients(
         raise ContractError("eps must lie in [1e-6, 1e-3]")
     if max_elements < 1:
         raise ContractError(f"max_elements is {max_elements}; the check needs at least 1 element")
-    dtype = next(iter(model.params.values())).data.dtype
-    nonvis, clips = stack_windows(model.spec, windows, dtype=dtype)
+    nonvis, clips = stack_windows(model.spec, windows, dtype=model.dtype)
 
     def loss() -> Tensor:
         return tensor_sum(forward_arrays(model, nonvis, clips, training=False))

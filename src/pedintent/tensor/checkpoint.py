@@ -1,10 +1,12 @@
 """Binary weight checkpoints, self-describing and written atomically.
 
 Layout: magic "ITN2", a little-endian u32 header length, the header (a
-UTF-8 JSON object, such as the model spec), a u32 entry count, then per
-entry a u16 name length, the UTF-8 name, a u8 rank, rank little-endian u32
-dims, and the row-major float32 payload. Round-trips are bit-exact for
-float32 data.
+UTF-8 JSON object), a u32 entry count, then per entry a u16 name length,
+the UTF-8 name, a u8 rank, rank little-endian u32 dims, and the row-major
+float32 payload. Round-trips are bit-exact for float32 data.
+
+Header keys: "model" (the spec) and "data" (its window settings) in a
+`save_model` file; "members" and "member_sha256" in an ensemble head.
 """
 
 from __future__ import annotations
@@ -27,11 +29,15 @@ MAGIC = b"ITN2"
 def write_atomic(path, data: bytes):
     """Replace `path` with `data` whole or not at all: write a temp file in
     the same directory, flush it to disk, then rename it over `path`. On
-    failure the temp file is removed and `path` is left as it was."""
+    failure the temp file is removed and `path` is left as it was. The file
+    gets the mode `open()` would give a new file, 0o666 less the umask."""
     path = Path(path)
+    umask = os.umask(0o022)  # reading the umask means setting it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates it 0o600
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())

@@ -211,6 +211,20 @@ class TestPersistence:
             assert raw[8 + n :] == bare.read_bytes()[len(b"ITN2{}") + 4 :]
             assert sorted(p.name for p in tmp_path.iterdir()) == ["bare.itn", "m.itn"], name
 
+    def test_data_round_trip(self, tmp_path):
+        model = build(named_model_spec("ours6_bboxes"))
+        model.data = {"obs_len": 12, "split_seed": 5, "local_size": [16, 16], "balance": True}
+        save_model(model, tmp_path / "m.itn")
+        assert load_model(tmp_path / "m.itn").data == model.data
+
+    def test_header_without_data_means_the_defaults(self, tmp_path):
+        model = build(named_model_spec("ours6_bboxes"))
+        assert model.data == {}
+        save_checkpoint(tmp_path / "m.itn", model.params, {"model": model.spec.to_dict()})
+        loaded = load_model(tmp_path / "m.itn")
+        assert loaded.data == {}
+        assert all(np.array_equal(loaded.params[k].data, p.data) for k, p in model.params.items())
+
     def test_header_without_model(self, tmp_path):
         path = tmp_path / "ensemble.itn"
         save_checkpoint(path, {"ensemble.w": np.zeros(3, np.float32)}, {"members": ["a", "b", "c"]})

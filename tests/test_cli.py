@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from pedintent import cli
 from pedintent.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_run_config, main
 from pedintent.data import load_annotations, split_tracks
-from pedintent.model import build, named_model_spec
-from pedintent.tensor import load_checkpoint
+from pedintent.model import build, load_model, named_model_spec, save_model
+from pedintent.tensor import load_checkpoint, save_checkpoint
 
 
 def sha(path):
@@ -96,6 +96,14 @@ class TestTrainEval:
         assert "train.max_epochs" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_zero_epoch_finetune_exit_1_before_writing(self, trained, dataset, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", epochs=0)
+        argv = ["finetune", "--checkpoint", str(trained / "checkpoint.itn"), "--config", str(cfg)]
+        rc = main([*argv, "--data", str(dataset), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        assert "train.max_epochs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_no_training_windows_exit_2_names_cause(self, dataset, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", extra_data={"obs_len": 70})  # 78-frame tracks
         rc = main(["train", "--config", str(cfg), "--data", str(dataset), "--out", str(tmp_path / "out")])
@@ -103,7 +111,9 @@ class TestTrainEval:
         err = capsys.readouterr().err.strip()
         assert "no training windows" in err and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("name", ["resolved_config.json", "checkpoint.itn", "history.csv", "metrics.csv"])
+    @pytest.mark.parametrize(
+        "name", ["resolved_config.json", "checkpoint.itn", "history.csv", "metrics.csv", "annotations.jsonl", "frames.pvf"]
+    )
     def test_failed_write_keeps_the_previous_file(self, trained, dataset, tmp_path, monkeypatch, capsys, name):
         out = tmp_path / "out"
         out.mkdir()
@@ -118,6 +128,8 @@ class TestTrainEval:
         monkeypatch.setattr(os, "replace", fail_on_name)
         if name == "metrics.csv":
             argv = ["eval", "--checkpoint", str(trained / "checkpoint.itn"), "--data", str(dataset), "--out", str(out)]
+        elif name in ("annotations.jsonl", "frames.pvf"):
+            argv = ["generate", "--seed", "1", "--tracks", "2", "--rule", "random", "--out", str(out)]
         else:
             cfg = write_config(tmp_path / "c.json", epochs=1)
             argv = ["train", "--config", str(cfg), "--data", str(dataset), "--out", str(out)]
@@ -218,8 +230,8 @@ class TestSplits:
         monkeypatch.setattr(cli, "extract_windows", counting)
         return tracks
 
-    def _split_ids(self, dataset, names):
-        splits = split_tracks(load_annotations(dataset / "annotations.jsonl"), 0)
+    def _split_ids(self, dataset, names, split_seed=0):
+        splits = split_tracks(load_annotations(dataset / "annotations.jsonl"), split_seed)
         return [t.pedestrian_id for name in names for t in splits[name]]
 
     def test_eval_extracts_only_its_split(self, trained, dataset, tmp_path, extracted, capsys):
@@ -232,11 +244,114 @@ class TestSplits:
         assert main(["train", "--config", str(cfg), "--data", str(dataset), "--out", str(tmp_path / "o")]) == EXIT_OK
         assert extracted == self._split_ids(dataset, ["train", "val"])
 
+    def test_eval_follows_the_checkpoint_split_seed(self, small_clips, dataset, tmp_path, extracted, capsys):
+        rc = main(["eval", "--checkpoint", str(small_clips / "checkpoint.itn"), "--data", str(dataset), "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert extracted == self._split_ids(dataset, ["test"], split_seed=5)
+
+    def test_eval_without_checkpoint_data_uses_the_defaults(self, dataset, tmp_path, extracted, capsys):
+        save_model(build(named_model_spec("ours6_bboxes")), tmp_path / "bare.itn")
+        rc = main(["eval", "--checkpoint", str(tmp_path / "bare.itn"), "--data", str(dataset), "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert extracted == self._split_ids(dataset, ["test"])
+
+    def test_ensemble_extracts_each_train_track_once(self, dataset, tmp_path, extracted, capsys):
+        members = []
+        for name in ("ours6_bboxes", "ours2_nonvisual", "ours1"):  # one member renders clips
+            members.append(tmp_path / f"{name}.itn")
+            save_model(build(named_model_spec(name, seed=3)), members[-1])
+        cfg = write_config(tmp_path / "ens.json", epochs=2)
+        argv = ["ensemble", "--members", *map(str, members), "--config", str(cfg), "--data", str(dataset)]
+        assert main([*argv, "--out", str(tmp_path / "ens")]) == EXIT_OK
+        assert extracted == self._split_ids(dataset, ["train"])
+
     def test_unknown_split_rejected_before_extracting(self, trained, dataset, tmp_path, extracted, capsys):
         rc = main(["eval", "--checkpoint", str(trained / "checkpoint.itn"), "--data", str(dataset), "--split", "dev", "--out", str(tmp_path)])
         assert rc == EXIT_USAGE
         assert "dev" in capsys.readouterr().err
         assert extracted == []
+
+
+@pytest.fixture(scope="module")
+def small_clips(tmp_path_factory, dataset):
+    """An ours1 run trained with split seed 5, 12-frame windows and 16x16 clips."""
+    root = tmp_path_factory.mktemp("small")
+    data = {"split_seed": 5, "obs_len": 12, "local_size": [16, 16], "global_size": [16, 16]}
+    cfg = write_config(root / "config.json", preset="ours1", epochs=1, extra_data=data)
+    assert main(["train", "--config", str(cfg), "--data", str(dataset), "--out", str(root / "out")]) == EXIT_OK
+    return root / "out"
+
+
+class TestCheckpointData:
+    """eval and predict read the window settings from the checkpoint."""
+
+    def test_checkpoint_holds_the_window_settings(self, small_clips):
+        data = load_model(small_clips / "checkpoint.itn").data
+        assert data["split_seed"] == 5 and data["obs_len"] == 12 and data["local_size"] == [16, 16]
+        assert "annotations" not in data and "frames" not in data
+
+    @pytest.mark.parametrize("data, key", [([16], "checkpoint data"), ({"bogus": 1}, "checkpoint data.bogus")])
+    def test_malformed_checkpoint_data_exit_1(self, dataset, tmp_path, capsys, data, key):
+        model = build(named_model_spec("ours6_bboxes"))
+        save_checkpoint(tmp_path / "m.itn", model.params, {"model": model.spec.to_dict(), "data": data})
+        assert main(["eval", "--checkpoint", str(tmp_path / "m.itn"), "--data", str(dataset), "--out", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err.strip()
+        assert key in err and len(err.splitlines()) == 1
+
+    def _fed_clips(self, monkeypatch):
+        shapes = []
+
+        def record(fn):
+            def recording(model, windows, *args, **kwargs):
+                for w in windows if isinstance(windows, list) else [windows]:
+                    shapes.append(w.local_context.shape)
+                return fn(model, windows, *args, **kwargs)
+
+            return recording
+
+        monkeypatch.setattr(cli.training_mod, "predict_scores", record(cli.training_mod.predict_scores))
+        monkeypatch.setattr(cli, "forward", record(cli.forward))
+        return shapes
+
+    def test_eval_feeds_the_trained_clip_size(self, small_clips, dataset, tmp_path, monkeypatch, capsys):
+        shapes = self._fed_clips(monkeypatch)
+        argv = ["eval", "--checkpoint", str(small_clips / "checkpoint.itn"), "--data", str(dataset), "--split", "all"]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        assert shapes and set(shapes) == {(12, 16, 16, 3)}
+
+    def test_predict_feeds_the_trained_clip_size(self, small_clips, dataset, monkeypatch, capsys):
+        shapes = self._fed_clips(monkeypatch)
+        argv = ["predict", "--checkpoint", str(small_clips / "checkpoint.itn"), "--data", str(dataset)]
+        assert main([*argv, "--pid", "ped_0000", "--frame", "40"]) == EXIT_OK
+        assert shapes == [(12, 16, 16, 3)]
+
+
+class TestUndecodableInput:
+    """A config or annotations file that is not UTF-8 exits 2 naming it."""
+
+    BYTES = b"\xff\xfe{}"
+
+    def test_config(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(self.BYTES)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err.strip()
+        assert str(cfg) in err and "UTF-8" in err and len(err.splitlines()) == 1
+
+    def test_data_annotations(self, tmp_path, capsys):
+        ann = tmp_path / "a.jsonl"
+        ann.write_bytes(self.BYTES)
+        cfg = write_config(tmp_path / "c.json", extra_data={"annotations": str(ann)})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err.strip()
+        assert str(ann) in err and "UTF-8" in err and len(err.splitlines()) == 1
+
+    def test_eval_data_directory(self, trained, tmp_path, capsys):
+        (tmp_path / "annotations.jsonl").write_bytes(self.BYTES)
+        argv = ["eval", "--checkpoint", str(trained / "checkpoint.itn"), "--data", str(tmp_path)]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err.strip()
+        assert "annotations.jsonl" in err and "UTF-8" in err and len(err.splitlines()) == 1
 
 
 class TestOSErrors:
@@ -265,6 +380,13 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert main(["train"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv", [["eval", "--out", "o"], ["predict", "--pid", "p", "--frame", "40"]], ids=["eval", "predict"]
+    )
+    def test_obs_len_flag_removed(self, capsys, argv):
+        assert main([*argv, "--checkpoint", "m.itn", "--data", "d", "--obs-len", "8"]) == EXIT_USAGE
+        assert "--obs-len" in capsys.readouterr().err
 
     def test_bad_config_missing_model(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -1,12 +1,15 @@
 """Domain types and preprocessing: delta encoding, crops, windowing,
 channel assembly, rebalancing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pedintent.data import (
+    VISUAL_INPUTS,
     BoundingBox,
     Center,
     ClipConfig,
@@ -20,7 +23,9 @@ from pedintent.data import (
     build_local_context,
     build_local_surround,
     delta_encode,
+    extract_window_at,
     extract_windows,
+    generate_synthetic,
     resample_balance,
     speed_one_hot,
 )
@@ -298,6 +303,33 @@ class TestExtractWindows:
             extract_windows(track, 1, (30, 60), 15)
         with pytest.raises(ConfigError):
             extract_windows(track, 16, (60, 30), 15)
+
+
+class TestExtractWindowAt:
+    def test_equals_the_window_for_that_tte(self):
+        tracks, frames = generate_synthetic(3, 2, "random")
+        cfg = ClipConfig(inputs=VISUAL_INPUTS, local_size=(8, 8), global_size=(8, 6))
+        for track in tracks:
+            wins = extract_windows(track, 16, (30, 60), 15, frames=frames, clip_cfg=cfg)
+            assert wins
+            for w in wins:
+                at = extract_window_at(track, 16, track.event_frame - w.time_to_event, frames=frames, clip_cfg=cfg)
+                for f in dataclasses.fields(w):
+                    a, b = getattr(w, f.name), getattr(at, f.name)
+                    if isinstance(a, np.ndarray):
+                        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+                    else:
+                        assert a == b, f.name
+
+    def test_missing_frames_raise(self):
+        track = make_track(n=101)
+        with pytest.raises(WindowError):
+            extract_window_at(track, 16, 10)  # would start at frame -5
+        with pytest.raises(WindowError):
+            extract_window_at(track, 16, 101)  # past the last frame
+        gappy = PedestrianTrack("p0", tuple(r for r in track.frames if r.frame != 60), track.event_frame, track.label)
+        with pytest.raises(WindowError):
+            extract_window_at(gappy, 16, 70)
 
 
 class TestAssemble:

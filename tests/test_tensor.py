@@ -4,6 +4,7 @@ checkpoint format."""
 import gc
 import json
 import os
+import stat
 import struct
 
 import numpy as np
@@ -44,6 +45,7 @@ from pedintent.tensor import (
     softmax,
     tanh,
     tensor_slice,
+    write_atomic,
     tensor_sum,
     transpose,
 )
@@ -553,3 +555,12 @@ class TestCheckpoint:
             save_checkpoint(path, {"w": Tensor(np.zeros(5, dtype=np.float32))}, {"model": {}})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.itn"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+    def test_written_file_has_the_mode_open_gives(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            write_atomic(tmp_path / "f", b"x")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "f").stat().st_mode) == mode
