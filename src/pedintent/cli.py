@@ -7,7 +7,8 @@ ensemble; finetune and ensemble take the model spec from their checkpoints.
 train and finetune store the config's window settings (its data section less
 the paths) in the checkpoint; eval and predict read them there (the defaults
 if absent), and --tte-lo, --tte-hi and --stride override which windows eval
-scores. --data names a dataset directory (annotations.jsonl and, if present,
+scores. ensemble requires each member's stored settings to equal the
+config's; a malformed checkpoint header is a data error. --data names a dataset directory (annotations.jsonl and, if present,
 frames.pvf) and overrides the config's paths, as --out does its output dir.
 
 Every command is deterministic given its flags and seeds. A fully-resolved
@@ -183,10 +184,23 @@ def _use_data_dir(data: DataConfig, data_dir) -> DataConfig:
     return data
 
 
+def _window_settings(data: DataConfig) -> dict:
+    """The settings of `data` a checkpoint stores: all but the paths."""
+    return {k: v for k, v in dataclasses.asdict(data).items() if k not in ("annotations", "frames")}
+
+
+def _trained_data(model, path) -> DataConfig:
+    """The window settings stored with `model`, loaded from `path` (the defaults if absent)."""
+    try:
+        return config_from_dict(DataConfig, model.data, "checkpoint data")
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: {e}") from e
+
+
 def _load_trained(args) -> tuple:
     """The --checkpoint model and its window settings, for the dataset in --data."""
     model = load_model(args.checkpoint)
-    return model, _use_data_dir(config_from_dict(DataConfig, model.data, "checkpoint data"), args.data)
+    return model, _use_data_dir(_trained_data(model, args.checkpoint), args.data)
 
 
 def _load_inputs(data: DataConfig, inputs: tuple) -> tuple:
@@ -262,7 +276,7 @@ def _cmd_train(args) -> int:
     if cfg.data.balance:
         train_windows = resample_balance(train_windows, cfg.train.seed)
     history = fit(model, train_windows, splits["val"], cfg.train)
-    model.data = {k: v for k, v in dataclasses.asdict(cfg.data).items() if k not in ("annotations", "frames")}
+    model.data = _window_settings(cfg.data)
     save_model(model, out_dir / "checkpoint.itn")
     training_mod.history_to_csv(history, out_dir / "history.csv")
     last = history[-1]
@@ -277,6 +291,14 @@ def _cmd_ensemble(args) -> int:
     cfg, out_dir = _training_run(args)
     hashes_before = [_sha256(p) for p in args.members]
     members = [load_model(p) for p in args.members]
+    # Every member is scored on the config's windows, so each must have been
+    # trained on the same window settings.
+    settings = _window_settings(cfg.data)
+    for path, member in zip(args.members, members):
+        stored = _window_settings(_trained_data(member, path))
+        key = next((k for k in settings if stored[k] != settings[k]), None)
+        if key is not None:
+            raise ConfigError(f"ensemble member {path} was trained with data.{key}={stored[key]!r}, the config has {settings[key]!r}")
     cfg.model = members[0].spec
     _write_resolved(cfg, out_dir, extra={"ensemble_members": args.members, "member_sha256": hashes_before})
 

@@ -377,7 +377,11 @@ def load_model(checkpoint_path) -> Model:
     meta, arrays = load_checkpoint(checkpoint_path)
     if "model" not in meta:
         raise CheckpointError(f"{checkpoint_path} holds no model: its header has no 'model' spec")
-    model = build(ModelSpec.from_dict(meta["model"]))
+    try:
+        spec = ModelSpec.from_dict(meta["model"])
+    except ConfigError as e:
+        raise CheckpointError(f"{checkpoint_path}: header {e}") from e
+    model = build(spec)
     model.load_state_dict(arrays)
     model.data = meta.get("data", {})
     return model

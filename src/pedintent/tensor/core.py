@@ -5,13 +5,21 @@ replays it in reverse to populate leaf gradients, releasing each entry (and
 the activations only it holds) as it goes, so a replayed tape holds no
 reference cycle and one backward runs per tape. Tensors are float32 by
 default; building them from float64 arrays keeps float64, which is how the
-gradient checker runs the whole graph at 64-bit.
+gradient checker runs the whole graph at 64-bit. Ops compute in their
+inputs' dtype: constants take that dtype, never a float64 scalar's.
+
+Values are finite: an op producing NaN or Inf raises NumericalError. Most
+ops check their whole output (`_result`). `softmax` instead checks O(S)
+slice statistics of its input (each slice's max and min) and wraps its
+output, which a finite input keeps in [0, 1], unchecked (`_record`).
 
 `attention` is the one fused op: softmax(q k^T) v over split heads, computed
 in blocks of query rows so that at most one block of attention weights
 exists at a time (Rabe & Staats, arXiv:2112.05682), with a closed-form
 backward that recomputes a block's weights instead of storing them
-(Dao et al., arXiv:2205.14135).
+(Dao et al., arXiv:2205.14135). Each pass writes its blocks' scores into
+one scratch buffer and hands them to the `softmax` op unchecked, so no
+score block gets an O(S^2) finiteness pass.
 
 Concurrency: a tape is confined to the thread that opened it. Tensors that
 do not track gradients are immutable values and safe to share across
@@ -193,9 +201,15 @@ def _as_tensor(x) -> Tensor:
 
 
 def _result(data: np.ndarray, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
-    """Wrap an op output, recording it when gradients are being traced."""
+    """Check that an op output is finite, then wrap and record it."""
     if not np.all(np.isfinite(data)):
         raise NumericalError("operation produced non-finite values")
+    return _record(data, inputs, backward)
+
+
+def _record(data: np.ndarray, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
+    """Wrap an op output unchecked, recording it when gradients are being
+    traced; for outputs finite by construction or checked by their consumer."""
     tape = _active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
@@ -306,18 +320,27 @@ def relu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact erf form: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    """Exact erf form: 0.5 * x * (1 + erf(x / sqrt(2))), in x's dtype; the
+    pdf only backward uses is built there."""
     x = _as_tensor(x)
     xd = x.data
-    cdf = (0.5 * (1.0 + erf(xd / np.sqrt(2.0)))).astype(xd.dtype)
-    pdf = (np.exp(-0.5 * xd * xd) / np.sqrt(2.0 * np.pi)).astype(xd.dtype)
-    return _result(xd * cdf, (x,), lambda g: (g * (cdf + xd * pdf),))
+    dt = xd.dtype.type
+    cdf = erf(xd / dt(math.sqrt(2.0)))
+    cdf += dt(1.0)
+    cdf *= dt(0.5)
+
+    def backward(g):
+        pdf = np.exp(dt(-0.5) * xd * xd)
+        pdf /= dt(math.sqrt(2.0 * math.pi))
+        return (g * (cdf + xd * pdf),)
+
+    return _result(xd * cdf, (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic 1 / (1 + exp(-x)), overflow-safe."""
     x = _as_tensor(x)
-    s = expit(x.data).astype(x.data.dtype)
+    s = expit(x.data)
     return _result(s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -339,8 +362,7 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient passes only through unclipped entries."""
     x = _as_tensor(x)
     xd = x.data
-    inside = (xd >= lo) & (xd <= hi)
-    return _result(np.clip(xd, lo, hi), (x,), lambda g: (g * inside,))
+    return _result(np.clip(xd, lo, hi), (x,), lambda g: (g * ((xd >= lo) & (xd <= hi)),))
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +375,18 @@ def softmax(x: Tensor, axis: int = -1, mask=None) -> Tensor:
     `mask` (boolean, broadcastable to x) selects the entries that
     participate; masked entries are exactly 0 in the output and each slice
     must keep at least one unmasked entry.
+
+    Finiteness is checked on O(S) slice statistics of the input, masked
+    entries included: a slice's max and min are finite only if all its
+    entries are (NaN propagates, +inf and -inf show). A finite slice gives
+    weights in [0, 1], so the output gets no O(S^2) check, and `x` may be
+    an unchecked `_record` tensor, as attention's score blocks are.
     """
     x = _as_tensor(x)
     xd = x.data
+    top = xd.max(axis=axis, keepdims=True)
+    if not (np.all(np.isfinite(top)) and np.all(np.isfinite(xd.min(axis=axis, keepdims=True)))):
+        raise NumericalError("softmax input holds non-finite values")
     if mask is not None:
         m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
         m = np.broadcast_to(m.astype(bool), xd.shape)
@@ -364,7 +395,7 @@ def softmax(x: Tensor, axis: int = -1, mask=None) -> Tensor:
         z = np.where(m, xd, -np.inf)
         z -= z.max(axis=axis, keepdims=True)
     else:
-        z = xd - xd.max(axis=axis, keepdims=True)
+        z = xd - top
     out = np.exp(z, out=z)  # exp(-inf) = 0 exactly on masked entries
     out /= out.sum(axis=axis, keepdims=True)
 
@@ -372,7 +403,7 @@ def softmax(x: Tensor, axis: int = -1, mask=None) -> Tensor:
         inner = (g * out).sum(axis=axis, keepdims=True)
         return (out * (g - inner),)
 
-    return _result(out, (x,), backward)
+    return _record(out, (x,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -513,48 +544,62 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
 def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     """softmax(q k^T) v over split heads of shape (..., S, dh).
 
-    Scaling is the caller's: fold it into q. `mask` (boolean, broadcastable
-    to (..., S, S)) is applied by `softmax` with its contract: masked weights
-    are exactly 0 and a fully masked row raises DegenerateMaskError. Query
-    rows are processed in blocks whose weights take at most
-    ATTENTION_BLOCK_BYTES (at least one row per block); backward recomputes
-    each block's weights when there is more than one block.
+    Scaling is the caller's: fold it into q. Query rows are processed in
+    blocks whose weights take at most ATTENTION_BLOCK_BYTES (at least one
+    row per block); backward recomputes each block's weights when there is
+    more than one block. Each pass has one scratch buffer, never kept for
+    backward: a block's scores go there and on to the `softmax` op
+    unchecked, and backward then reuses it for the block's score gradient.
+    `softmax` carries the contract for the scores: a NaN, +inf or -inf
+    score raises NumericalError (found on O(S) row statistics, with no
+    O(S^2) pass), masked weights (`mask`, boolean, broadcastable to
+    (..., S, S)) are exactly 0, and a fully masked row raises
+    DegenerateMaskError.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(f"attention needs equal (..., S, dh) q/k/v shapes, got {q.shape}, {k.shape}, {v.shape}")
     qd, kd, vd = q.data, k.data, v.data
-    s = qd.shape[-2]
+    lead, s = qd.shape[:-2], qd.shape[-2]
     m = None if mask is None else (mask.data if isinstance(mask, Tensor) else np.asarray(mask))
-    row_bytes = math.prod(qd.shape[:-2]) * s * qd.itemsize
-    rows = max(1, ATTENTION_BLOCK_BYTES // row_bytes)
+    rows = min(s, max(1, ATTENTION_BLOCK_BYTES // (math.prod(lead) * s * qd.itemsize)))
     blocks = [(r, min(r + rows, s)) for r in range(0, s, rows)]
     kt = np.swapaxes(kd, -1, -2)
+    score_dtype = np.result_type(qd, kd)
 
-    def weights(r0: int, r1: int) -> np.ndarray:
+    def scratch() -> np.ndarray:
+        return np.empty(math.prod(lead) * rows * s, dtype=score_dtype)
+
+    def block(buf: np.ndarray, r0: int, r1: int) -> np.ndarray:
+        return buf[: math.prod(lead) * (r1 - r0) * s].reshape(*lead, r1 - r0, s)
+
+    def weights(r0: int, r1: int, buf: np.ndarray) -> np.ndarray:
         # the mask's row axis is absent, 1 or S; only the last needs slicing
         mb = m[..., r0:r1, :] if m is not None and m.ndim >= 2 and m.shape[-2] == s else m
-        return softmax(Tensor(np.matmul(qd[..., r0:r1, :], kt)), axis=-1, mask=mb).data
+        scores = np.matmul(qd[..., r0:r1, :], kt, out=block(buf, r0, r1))
+        return softmax(_record(scores, (), None), axis=-1, mask=mb).data
 
+    buf = scratch()
     if len(blocks) == 1:
-        kept = weights(0, s)
+        kept = weights(0, s, buf)
         out = np.matmul(kept, vd)
     else:
         kept = None
         out = np.empty_like(qd)
         for r0, r1 in blocks:
-            out[..., r0:r1, :] = np.matmul(weights(r0, r1), vd)
+            out[..., r0:r1, :] = np.matmul(weights(r0, r1, buf), vd)
 
     def backward(g):
         dq = np.empty_like(qd)
         dk = np.zeros_like(kd)
         dv = np.zeros_like(vd)
         vt = np.swapaxes(vd, -1, -2)
+        buf = scratch()  # a block's scores, then its ds
         for r0, r1 in blocks:
-            p = kept if kept is not None else weights(r0, r1)
+            p = kept if kept is not None else weights(r0, r1, buf)
             gb = g[..., r0:r1, :]
             dv += np.matmul(np.swapaxes(p, -1, -2), gb)
-            ds = np.matmul(gb, vt)
+            ds = np.matmul(gb, vt, out=block(buf, r0, r1))
             ds -= (gb * out[..., r0:r1, :]).sum(axis=-1, keepdims=True)
             ds *= p
             dq[..., r0:r1, :] = np.matmul(ds, kd)

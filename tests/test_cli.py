@@ -190,6 +190,25 @@ class TestEnsemble:
         assert meta == {"members": list(map(str, members)), "member_sha256": before}
         assert list(head) == ["ensemble.w", "ensemble.b"]
 
+    def test_members_trained_on_other_windows_exit_1(self, dataset, tmp_path, capsys, monkeypatch):
+        """Members saved with 16x16 crops and a config without a data
+        section (32x32 crops) are rejected before any window is extracted."""
+        extracted = []
+        monkeypatch.setattr(cli, "extract_windows", lambda *a, **k: extracted.append(a) or [])
+        members = []
+        for seed in (1, 2, 3):
+            model = build(named_model_spec("ours1", seed=seed))
+            model.data = {"local_size": [16, 16], "global_size": [16, 16]}
+            members.append(tmp_path / f"m{seed}.itn")
+            save_model(model, members[-1])
+        cfg = tmp_path / "ens.json"
+        cfg.write_text(json.dumps({"model": {"preset": "ours1"}, "train": {"max_epochs": 2}}), encoding="utf-8")
+        argv = ["ensemble", "--members", *map(str, members), "--config", str(cfg), "--data", str(dataset)]
+        assert main([*argv, "--out", str(tmp_path / "ens")]) == EXIT_USAGE
+        err = capsys.readouterr().err.strip()
+        assert str(members[0]) in err and "data.local_size" in err and len(err.splitlines()) == 1
+        assert extracted == [] and not (tmp_path / "ens").exists()
+
     def test_wrong_member_count_exit_1(self, tmp_path):
         rc = main(["ensemble", "--members", "a", "b", "--config", "x", "--out", str(tmp_path)])
         assert rc == EXIT_USAGE  # argparse rejects nargs mismatch
@@ -291,12 +310,23 @@ class TestCheckpointData:
         assert "annotations" not in data and "frames" not in data
 
     @pytest.mark.parametrize("data, key", [([16], "checkpoint data"), ({"bogus": 1}, "checkpoint data.bogus")])
-    def test_malformed_checkpoint_data_exit_1(self, dataset, tmp_path, capsys, data, key):
+    def test_malformed_checkpoint_data_exit_2(self, dataset, tmp_path, capsys, data, key):
         model = build(named_model_spec("ours6_bboxes"))
         save_checkpoint(tmp_path / "m.itn", model.params, {"model": model.spec.to_dict(), "data": data})
-        assert main(["eval", "--checkpoint", str(tmp_path / "m.itn"), "--data", str(dataset), "--out", str(tmp_path)]) == EXIT_USAGE
+        assert main(["eval", "--checkpoint", str(tmp_path / "m.itn"), "--data", str(dataset), "--out", str(tmp_path)]) == EXIT_DATA
         err = capsys.readouterr().err.strip()
-        assert key in err and len(err.splitlines()) == 1
+        assert err.startswith("data error:") and key in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("spec, key", [([16], "model must be"), ({"bogus": 1}, "model.bogus")])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_malformed_checkpoint_model_exit_2(self, dataset, tmp_path, capsys, spec, key, command):
+        model = build(named_model_spec("ours6_bboxes"))
+        save_checkpoint(tmp_path / "m.itn", model.params, {"model": spec})
+        argv = [command, "--checkpoint", str(tmp_path / "m.itn"), "--data", str(dataset)]
+        argv += ["--out", str(tmp_path)] if command == "eval" else ["--pid", "ped_0000", "--frame", "40"]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("data error:") and key in err and len(err.splitlines()) == 1
 
     def _fed_clips(self, monkeypatch):
         shapes = []

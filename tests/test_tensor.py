@@ -268,17 +268,22 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def _op_cases():
+def _op_cases(dtype=np.float64):
+    """op -> (input shape, scalar function of the input); constants take `dtype`."""
     r = _rng(7)
-    b_const = t64(r.normal(size=(5, 3)))
-    c35 = t64(r.normal(size=(3, 5)))
-    add_const = t64(r.normal(size=4))
-    mul_const = t64(r.normal(size=(2, 4)))
-    concat_const = t64(r.normal(size=(2, 3)))
-    gamma = t64(r.normal(size=6) + 1.5)
-    beta = t64(r.normal(size=6))
 
-    att_const = t64(r.normal(size=(2, 5, 3)))
+    def const(a):
+        return Tensor(a, dtype=dtype)
+
+    b_const = const(r.normal(size=(5, 3)))
+    c35 = const(r.normal(size=(3, 5)))
+    add_const = const(r.normal(size=4))
+    mul_const = const(r.normal(size=(2, 4)))
+    concat_const = const(r.normal(size=(2, 3)))
+    gamma = const(r.normal(size=6) + 1.5)
+    beta = const(r.normal(size=6))
+
+    att_const = const(r.normal(size=(2, 5, 3)))
 
     def frozen_dropout(x):
         return tensor_sum(dropout(x, 0.4, np.random.default_rng(123), training=True))
@@ -322,6 +327,49 @@ def test_op_gradients_match_finite_differences_64bit(op):
     assert report.max_rel_err < 1e-5, f"{op}: {report.max_rel_err}"
 
 
+@pytest.mark.parametrize("op", sorted(REGISTERED_OPS))
+def test_op_keeps_float32(op, monkeypatch):
+    """On float32 inputs every op output, and every gradient a backward rule
+    returns, is float32: no float64 constant promotes the computation."""
+    seen = []
+    record = core._record
+
+    def recording(data, inputs, rule):
+        seen.append(data.dtype)
+
+        def traced(g):
+            grads = rule(g)
+            seen.extend(gi.dtype for gi in grads if gi is not None)
+            return grads
+
+        return record(data, inputs, None if rule is None else traced)
+
+    monkeypatch.setattr(core, "_record", recording)
+    shape, fn = _op_cases(np.float32)[op]
+    x = Tensor(_rng(11).normal(size=shape).astype(np.float32), requires_grad=True)
+    with Tape():
+        loss = fn(x)
+        backward(loss)
+    assert loss.data.dtype == np.float32
+    assert seen and set(seen) == {np.dtype(np.float32)}, f"{op}: {set(seen)}"
+
+
+def test_gelu_erf_in_float32(monkeypatch):
+    seen = []
+    erf = core.erf
+
+    def recording(a):
+        out = erf(a)
+        seen.append((a.dtype, out.dtype))
+        return out
+
+    monkeypatch.setattr(core, "erf", recording)
+    x = np.linspace(-6, 6, 49)
+    out = gelu(Tensor(x.astype(np.float32))).data
+    assert seen == [(np.float32, np.float32)] and out.dtype == np.float32
+    assert np.max(np.abs(out - gelu(t64(x)).data)) < 1e-6
+
+
 def _f32_cases():
     """Small well-scaled functions: float32 central differences carry
     ~|f|*6e-8/(2 eps) absolute noise, so keep |f| small and gradients O(1)."""
@@ -363,6 +411,7 @@ class TestAttention:
 
     S = 7
     THREE_ROWS = 3 * 2 * S * 8
+    MARK = 7.25  # a q entry no normal draw hits
 
     @pytest.mark.parametrize("blocks", ["single", "multi"])
     @pytest.mark.parametrize("mask", ["none", "causal", "random"])
@@ -382,6 +431,52 @@ class TestAttention:
         x = Tensor(np.ones((2, self.S, 3)))
         with pytest.raises(DegenerateMaskError):
             attention(x, x, x, mask=m)
+
+    @pytest.mark.parametrize("value", ["+inf", "-inf", "nan"])
+    @pytest.mark.parametrize("row", [4, 6])  # in the second and in the third block
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("tracked", [False, True])
+    def test_non_finite_score_in_a_later_block(self, monkeypatch, value, row, masked, tracked):
+        """One non-finite q.k score raises NumericalError, also under the mask
+        and in a forward on a tape. +inf and -inf come from float32 overflow
+        of 1e20-scale entries. A dot product of finite entries accumulated
+        with fused multiply-adds never gives NaN (inf + finite = inf), so
+        the NaN is written into the score block the op computes."""
+        monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", 3 * 2 * self.S * 4)  # float32 blocks of 3, 3, 1 rows
+        q, k, v = (a.astype(np.float32) for a in _rng(36).normal(size=(3, 2, self.S, 3)))
+        q[:, row], k[:, 2] = {
+            "+inf": ([1e20, 0, 0], [1e20, 0, 0]),
+            "-inf": ([-1e20, 0, 0], [1e20, 0, 0]),
+            "nan": ([self.MARK, 0, 0], [1, 0, 0]),
+        }[value]
+        if value == "nan":
+            matmul_ = np.matmul
+
+            def nan_score(a, b, **kwargs):
+                out = matmul_(a, b, **kwargs)
+                if a.shape[-1] == 3 and b.shape[-1] == self.S:  # q @ k^T: q's marked row scores NaN on key 2
+                    out[..., 2][a[..., 0] == self.MARK] = np.nan
+                return out
+
+            monkeypatch.setattr(np, "matmul", nan_score)
+        m = np.ones((self.S, self.S), dtype=bool)
+        if masked:
+            m[:, 2] = False
+        q, k, v = (Tensor(a, requires_grad=tracked) for a in (q, k, v))
+        with np.errstate(over="ignore"), Tape():
+            with pytest.raises(NumericalError):
+                attention(q, k, v, mask=m)
+        others = [r for r in range(self.S) if r != row]
+        assert np.all(np.isfinite(attention(*(Tensor(t.data[:, others]) for t in (q, k, v))).data))
+
+    def test_masked_weights_exactly_zero_in_every_block(self, monkeypatch):
+        monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", 3 * 2 * self.S * 4)
+        m = _masks(self.S)["random"]
+        q, k = (Tensor(a.astype(np.float32)) for a in _rng(37).normal(size=(2, 2, self.S, self.S)))
+        v = Tensor(np.broadcast_to(np.eye(self.S, dtype=np.float32), (2, self.S, self.S)))
+        w = attention(q, k, v, mask=m).data  # v = I: the output is the weights
+        assert np.all(w[:, ~m] == 0.0) and np.all(w[:, m] > 0.0)
+        assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-6)
 
     @pytest.mark.parametrize("blocks", ["single", "multi"])
     @pytest.mark.parametrize("mask", ["none", "causal", "random"])
