@@ -45,6 +45,7 @@ from .data import (
     save_annotations,
     split_tracks,
 )
+from .data.preprocess import is_crop_size
 from .errors import (
     BalanceError,
     CheckpointError,
@@ -110,8 +111,11 @@ class DataConfig:
     global_size: tuple = (32, 32)
 
     def __post_init__(self):
-        self.local_size = tuple(self.local_size)
-        self.global_size = tuple(self.global_size)
+        for key in ("local_size", "global_size"):
+            size = getattr(self, key)
+            if not (isinstance(size, (list, tuple)) and len(size) == 2 and all(map(is_crop_size, size))):
+                raise ConfigError(f"data.{key} must be two ints >= 1, got {size!r}")
+            setattr(self, key, tuple(size))
         if self.split_seed < 0:
             raise ConfigError(f"data.split_seed must be >= 0, got {self.split_seed}")
 

@@ -6,11 +6,15 @@ Annotations carry one record per (pedestrian, frame):
 
 Frames live in a flat little-endian container: magic "PVF1", u32 height,
 u32 width, u32 frame count, then raw 8-bit RGB payload, frames consecutive.
+A loaded container is memory-mapped read-only, not copied into memory: a
+frame's pixels are read from the file when a crop touches them.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
+import os
 import struct
 from typing import Sequence
 
@@ -123,7 +127,8 @@ def save_annotations(path, tracks: Sequence[PedestrianTrack]):
 
 
 class FrameStore(FrameSource):
-    """In-memory stack of same-sized RGB frames addressed by global index."""
+    """Stack of same-sized RGB frames, in memory or mapped from a container
+    file (`load`), addressed by global index."""
 
     def __init__(self, frames: np.ndarray):
         frames = np.asarray(frames)
@@ -153,17 +158,20 @@ class FrameStore(FrameSource):
 
     @classmethod
     def load(cls, path) -> "FrameStore":
+        """Map the container at `path` read-only; its frames are views of
+        the file. `save` (through `write_atomic`) replaces a file by rename,
+        never in place, so a mapped store never sees a truncated file."""
         with open(path, "rb") as fh:
-            buf = fh.read()
-        if buf[:4] != FRAME_MAGIC:
-            raise ParseError(f"bad frame container magic in {path}")
-        if len(buf) < 16:
-            raise ParseError(f"truncated frame container header in {path}")
-        height, width, count = struct.unpack("<III", buf[4:16])
-        expected = 16 + count * height * width * 3
-        if len(buf) != expected:
-            raise ParseError(
-                f"frame container payload length mismatch in {path}: have {len(buf)}, expected {expected}"
-            )
+            header = fh.read(16)
+            if header[:4] != FRAME_MAGIC:
+                raise ParseError(f"bad frame container magic in {path}")
+            if len(header) < 16:
+                raise ParseError(f"truncated frame container header in {path}")
+            height, width, count = struct.unpack("<III", header[4:16])
+            expected = 16 + count * height * width * 3
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise ParseError(f"frame container payload length mismatch in {path}: have {size}, expected {expected}")
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         frames = np.frombuffer(buf, dtype=np.uint8, offset=16).reshape(count, height, width, 3)
-        return cls(frames.copy())
+        return cls(frames)

@@ -5,10 +5,18 @@ zero padding where the box leaves the frame, bilinear-resize (corner
 aligned), and scale intensities to [0, 1] by dividing by 255. The standard
 crop sizes are 112/128/224 square for local inputs and 112/224 for the
 global frame; smaller sizes are accepted for desk-scale runs.
+
+Each visual input of a window is rendered by one crop call per frame, each
+frame fetched once per window. A crop touches only its padded patch: the
+local surround paints its grey box onto the patch, never onto a copy of the
+frame. The resize samples at per-axis plans (corner indices and fractions)
+that depend only on the input and output lengths, so they are computed once
+and cached, and gathers the four corners with two `take` calls.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,6 +27,7 @@ from ..errors import (
     BalanceError,
     ConfigError,
     DegenerateCropError,
+    DimensionError,
     WindowError,
 )
 from .types import (
@@ -32,6 +41,7 @@ from .types import (
 )
 
 GREY_MASK_VALUE = 128  # pre-normalization grey used to hide the pedestrian
+_GREY = np.float32(GREY_MASK_VALUE / 255.0)  # the same bits as a scaled grey pixel
 
 
 def delta_encode(seq: np.ndarray) -> np.ndarray:
@@ -42,25 +52,47 @@ def delta_encode(seq: np.ndarray) -> np.ndarray:
     return arr[1:] - arr[0]
 
 
+@functools.lru_cache(maxsize=1024)
+def _axis_plan(n: int, out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Corner-aligned bilinear sample plan of `out` points over an axis of
+    `n` pixels: the int64 indices [lower; upper] of shape (2*out,) and the
+    float32 fractions of shape (out,). Cached, so both are read-only.
+
+    Keys repeat: the output sizes are fixed and a crop's pixel size follows
+    its box, which moves by a pixel or so between frames of a track, so
+    the windows of a track reuse a few dozen keys. 1024 entries hold that
+    working set and cost at most 4.6 MB at 224-point plans."""
+    pos = np.linspace(0.0, n - 1.0, out) if out > 1 else np.zeros(1)
+    lower = np.floor(pos).astype(np.int64)
+    index = np.concatenate([lower, np.minimum(lower + 1, n - 1)])
+    frac = (pos - lower).astype(np.float32)
+    index.flags.writeable = False
+    frac.flags.writeable = False
+    return index, frac
+
+
+def is_crop_size(n) -> bool:
+    """Whether `n` is a valid output length of a crop: an int >= 1, not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+
+
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Corner-aligned bilinear resample of an (H, W, C) float image."""
+    """Corner-aligned bilinear resample of an (H, W, C) float image to a
+    float32 (out_h, out_w, C) image; both output sizes must be ints >= 1."""
     img = np.asarray(image, dtype=np.float32)
-    h, w = img.shape[:2]
-    ys = np.linspace(0.0, h - 1.0, out_h) if out_h > 1 else np.zeros(1)
-    xs = np.linspace(0.0, w - 1.0, out_w) if out_w > 1 else np.zeros(1)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0).astype(np.float32)[:, None, None]
-    fx = (xs - x0).astype(np.float32)[None, :, None]
-    ia = img[y0[:, None], x0[None, :]]
-    ib = img[y0[:, None], x1[None, :]]
-    ic = img[y1[:, None], x0[None, :]]
-    idd = img[y1[:, None], x1[None, :]]
-    top = ia + fx * (ib - ia)
-    bot = ic + fx * (idd - ic)
-    return top + fy * (bot - top)
+    if img.ndim != 3 or 0 in img.shape[:2] or not (is_crop_size(out_h) and is_crop_size(out_w)):
+        raise DimensionError(f"cannot resize an image of shape {img.shape} to ({out_h!r}, {out_w!r})")
+    ys, fy = _axis_plan(img.shape[0], out_h)
+    xs, fx = _axis_plan(img.shape[1], out_w)
+    corners = img.take(ys, axis=0).take(xs, axis=1).reshape(2, out_h, 2, out_w, img.shape[2])
+    left = corners[:, :, 0]
+    rows = corners[:, :, 1] - left  # rows[0] lerps the top corners, rows[1] the bottom ones
+    rows *= fx[:, None]
+    rows += left
+    out = rows[1] - rows[0]
+    out *= fy[:, None, None]
+    out += rows[0]
+    return out
 
 
 def _pixel_box(x_tl: float, y_tl: float, x_br: float, y_br: float) -> tuple[int, int, int, int]:
@@ -109,11 +141,15 @@ def build_local_surround(frame: Frame, bbox: BoundingBox, ratio: float, size: tu
     """Like the local context, but the un-enlarged pedestrian box is greyed out first."""
     if ratio < 1.0:
         raise ConfigError("enlargement ratio must be >= 1")
-    x0, y0, x1, y1 = _pixel_box(bbox.x_tl, bbox.y_tl, bbox.x_br, bbox.y_br)
-    masked = frame.pixels.copy()
-    masked[max(y0, 0) : max(y1, 0), max(x0, 0) : max(x1, 0)] = GREY_MASK_VALUE
-    grey_frame = Frame(frame.height, frame.width, masked)
-    return build_local_context(grey_frame, bbox, ratio, size)
+    gx0, gy0, gx1, gy1 = _pixel_box(bbox.x_tl, bbox.y_tl, bbox.x_br, bbox.y_br)
+    x0, y0, x1, y1 = _pixel_box(*_enlarged(bbox, ratio))
+    patch = _crop_padded(frame.pixels, (x0, y0, x1, y1))
+    # Grey only the part of the box whose pixels the patch took from the
+    # frame, which is what cropping a greyed copy of the frame would give.
+    top, left = max(gy0, y0, 0), max(gx0, x0, 0)
+    bottom, right = max(min(gy1, y1, frame.height), top), max(min(gx1, x1, frame.width), left)
+    patch[top - y0 : bottom - y0, left - x0 : right - x0] = _GREY
+    return bilinear_resize(patch, size[0], size[1])
 
 
 def build_global_context(frame: Frame, size: tuple[int, int]) -> np.ndarray:
@@ -156,19 +192,17 @@ def _window_features(records: Sequence, label: int, tte: int, pid: str, clips: d
 
 
 def _build_clips(records: Sequence, frames: FrameSource, cfg: ClipConfig) -> dict:
+    fetched = [frames.get(rec.frame) for rec in records]
     clips: dict[str, np.ndarray] = {}
     for name in cfg.inputs:
-        per_frame = []
-        for rec in records:
-            frame = frames.get(rec.frame)
-            if name == "local_context":
-                per_frame.append(build_local_context(frame, rec.bbox, cfg.ratio, cfg.local_size))
-            elif name == "local_surround":
-                per_frame.append(build_local_surround(frame, rec.bbox, cfg.ratio, cfg.local_size))
-            elif name == "global_context":
-                per_frame.append(build_global_context(frame, cfg.global_size))
-            else:
-                raise ConfigError(f"unknown visual input {name!r}")
+        if name == "local_context":
+            per_frame = [build_local_context(f, r.bbox, cfg.ratio, cfg.local_size) for f, r in zip(fetched, records)]
+        elif name == "local_surround":
+            per_frame = [build_local_surround(f, r.bbox, cfg.ratio, cfg.local_size) for f, r in zip(fetched, records)]
+        elif name == "global_context":
+            per_frame = [build_global_context(f, cfg.global_size) for f in fetched]
+        else:
+            raise ConfigError(f"unknown visual input {name!r}")
         clips[name] = np.stack(per_frame)
     return clips
 

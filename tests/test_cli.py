@@ -434,6 +434,10 @@ class TestUsage:
             ({"model": {"preset": "ours6_bboxes", "seed": -1}}, "seed must be >= 0"),
             ({"model": {"preset": "ours6_bboxes"}, "train": {"seed": -1}}, "seed >= 0"),
             ({"model": {"preset": "ours6_bboxes"}, "data": {"split_seed": -1}}, "data.split_seed"),
+            ({"model": {"preset": "ours6_bboxes"}, "data": {"local_size": [0, 16]}}, "data.local_size"),
+            ({"model": {"preset": "ours6_bboxes"}, "data": {"local_size": [16.0, 16]}}, "data.local_size"),
+            ({"model": {"preset": "ours6_bboxes"}, "data": {"global_size": [16]}}, "data.global_size"),
+            ({"model": {"preset": "ours6_bboxes"}, "data": {"global_size": [16, True]}}, "data.global_size"),
             (
                 {
                     "model": {
@@ -456,6 +460,10 @@ class TestUsage:
             "model-seed",
             "train-seed",
             "split-seed",
+            "local-size-zero",
+            "local-size-float",
+            "global-size-one-int",
+            "global-size-bool",
             "no-tubelet",
             "array",
         ],

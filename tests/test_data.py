@@ -34,9 +34,11 @@ from pedintent.errors import (
     BalanceError,
     ConfigError,
     DegenerateCropError,
+    DimensionError,
     IntegrityError,
     WindowError,
 )
+from pedintent.data.preprocess import _axis_plan
 
 
 def make_frame(pixels):
@@ -158,6 +160,20 @@ class TestResize:
         out = bilinear_resize(img, 7, 11)
         assert np.all(out == np.float32(0.625))
 
+    @pytest.mark.parametrize("shape, out_h, out_w", [((5, 7, 3), 0, 4), ((5, 7, 3), -2, 4), ((5, 7, 3), 4, 0), ((5, 7), 4, 4)])
+    def test_bad_shapes_raise(self, shape, out_h, out_w):
+        with pytest.raises(DimensionError):
+            bilinear_resize(np.zeros(shape, np.float32), out_h, out_w)
+
+    def test_axis_plans_are_cached_read_only(self):
+        assert _axis_plan.cache_info().maxsize is not None
+        index, frac = _axis_plan(7, 5)
+        assert _axis_plan(7, 5)[0] is index
+        assert index.dtype == np.int64 and index.shape == (10,) and frac.dtype == np.float32 and frac.shape == (5,)
+        for arr in (index, frac):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
 
 def reference_crop(pixels, bbox, ratio, size):
     """Loop-based oracle for the enlarged, zero-padded, resized crop."""
@@ -261,6 +277,125 @@ class TestGlobalContext:
     def test_constant_color(self):
         out = build_global_context(make_frame(np.full((6, 8, 3), 51, np.uint8)), (4, 4))
         assert np.allclose(out, 51 / 255.0)
+
+
+# The crop functions as they were before the resize took per-axis plans and
+# the surround stopped greying a copy of the frame, frozen as the oracle the
+# current ones must match bit for bit.
+
+
+def _oracle_resize(image, out_h, out_w):
+    img = np.asarray(image, dtype=np.float32)
+    h, w = img.shape[:2]
+    ys = np.linspace(0.0, h - 1.0, out_h) if out_h > 1 else np.zeros(1)
+    xs = np.linspace(0.0, w - 1.0, out_w) if out_w > 1 else np.zeros(1)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0).astype(np.float32)[:, None, None]
+    fx = (xs - x0).astype(np.float32)[None, :, None]
+    ia = img[y0[:, None], x0[None, :]]
+    ib = img[y0[:, None], x1[None, :]]
+    ic = img[y1[:, None], x0[None, :]]
+    idd = img[y1[:, None], x1[None, :]]
+    top = ia + fx * (ib - ia)
+    bot = ic + fx * (idd - ic)
+    return top + fy * (bot - top)
+
+
+def _oracle_pixel_box(x_tl, y_tl, x_br, y_br):
+    return int(np.floor(x_tl)), int(np.floor(y_tl)), int(np.ceil(x_br)), int(np.ceil(y_br))
+
+
+def _oracle_enlarged(bbox, ratio):
+    cx = (bbox.x_tl + bbox.x_br) / 2.0
+    cy = (bbox.y_tl + bbox.y_br) / 2.0
+    half_w = bbox.width * ratio / 2.0
+    half_h = bbox.height * ratio / 2.0
+    return cx - half_w, cy - half_h, cx + half_w, cy + half_h
+
+
+def _oracle_crop_padded(pixels, box):
+    x0, y0, x1, y1 = box
+    if x1 <= x0 or y1 <= y0:
+        raise DegenerateCropError("crop region is empty")
+    h, w = pixels.shape[:2]
+    if x1 <= 0 or y1 <= 0 or x0 >= w or y0 >= h:
+        raise DegenerateCropError("crop region lies entirely outside the frame")
+    out = np.zeros((y1 - y0, x1 - x0, 3), dtype=np.float32)
+    sx0, sy0 = max(x0, 0), max(y0, 0)
+    sx1, sy1 = min(x1, w), min(y1, h)
+    out[sy0 - y0 : sy1 - y0, sx0 - x0 : sx1 - x0] = pixels[sy0:sy1, sx0:sx1] / 255.0
+    return out
+
+
+def _oracle_local_context(frame, bbox, ratio, size):
+    if ratio < 1.0:
+        raise ConfigError("enlargement ratio must be >= 1")
+    patch = _oracle_crop_padded(frame.pixels, _oracle_pixel_box(*_oracle_enlarged(bbox, ratio)))
+    return _oracle_resize(patch, size[0], size[1])
+
+
+def _oracle_local_surround(frame, bbox, ratio, size):
+    if ratio < 1.0:
+        raise ConfigError("enlargement ratio must be >= 1")
+    x0, y0, x1, y1 = _oracle_pixel_box(bbox.x_tl, bbox.y_tl, bbox.x_br, bbox.y_br)
+    masked = frame.pixels.copy()
+    masked[max(y0, 0) : max(y1, 0), max(x0, 0) : max(x1, 0)] = 128
+    return _oracle_local_context(Frame(frame.height, frame.width, masked), bbox, ratio, size)
+
+
+def _oracle_global_context(frame, size):
+    return _oracle_resize(frame.pixels.astype(np.float32) / 255.0, size[0], size[1])
+
+
+def _outcome(fn, *args):
+    """The output's dtype, shape and bytes, or the exception's type and message."""
+    try:
+        out = fn(*args)
+    except (ConfigError, DegenerateCropError) as e:
+        return type(e), str(e)
+    return out.dtype, out.shape, out.tobytes()
+
+
+def _assert_crops_match(pixels, bbox, ratio, size):
+    frame = make_frame(pixels)
+    for fn, oracle in ((build_local_context, _oracle_local_context), (build_local_surround, _oracle_local_surround)):
+        assert _outcome(fn, frame, bbox, ratio, size) == _outcome(oracle, frame, bbox, ratio, size), fn.__name__
+    assert _outcome(build_global_context, frame, size) == _outcome(_oracle_global_context, frame, size)
+
+
+class TestCropsMatchTheOracle:
+    @pytest.mark.parametrize(
+        "bbox, ratio, size",
+        [
+            (BoundingBox(4.0, 3.0, 10.0, 11.0), 1.0, (6, 8)),  # interior, ratio 1
+            (BoundingBox(4.3, 3.7, 10.2, 11.9), 2.5, (9, 7)),  # odd sizes; the enlarged box leaves at top left
+            (BoundingBox(0.0, 0.0, 5.5, 4.0), 1.5, (1, 1)),  # output size 1, padding at top left
+            (BoundingBox(9.5, 13.2, 20.0, 19.0), 1.0, (5, 1)),  # grey box partly outside at bottom right
+            (BoundingBox(14.0, 0.5, 17.5, 3.0), 3.0, (1, 9)),  # grey box partly outside, crop padded on three sides
+            (BoundingBox(2.0, 2.0, 2.0, 6.0), 1.5, (4, 4)),  # zero width: empty crop
+            (BoundingBox(30.0, 40.0, 33.0, 44.0), 1.0, (4, 4)),  # fully outside the frame
+            (BoundingBox(1.0, 1.0, 3.0, 3.0), 0.5, (4, 4)),  # ratio below 1
+        ],
+    )
+    def test_edge_cases(self, bbox, ratio, size):
+        pixels = np.random.default_rng(11).integers(0, 256, size=(16, 15, 3)).astype(np.uint8)
+        _assert_crops_match(pixels, bbox, ratio, size)
+
+    def test_random_frames_and_boxes(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            h, w = (int(n) for n in rng.integers(1, 24, 2))
+            pixels = rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8)
+            x, y = rng.uniform(0, w + 3), rng.uniform(0, h + 3)
+            bw, bh = (float(rng.choice([0.0, rng.uniform(0, 16)])) for _ in range(2))
+            if rng.random() < 0.25:  # whole-pixel boxes put edges exactly on the grid
+                x, y, bw, bh = (float(np.round(v)) for v in (x, y, bw, bh))
+            ratio = float(rng.choice([1.0, rng.uniform(1.0, 3.0)]))
+            size = tuple(int(n) for n in rng.integers(1, 10, 2))
+            _assert_crops_match(pixels, BoundingBox(x, y, x + bw, y + bh), ratio, size)
 
 
 class TestExtractWindows:

@@ -2,6 +2,7 @@
 scenario generator."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,29 @@ class TestFrameStore:
         path.write_bytes(b"XXXX" + b"\x00" * 12)
         with pytest.raises(ParseError):
             FrameStore.load(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "f.pvf"
+        path.write_bytes(b"PVF1" + b"\x00" * 8)
+        with pytest.raises(ParseError):
+            FrameStore.load(path)
+
+    def test_load_maps_frames_read_only(self, tmp_path):
+        frames = np.zeros((700, 100, 100, 3), np.uint8)
+        frames[:, 0, 0] = np.arange(700 * 3).reshape(700, 3) % 251
+        path = tmp_path / "f.pvf"
+        FrameStore(frames).save(path)
+        assert path.stat().st_size >= 20 << 20
+        tracemalloc.start()
+        try:
+            loaded = FrameStore.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.array_equal(loaded.frames, frames)
+        with pytest.raises(ValueError):
+            loaded.get(3).pixels[0, 0, 0] = 1
 
     def test_length_mismatch(self, tmp_path):
         store = FrameStore(np.zeros((2, 4, 4, 3), np.uint8))
