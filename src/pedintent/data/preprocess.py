@@ -76,15 +76,20 @@ def is_crop_size(n) -> bool:
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
 
 
-def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Corner-aligned bilinear resample of an (H, W, C) float image to a
-    float32 (out_h, out_w, C) image; both output sizes must be ints >= 1."""
-    img = np.asarray(image, dtype=np.float32)
-    if img.ndim != 3 or 0 in img.shape[:2] or not (is_crop_size(out_h) and is_crop_size(out_w)):
-        raise DimensionError(f"cannot resize an image of shape {img.shape} to ({out_h!r}, {out_w!r})")
-    ys, fy = _axis_plan(img.shape[0], out_h)
-    xs, fx = _axis_plan(img.shape[1], out_w)
-    corners = img.take(ys, axis=0).take(xs, axis=1).reshape(2, out_h, 2, out_w, img.shape[2])
+def _corners(image: np.ndarray, out_h: int, out_w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (2, out_h, 2, out_w, C) corner samples, in the image's dtype, of a
+    corner-aligned bilinear resample of an (H, W, C) image, with its row and
+    column fractions; both output sizes must be ints >= 1."""
+    if image.ndim != 3 or 0 in image.shape[:2] or not (is_crop_size(out_h) and is_crop_size(out_w)):
+        raise DimensionError(f"cannot resize an image of shape {image.shape} to ({out_h!r}, {out_w!r})")
+    ys, fy = _axis_plan(image.shape[0], out_h)
+    xs, fx = _axis_plan(image.shape[1], out_w)
+    corners = image.take(ys, axis=0).take(xs, axis=1).reshape(2, out_h, 2, out_w, image.shape[2])
+    return corners, fy, fx
+
+
+def _lerp(corners: np.ndarray, fy: np.ndarray, fx: np.ndarray) -> np.ndarray:
+    """Blend float32 `_corners` samples into the (out_h, out_w, C) image."""
     left = corners[:, :, 0]
     rows = corners[:, :, 1] - left  # rows[0] lerps the top corners, rows[1] the bottom ones
     rows *= fx[:, None]
@@ -93,6 +98,12 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     out *= fy[:, None, None]
     out += rows[0]
     return out
+
+
+def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Corner-aligned bilinear resample of an (H, W, C) float image to a
+    float32 (out_h, out_w, C) image; both output sizes must be ints >= 1."""
+    return _lerp(*_corners(np.asarray(image, dtype=np.float32), out_h, out_w))
 
 
 def _pixel_box(x_tl: float, y_tl: float, x_br: float, y_br: float) -> tuple[int, int, int, int]:
@@ -154,7 +165,10 @@ def build_local_surround(frame: Frame, bbox: BoundingBox, ratio: float, size: tu
 
 def build_global_context(frame: Frame, size: tuple[int, int]) -> np.ndarray:
     """Whole-frame resize to `size`, intensities scaled to [0, 1]."""
-    return bilinear_resize(frame.pixels.astype(np.float32) / 255.0, size[0], size[1])
+    # Scaling is elementwise, so scaling the sampled pixels gives the bits
+    # of resizing the scaled frame.
+    corners, fy, fx = _corners(frame.pixels, size[0], size[1])
+    return _lerp(corners.astype(np.float32) / 255.0, fy, fx)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,14 @@ slice statistics of its input (each slice's max and min) and wraps its
 output, which a finite input keeps in [0, 1], unchecked (`_record`).
 
 `attention` is the one fused op: softmax(q k^T) v over split heads, computed
-in blocks of query rows so that at most one block of attention weights
-exists at a time (Rabe & Staats, arXiv:2112.05682), with a closed-form
-backward that recomputes a block's weights instead of storing them
-(Dao et al., arXiv:2205.14135). Each pass writes its blocks' scores into
-one scratch buffer and hands them to the `softmax` op unchecked, so no
-score block gets an O(S^2) finiteness pass.
+in cache-sized tiles so that at most one tile of attention weights exists
+at a time (Rabe & Staats, arXiv:2112.05682), with a closed-form backward
+that recomputes a tile's weights instead of storing them (Dao et al.,
+arXiv:2205.14135). A tile is a group of whole (batch, head) slices, or a
+band of query rows of one slice whose weights alone exceed the budget, so
+every pass over a tile reuses data that is still in cache. Each pass
+writes its tiles' scores into one scratch buffer and hands them to the
+`softmax` op unchecked, so no score tile gets an O(S^2) finiteness pass.
 
 Concurrency: a tape is confined to the thread that opened it. Tensors that
 do not track gradients are immutable values and safe to share across
@@ -71,10 +73,16 @@ REGISTERED_OPS = (
     "attention",
 )
 
-# Byte budget for the attention weights of one query block. It bounds the
-# attention op's working set whatever the sequence length; a call whose
-# weights fit in one block keeps them for backward instead of recomputing.
-ATTENTION_BLOCK_BYTES = 32 << 20
+# Byte budget for the attention weights of one tile of (batch, head)
+# slices. It bounds the attention op's working set whatever the sequence
+# length, and a tile this small stays near the cache while the q k^T,
+# softmax and p v passes reuse it. A call whose weights fit in one tile
+# keeps them for backward instead of recomputing. 8 MiB keeps every
+# attention call of the named configs' short sequences on that path: the
+# largest, ours3's 111-token fusion attention at batch 32, takes 6.0 MiB
+# of float32 weights, and its forward + backward took 1.5 times as long
+# split at 4 MiB. 2 and 4 MiB made ours8_ft's attention no faster.
+ATTENTION_BLOCK_BYTES = 8 << 20
 
 
 def _active_tape() -> Optional["Tape"]:
@@ -536,77 +544,108 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     x = _as_tensor(x)
     if not training or rate == 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype)
+    keep = rng.random(x.shape) >= rate
     scale = np.asarray(1.0 / (1.0 - rate), dtype=x.data.dtype)[()]
-    return _result(x.data * keep * scale, (x,), lambda g: (g * keep * scale,))
+
+    def masked(a: np.ndarray) -> np.ndarray:
+        # a * keep * scale without a float copy of the mask: multiplying by
+        # the bool mask gives a * 1 or a * 0 in a's dtype, -0.0 included
+        out = a * keep
+        out *= scale
+        return out
+
+    return _result(masked(x.data), (x,), lambda g: (masked(g),))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     """softmax(q k^T) v over split heads of shape (..., S, dh).
 
-    Scaling is the caller's: fold it into q. Query rows are processed in
-    blocks whose weights take at most ATTENTION_BLOCK_BYTES (at least one
-    row per block); backward recomputes each block's weights when there is
-    more than one block. Each pass has one scratch buffer, never kept for
-    backward: a block's scores go there and on to the `softmax` op
-    unchecked, and backward then reuses it for the block's score gradient.
-    `softmax` carries the contract for the scores: a NaN, +inf or -inf
-    score raises NumericalError (found on O(S) row statistics, with no
+    Scaling is the caller's: fold it into q. q, k and v share one dtype.
+    The leading axes are flattened into n (batch, head) slices, and the
+    work runs in tiles whose S x S weights take at most
+    ATTENTION_BLOCK_BYTES: a tile is a group of whole slices or, when one
+    slice's weights exceed the budget, a band of rows (at least one) of one
+    slice. Backward walks the same tiles and recomputes a tile's weights
+    when there is more than one tile. Each pass has one scratch buffer,
+    never kept for backward: a tile's scores go there and on to the
+    `softmax` op unchecked, and backward then reuses it for the tile's score
+    gradient. `softmax` carries the contract for the scores: a NaN, +inf or
+    -inf score raises NumericalError (found on O(S) row statistics, with no
     O(S^2) pass), masked weights (`mask`, boolean, broadcastable to
     (..., S, S)) are exactly 0, and a fully masked row raises
-    DegenerateMaskError.
+    DegenerateMaskError. A mask with leading axes is indexed per tile, so
+    at most a tile of it is ever copied.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(f"attention needs equal (..., S, dh) q/k/v shapes, got {q.shape}, {k.shape}, {v.shape}")
-    qd, kd, vd = q.data, k.data, v.data
-    lead, s = qd.shape[:-2], qd.shape[-2]
+    if not q.data.dtype == k.data.dtype == v.data.dtype:
+        raise ContractError(f"attention needs one q/k/v dtype, got {q.data.dtype}, {k.data.dtype}, {v.data.dtype}")
+    lead, (s, dh) = q.shape[:-2], q.shape[-2:]
+    n = math.prod(lead)
+    qd, kd, vd = (t.data.reshape(n, s, dh) for t in (q, k, v))
     m = None if mask is None else (mask.data if isinstance(mask, Tensor) else np.asarray(mask))
-    rows = min(s, max(1, ATTENTION_BLOCK_BYTES // (math.prod(lead) * s * qd.itemsize)))
-    blocks = [(r, min(r + rows, s)) for r in range(0, s, rows)]
+    if m is not None and m.ndim > 2:
+        m = np.broadcast_to(m, lead + m.shape[-2:])  # a view: no copy
+        where = np.unravel_index(np.arange(n), lead)  # slice -> its index into m's leading axes
+    slice_bytes = s * s * qd.itemsize
+    if slice_bytes <= ATTENTION_BLOCK_BYTES:
+        step = ATTENTION_BLOCK_BYTES // slice_bytes
+        tiles = [(i, min(i + step, n), 0, s) for i in range(0, n, step)]
+    else:
+        rows = max(1, ATTENTION_BLOCK_BYTES // (s * qd.itemsize))
+        tiles = [(i, i + 1, r, min(r + rows, s)) for i in range(n) for r in range(0, s, rows)]
     kt = np.swapaxes(kd, -1, -2)
-    score_dtype = np.result_type(qd, kd)
 
     def scratch() -> np.ndarray:
-        return np.empty(math.prod(lead) * rows * s, dtype=score_dtype)
+        return np.empty(max((i1 - i0) * (r1 - r0) for i0, i1, r0, r1 in tiles) * s, dtype=qd.dtype)
 
-    def block(buf: np.ndarray, r0: int, r1: int) -> np.ndarray:
-        return buf[: math.prod(lead) * (r1 - r0) * s].reshape(*lead, r1 - r0, s)
+    def block(buf: np.ndarray, i0: int, i1: int, r0: int, r1: int) -> np.ndarray:
+        return buf[: (i1 - i0) * (r1 - r0) * s].reshape(i1 - i0, r1 - r0, s)
 
-    def weights(r0: int, r1: int, buf: np.ndarray) -> np.ndarray:
+    def tile_mask(i0: int, i1: int, r0: int, r1: int):
         # the mask's row axis is absent, 1 or S; only the last needs slicing
-        mb = m[..., r0:r1, :] if m is not None and m.ndim >= 2 and m.shape[-2] == s else m
-        scores = np.matmul(qd[..., r0:r1, :], kt, out=block(buf, r0, r1))
-        return softmax(_record(scores, (), None), axis=-1, mask=mb).data
+        if m is None or m.ndim < 2:
+            return m
+        rows = slice(r0, r1) if m.shape[-2] == s else slice(None)
+        return m[rows] if m.ndim == 2 else m[tuple(w[i0:i1] for w in where) + (rows,)]
+
+    def weights(tile: tuple, buf: np.ndarray) -> np.ndarray:
+        i0, i1, r0, r1 = tile
+        scores = np.matmul(qd[i0:i1, r0:r1], kt[i0:i1], out=block(buf, *tile))
+        return softmax(_record(scores, (), None), axis=-1, mask=tile_mask(*tile)).data
 
     buf = scratch()
-    if len(blocks) == 1:
-        kept = weights(0, s, buf)
+    if len(tiles) == 1:
+        kept = weights(tiles[0], buf)
         out = np.matmul(kept, vd)
     else:
         kept = None
         out = np.empty_like(qd)
-        for r0, r1 in blocks:
-            out[..., r0:r1, :] = np.matmul(weights(r0, r1, buf), vd)
+        for tile in tiles:
+            i0, i1, r0, r1 = tile
+            np.matmul(weights(tile, buf), vd[i0:i1], out=out[i0:i1, r0:r1])
 
     def backward(g):
+        g = g.reshape(n, s, dh)
         dq = np.empty_like(qd)
         dk = np.zeros_like(kd)
         dv = np.zeros_like(vd)
         vt = np.swapaxes(vd, -1, -2)
-        buf = scratch()  # a block's scores, then its ds
-        for r0, r1 in blocks:
-            p = kept if kept is not None else weights(r0, r1, buf)
-            gb = g[..., r0:r1, :]
-            dv += np.matmul(np.swapaxes(p, -1, -2), gb)
-            ds = np.matmul(gb, vt, out=block(buf, r0, r1))
-            ds -= (gb * out[..., r0:r1, :]).sum(axis=-1, keepdims=True)
+        buf = scratch()  # a tile's scores, then its ds
+        for tile in tiles:
+            i0, i1, r0, r1 = tile
+            p = kept if kept is not None else weights(tile, buf)
+            gb = g[i0:i1, r0:r1]
+            dv[i0:i1] += np.matmul(np.swapaxes(p, -1, -2), gb)
+            ds = np.matmul(gb, vt[i0:i1], out=block(buf, *tile))
+            ds -= (gb * out[i0:i1, r0:r1]).sum(axis=-1, keepdims=True)
             ds *= p
-            dq[..., r0:r1, :] = np.matmul(ds, kd)
-            dk += np.matmul(np.swapaxes(ds, -1, -2), qd[..., r0:r1, :])
-        return dq, dk, dv
+            np.matmul(ds, kd[i0:i1], out=dq[i0:i1, r0:r1])
+            dk[i0:i1] += np.matmul(np.swapaxes(ds, -1, -2), qd[i0:i1, r0:r1])
+        return dq.reshape(q.shape), dk.reshape(q.shape), dv.reshape(q.shape)
 
-    return _result(out, (q, k, v), backward)
+    return _result(out.reshape(q.shape), (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import os
 import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,11 +407,14 @@ def _masks(s):
 
 
 class TestAttention:
-    """Multi-block cases set the block budget to 3 rows of a (2, 7, 3)
-    float64 input: blocks of 3, 3 and 1 rows."""
+    """Multi-tile cases of a (2, 7, 3) input set the tile budget to 3 rows
+    of one (7, 7) float64 slice: each slice runs in row tiles of 3, 3 and 1
+    rows. Lead-tile cases use (2, 2, 7, 3) inputs, four (batch, head)
+    slices, in tiles of 3 and 1 whole slices or in row tiles of one slice."""
 
     S = 7
-    THREE_ROWS = 3 * 2 * S * 8
+    THREE_ROWS = 3 * S * 8
+    TILE_ELEMENTS = {"slices": 3 * S * S, "rows": 3 * S}  # budgets in weights, times the itemsize
     MARK = 7.25  # a q entry no normal draw hits
 
     @pytest.mark.parametrize("blocks", ["single", "multi"])
@@ -432,23 +436,8 @@ class TestAttention:
         with pytest.raises(DegenerateMaskError):
             attention(x, x, x, mask=m)
 
-    @pytest.mark.parametrize("value", ["+inf", "-inf", "nan"])
-    @pytest.mark.parametrize("row", [4, 6])  # in the second and in the third block
-    @pytest.mark.parametrize("masked", [False, True])
-    @pytest.mark.parametrize("tracked", [False, True])
-    def test_non_finite_score_in_a_later_block(self, monkeypatch, value, row, masked, tracked):
-        """One non-finite q.k score raises NumericalError, also under the mask
-        and in a forward on a tape. +inf and -inf come from float32 overflow
-        of 1e20-scale entries. A dot product of finite entries accumulated
-        with fused multiply-adds never gives NaN (inf + finite = inf), so
-        the NaN is written into the score block the op computes."""
-        monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", 3 * 2 * self.S * 4)  # float32 blocks of 3, 3, 1 rows
-        q, k, v = (a.astype(np.float32) for a in _rng(36).normal(size=(3, 2, self.S, 3)))
-        q[:, row], k[:, 2] = {
-            "+inf": ([1e20, 0, 0], [1e20, 0, 0]),
-            "-inf": ([-1e20, 0, 0], [1e20, 0, 0]),
-            "nan": ([self.MARK, 0, 0], [1, 0, 0]),
-        }[value]
+    def _spike(self, monkeypatch, value):
+        """The q row and the key-2 row whose score is `value`."""
         if value == "nan":
             matmul_ = np.matmul
 
@@ -459,6 +448,25 @@ class TestAttention:
                 return out
 
             monkeypatch.setattr(np, "matmul", nan_score)
+        return {
+            "+inf": ([1e20, 0, 0], [1e20, 0, 0]),
+            "-inf": ([-1e20, 0, 0], [1e20, 0, 0]),
+            "nan": ([self.MARK, 0, 0], [1, 0, 0]),
+        }[value]
+
+    @pytest.mark.parametrize("value", ["+inf", "-inf", "nan"])
+    @pytest.mark.parametrize("row", [4, 6])  # in the second and in the third row tile
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("tracked", [False, True])
+    def test_non_finite_score_in_a_later_block(self, monkeypatch, value, row, masked, tracked):
+        """One non-finite q.k score raises NumericalError, also under the mask
+        and in a forward on a tape. +inf and -inf come from float32 overflow
+        of 1e20-scale entries. A dot product of finite entries accumulated
+        with fused multiply-adds never gives NaN (inf + finite = inf), so
+        the NaN is written into the score block the op computes."""
+        monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", 3 * self.S * 4)  # float32 row tiles of 3, 3, 1 rows
+        q, k, v = (a.astype(np.float32) for a in _rng(36).normal(size=(3, 2, self.S, 3)))
+        q[:, row], k[:, 2] = self._spike(monkeypatch, value)
         m = np.ones((self.S, self.S), dtype=bool)
         if masked:
             m[:, 2] = False
@@ -470,7 +478,7 @@ class TestAttention:
         assert np.all(np.isfinite(attention(*(Tensor(t.data[:, others]) for t in (q, k, v))).data))
 
     def test_masked_weights_exactly_zero_in_every_block(self, monkeypatch):
-        monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", 3 * 2 * self.S * 4)
+        monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", 3 * self.S * 4)
         m = _masks(self.S)["random"]
         q, k = (Tensor(a.astype(np.float32)) for a in _rng(37).normal(size=(2, 2, self.S, self.S)))
         v = Tensor(np.broadcast_to(np.eye(self.S, dtype=np.float32), (2, self.S, self.S)))
@@ -482,7 +490,7 @@ class TestAttention:
     @pytest.mark.parametrize("mask", ["none", "causal", "random"])
     def test_float32_matches_composed_ops(self, monkeypatch, blocks, mask):
         if blocks == "multi":
-            monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", 5 * 4 * 12 * 4)  # blocks of 5, 5, 2 rows
+            monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", 5 * 12 * 4)  # row tiles of 5, 5, 2 rows
         m = _masks(12)[mask]
         q, k, v = (Tensor(a.astype(np.float32)) for a in _rng(35).normal(size=(3, 2, 2, 12, 8)))
         scale = 1.0 / np.sqrt(8)
@@ -491,12 +499,114 @@ class TestAttention:
         assert fused.dtype == np.float32
         assert np.max(np.abs(fused - composed)) < 1e-6
 
+    def _lead_masks(self):
+        lead = _rng(38).random((2, 1, self.S, self.S)) > 0.5
+        lead[..., 3] = True
+        return {"none": None, "causal": _masks(self.S)["causal"], "lead": lead}
+
+    @pytest.mark.parametrize("layout", ["slices", "rows"])
+    @pytest.mark.parametrize("mask", ["none", "causal", "lead"])
+    def test_lead_tiles_gradients_match_finite_differences(self, monkeypatch, layout, mask):
+        monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", self.TILE_ELEMENTS[layout] * 8)
+        m = self._lead_masks()[mask]
+        c = t64(_rng(39).normal(size=(2, 2, self.S, 3)))
+        x = Tensor(_rng(40).normal(size=(3, 2, 2, self.S, 3)), dtype=np.float64)
+        report = check_gradients(lambda t: tensor_sum(mul(attention(t[0], t[1], t[2], mask=m), c)), x, eps=1e-5)
+        assert report.max_rel_err < 1e-5, f"{layout}/{mask}: {report.max_rel_err}"
+
+    @pytest.mark.parametrize("layout", ["slices", "rows"])
+    @pytest.mark.parametrize("mask", ["none", "causal", "lead"])
+    def test_lead_tiles_float32_match_composed_ops(self, monkeypatch, layout, mask):
+        monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", self.TILE_ELEMENTS[layout] * 4)
+        m = self._lead_masks()[mask]
+        q, k, v = (Tensor(a.astype(np.float32)) for a in _rng(41).normal(size=(3, 2, 2, self.S, 3)))
+        fused = attention(q, k, v, mask=m).data
+        composed = _composed_attention(q, k, v, mask=m).data
+        assert np.max(np.abs(fused - composed)) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["single", "slices", "rows"])
+    def test_tiles_are_sized_from_the_one_dtype(self, monkeypatch, dtype, layout):
+        """The softmax calls show the tiles; the output keeps the dtype."""
+        if layout != "single":
+            monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", self.TILE_ELEMENTS[layout] * np.dtype(dtype).itemsize)
+        shapes = []
+        softmax_ = core.softmax
+
+        def recording(x, *args, **kwargs):
+            shapes.append(x.shape)
+            return softmax_(x, *args, **kwargs)
+
+        monkeypatch.setattr(core, "softmax", recording)
+        x = Tensor(np.ones((2, 2, self.S, 3), dtype=dtype))
+        assert attention(x, x, x).data.dtype == dtype
+        assert shapes == {
+            "single": [(4, 7, 7)],
+            "slices": [(3, 7, 7), (1, 7, 7)],
+            "rows": [(1, 3, 7), (1, 3, 7), (1, 1, 7)] * 4,
+        }[layout]
+
+    @pytest.mark.parametrize("blocks", ["single", "multi"])
+    def test_mixed_dtypes_rejected(self, monkeypatch, blocks):
+        if blocks == "multi":
+            monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", 3 * self.S * 4)
+        f32 = Tensor(np.ones((2, self.S, 3), dtype=np.float32))
+        f64 = Tensor(np.ones((2, self.S, 3)), dtype=np.float64)
+        for q, k, v in ((f32, f64, f64), (f64, f32, f64), (f64, f64, f32)):
+            with pytest.raises(ContractError, match="dtype"):
+                attention(q, k, v)
+
+    def test_fully_masked_row_in_a_later_slice_tile(self, monkeypatch):
+        monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", self.S * self.S * 8)  # one slice per tile
+        m = np.ones((2, 1, self.S, self.S), dtype=bool)
+        m[1, 0, 4] = False  # row 4 of slices 2 and 3
+        x = np.ones((2, 2, self.S, 3))
+        with pytest.raises(DegenerateMaskError):
+            attention(Tensor(x), Tensor(x), Tensor(x), mask=m)
+        first = Tensor(x[:1])
+        assert np.allclose(attention(first, first, first, mask=m[:1]).data, 1.0)
+
+    @pytest.mark.parametrize("value", ["+inf", "-inf", "nan"])
+    @pytest.mark.parametrize("tracked", [False, True])
+    def test_non_finite_score_in_a_later_slice_tile(self, monkeypatch, value, tracked):
+        """As in the row-tile case, with the score in slice 3, in the second
+        float32 tile of two whole slices."""
+        monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", 2 * self.S * self.S * 4)
+        q, k, v = (a.astype(np.float32) for a in _rng(42).normal(size=(3, 2, 2, self.S, 3)))
+        q[1, 1, 4], k[1, 1, 2] = self._spike(monkeypatch, value)
+        tq, tk, tv = (Tensor(a, requires_grad=tracked) for a in (q, k, v))
+        with np.errstate(over="ignore"), Tape():
+            with pytest.raises(NumericalError):
+                attention(tq, tk, tv)
+        assert np.all(np.isfinite(attention(*(Tensor(a[0]) for a in (q, k, v))).data))
+
     def test_shape_errors(self):
         x = Tensor(np.ones((2, 4, 3)))
         with pytest.raises(DimensionError):
             attention(x, Tensor(np.ones((2, 5, 3))), x)
         with pytest.raises(DimensionError):
             attention(Tensor(np.ones(3)), Tensor(np.ones(3)), Tensor(np.ones(3)))
+
+
+def test_attention_memory_of_a_long_masked_sequence():
+    """One float32 (32, 4, 706, 16) forward + backward under a (32, 1, 706,
+    706) mask peaks under 96 MiB of traced allocations: its full weights
+    would take 243 MiB, and broadcasting the mask to (32, 4, 706, 706)
+    would take 61 MiB."""
+    rng = _rng(45)
+    q, k, v, c = (Tensor((rng.normal(size=(32, 4, 706, 16)) * 0.25).astype(np.float32)) for _ in range(4))
+    m = rng.random((32, 1, 706, 706)) > 0.5
+    m[..., 0] = True
+    for t in (q, k, v):
+        t.requires_grad = True
+    tracemalloc.start()
+    try:
+        with Tape():
+            backward(tensor_sum(mul(attention(q, k, v, mask=m), c)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestCheckGradients:
@@ -548,6 +658,23 @@ class TestDropout:
         kept = out[out != 0]
         assert np.allclose(kept, 1.0 / 0.75)
         assert abs(len(kept) / 2000 - 0.75) < 0.05
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_match_a_float_mask_product(self, dtype):
+        """Output and gradient are x * keep * scale and g * keep * scale with
+        a float keep mask from the same draw, byte for byte; dropped negative
+        inputs give -0.0."""
+        x = _rng(43).normal(size=(40, 30)).astype(dtype)
+        c = _rng(44).normal(size=(40, 30)).astype(dtype)
+        keep = (np.random.default_rng(7).random(x.shape) >= 0.3).astype(dtype)
+        scale = np.asarray(1.0 / 0.7, dtype=dtype)[()]
+        with Tape():
+            t = Tensor(x, requires_grad=True)
+            out = dropout(t, 0.3, np.random.default_rng(7), training=True)
+            backward(tensor_sum(mul(out, Tensor(c))))
+        assert out.data.tobytes() == (x * keep * scale).tobytes()
+        assert t.grad.tobytes() == (c * keep * scale).tobytes()
+        assert np.any(np.signbit(out.data) & (out.data == 0))
 
     def test_bad_rate(self):
         with pytest.raises(ContractError):
