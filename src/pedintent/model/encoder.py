@@ -4,9 +4,11 @@ The layer form is x + MHA(LN(x)) followed by + FFN(LN(.)), GELU inside the
 FFN, dropout on each sublayer output in training mode only. Masks are
 boolean with True = may attend; masked attention weights are exactly zero.
 
-Attention runs through the blocked `attention` op, which works in blocks of
-query rows, so a long sequence never holds its full (..., n_heads, S, S)
-weights, and returns only the attended values; `attention_weights`
+Attention runs through the tiled `attention` op, which works in tiles of
+whole (batch, head) slices (or row bands of one slice when a slice alone
+is too large), so a long sequence never holds its full (..., n_heads, S, S)
+weights, and returns only the attended values; its backward rebuilds each
+tile's weights from the forward's row max and exp-sum. `attention_weights`
 computes the weights on request, for inspection.
 """
 

@@ -8,20 +8,24 @@ default; building them from float64 arrays keeps float64, which is how the
 gradient checker runs the whole graph at 64-bit. Ops compute in their
 inputs' dtype: constants take that dtype, never a float64 scalar's.
 
-Values are finite: an op producing NaN or Inf raises NumericalError. Most
-ops check their whole output (`_result`). `softmax` instead checks O(S)
-slice statistics of its input (each slice's max and min) and wraps its
-output, which a finite input keeps in [0, 1], unchecked (`_record`).
+Values are finite: `Tensor()` checks its data, and an op producing NaN or
+Inf raises NumericalError. Most ops check their whole output (`_result`).
+`softmax` checks only its input's slice max (NaN and +inf show there) and
+wraps its output, which a finite input keeps in [0, 1], unchecked
+(`_record`); every input it gets is a finite Tensor except attention's
+score tiles, for which `attention` vouches.
 
 `attention` is the one fused op: softmax(q k^T) v over split heads, computed
 in cache-sized tiles so that at most one tile of attention weights exists
 at a time (Rabe & Staats, arXiv:2112.05682), with a closed-form backward
-that recomputes a tile's weights instead of storing them (Dao et al.,
-arXiv:2205.14135). A tile is a group of whole (batch, head) slices, or a
+that rebuilds a tile's weights from the forward's row max and exp-sum
+instead of storing them (Dao et al., arXiv:2205.14135; Dao,
+arXiv:2307.08691). A tile is a group of whole (batch, head) slices, or a
 band of query rows of one slice whose weights alone exceed the budget, so
-every pass over a tile reuses data that is still in cache. Each pass
-writes its tiles' scores into one scratch buffer and hands them to the
-`softmax` op unchecked, so no score tile gets an O(S^2) finiteness pass.
+every pass over a tile reuses data that is still in cache. The op vouches
+for its scores with one O(n S dh) bound on |q| and |k|, or, when that
+fails, a row-min check per tile, so no score tile gets an O(S^2)
+finiteness pass.
 
 Concurrency: a tape is confined to the thread that opened it. Tensors that
 do not track gradients are immutable values and safe to share across
@@ -377,23 +381,31 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
 # normalization / reduction
 
 
-def softmax(x: Tensor, axis: int = -1, mask=None) -> Tensor:
+def softmax(x: Tensor, axis: int = -1, mask=None, *, stats=None) -> Tensor:
     """Max-stabilized softmax along `axis`.
 
     `mask` (boolean, broadcastable to x) selects the entries that
     participate; masked entries are exactly 0 in the output and each slice
     must keep at least one unmasked entry.
 
-    Finiteness is checked on O(S) slice statistics of the input, masked
-    entries included: a slice's max and min are finite only if all its
-    entries are (NaN propagates, +inf and -inf show). A finite slice gives
-    weights in [0, 1], so the output gets no O(S^2) check, and `x` may be
-    an unchecked `_record` tensor, as attention's score blocks are.
+    Finiteness: every Tensor is finite, and the one unchecked input this op
+    gets, an attention score tile, is vouched for by `attention`. The op
+    checks only each slice's max, masked entries included, which it needs
+    anyway: NaN propagates into it and +inf shows there. A finite slice
+    gives weights in [0, 1], so the output gets no O(S^2) check.
+
+    `stats`, keyword-only, is an output, not a tunable: a pair of arrays
+    `(top, total)` of the reduced shape (keepdims) into which the op writes
+    each slice's max over its allowed entries and its exp-sum.
+    `exp(x - top) / total`, with forbidden entries set to -inf first,
+    rebuilds the output bit for bit.
     """
     x = _as_tensor(x)
     xd = x.data
+    if not -xd.ndim <= axis < xd.ndim or xd.shape[axis] == 0:
+        raise DimensionError(f"softmax needs a non-empty axis {axis}, got shape {xd.shape}")
     top = xd.max(axis=axis, keepdims=True)
-    if not (np.all(np.isfinite(top)) and np.all(np.isfinite(xd.min(axis=axis, keepdims=True)))):
+    if not np.all(np.isfinite(top)):
         raise NumericalError("softmax input holds non-finite values")
     if mask is not None:
         m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
@@ -401,11 +413,16 @@ def softmax(x: Tensor, axis: int = -1, mask=None) -> Tensor:
         if not m.any(axis=axis).all():
             raise DegenerateMaskError("softmax slice is fully masked")
         z = np.where(m, xd, -np.inf)
-        z -= z.max(axis=axis, keepdims=True)
+        top = z.max(axis=axis, keepdims=True)
+        z -= top
     else:
         z = xd - top
     out = np.exp(z, out=z)  # exp(-inf) = 0 exactly on masked entries
-    out /= out.sum(axis=axis, keepdims=True)
+    total = out.sum(axis=axis, keepdims=True)
+    out /= total
+    if stats is not None:
+        stats[0][...] = top
+        stats[1][...] = total
 
     def backward(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
@@ -565,16 +582,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     work runs in tiles whose S x S weights take at most
     ATTENTION_BLOCK_BYTES: a tile is a group of whole slices or, when one
     slice's weights exceed the budget, a band of rows (at least one) of one
-    slice. Backward walks the same tiles and recomputes a tile's weights
-    when there is more than one tile. Each pass has one scratch buffer,
-    never kept for backward: a tile's scores go there and on to the
-    `softmax` op unchecked, and backward then reuses it for the tile's score
-    gradient. `softmax` carries the contract for the scores: a NaN, +inf or
-    -inf score raises NumericalError (found on O(S) row statistics, with no
-    O(S^2) pass), masked weights (`mask`, boolean, broadcastable to
-    (..., S, S)) are exactly 0, and a fully masked row raises
-    DegenerateMaskError. A mask with leading axes is indexed per tile, so
-    at most a tile of it is ever copied.
+    slice. A tile's scores go to a scratch buffer and on to the `softmax`
+    op unchecked. A call of one tile keeps its weights for backward. With
+    more than one tile, `softmax` writes each row's max and exp-sum into
+    two (n, S, 1) arrays, and backward rebuilds each tile's weights in
+    place from them, by the forward's operations in the forward's order, so
+    they are the same bits and need no second softmax.
+
+    Who checks what: q, k and v are finite Tensors, so every score is
+    finite when dh max|q| max|k| is under half the dtype's max, and the op
+    vouches for its scores with that O(n S dh) bound. When the bound fails,
+    each tile's row min is checked before its softmax, whose row-max check
+    covers NaN and +inf: a NaN, +inf or -inf score raises NumericalError
+    either way, with no O(S^2) pass. Masked weights (`mask`, boolean,
+    broadcastable to (..., S, S)) are exactly 0, and a fully masked row
+    raises DegenerateMaskError. A mask with leading axes is indexed per
+    tile, so at most a tile of it is ever copied. No slices (n = 0) give an
+    empty output and zero gradients; S = 0 raises DimensionError.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
@@ -582,8 +606,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     if not q.data.dtype == k.data.dtype == v.data.dtype:
         raise ContractError(f"attention needs one q/k/v dtype, got {q.data.dtype}, {k.data.dtype}, {v.data.dtype}")
     lead, (s, dh) = q.shape[:-2], q.shape[-2:]
+    if s == 0:
+        raise DimensionError(f"attention needs at least one token, got shape {q.shape}")
     n = math.prod(lead)
+    if n == 0:
+        return _record(np.zeros_like(q.data), (q, k, v), lambda g: tuple(np.zeros_like(t.data) for t in (q, k, v)))
     qd, kd, vd = (t.data.reshape(n, s, dh) for t in (q, k, v))
+    # |q.k| <= dh max|q| max|k|: below half the dtype's max, every score and
+    # every partial sum of one is finite, whatever the summation order
+    half_max = float(np.finfo(qd.dtype).max) / 2
+    vouched = dh == 0 or dh * float(max(qd.max(), -qd.min())) * float(max(kd.max(), -kd.min())) < half_max
     m = None if mask is None else (mask.data if isinstance(mask, Tensor) else np.asarray(mask))
     if m is not None and m.ndim > 2:
         m = np.broadcast_to(m, lead + m.shape[-2:])  # a view: no copy
@@ -610,10 +642,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
         rows = slice(r0, r1) if m.shape[-2] == s else slice(None)
         return m[rows] if m.ndim == 2 else m[tuple(w[i0:i1] for w in where) + (rows,)]
 
-    def weights(tile: tuple, buf: np.ndarray) -> np.ndarray:
+    def scores(tile: tuple, buf: np.ndarray) -> np.ndarray:
         i0, i1, r0, r1 = tile
-        scores = np.matmul(qd[i0:i1, r0:r1], kt[i0:i1], out=block(buf, *tile))
-        return softmax(_record(scores, (), None), axis=-1, mask=tile_mask(*tile)).data
+        return np.matmul(qd[i0:i1, r0:r1], kt[i0:i1], out=block(buf, *tile))
+
+    def weights(tile: tuple, buf: np.ndarray, stats=None) -> np.ndarray:
+        z = scores(tile, buf)
+        if not vouched and not np.all(np.isfinite(z.min(axis=-1))):
+            raise NumericalError("attention scores hold non-finite values")
+        return softmax(_record(z, (), None), axis=-1, mask=tile_mask(*tile), stats=stats).data
 
     buf = scratch()
     if len(tiles) == 1:
@@ -621,10 +658,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
         out = np.matmul(kept, vd)
     else:
         kept = None
+        top, total = np.empty((n, s, 1), dtype=qd.dtype), np.empty((n, s, 1), dtype=qd.dtype)
         out = np.empty_like(qd)
         for tile in tiles:
             i0, i1, r0, r1 = tile
-            np.matmul(weights(tile, buf), vd[i0:i1], out=out[i0:i1, r0:r1])
+            stats = top[i0:i1, r0:r1], total[i0:i1, r0:r1]
+            np.matmul(weights(tile, buf, stats), vd[i0:i1], out=out[i0:i1, r0:r1])
+
+    def rebuild(tile: tuple, buf: np.ndarray) -> np.ndarray:
+        # softmax's steps in its order, on its stored row statistics, give
+        # the forward's bits; the forward already checked finiteness and mask
+        i0, i1, r0, r1 = tile
+        z = scores(tile, buf)
+        tm = tile_mask(*tile)
+        if tm is not None:
+            np.copyto(z, -np.inf, where=~tm.astype(bool, copy=False))
+        np.subtract(z, top[i0:i1, r0:r1], out=z)
+        np.exp(z, out=z)
+        z /= total[i0:i1, r0:r1]
+        return z
 
     def backward(g):
         g = g.reshape(n, s, dh)
@@ -632,13 +684,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
         dk = np.zeros_like(kd)
         dv = np.zeros_like(vd)
         vt = np.swapaxes(vd, -1, -2)
-        buf = scratch()  # a tile's scores, then its ds
+        wbuf = None if kept is not None else scratch()  # a tile's rebuilt weights
+        dbuf = scratch()  # a tile's ds
         for tile in tiles:
             i0, i1, r0, r1 = tile
-            p = kept if kept is not None else weights(tile, buf)
+            p = kept if kept is not None else rebuild(tile, wbuf)
             gb = g[i0:i1, r0:r1]
             dv[i0:i1] += np.matmul(np.swapaxes(p, -1, -2), gb)
-            ds = np.matmul(gb, vt[i0:i1], out=block(buf, *tile))
+            ds = np.matmul(gb, vt[i0:i1], out=block(dbuf, *tile))
             ds -= (gb * out[i0:i1, r0:r1]).sum(axis=-1, keepdims=True)
             ds *= p
             np.matmul(ds, kd[i0:i1], out=dq[i0:i1, r0:r1])

@@ -131,6 +131,33 @@ class TestSoftmax:
         assert out.dtype == dtype
         assert np.array_equal(out, expected)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_stats_rebuild_the_output_bit_for_bit(self, dtype, masked):
+        """exp(x - top) / total, forbidden entries set to -inf first, is the
+        output: top is the max over allowed entries, total the exp-sum."""
+        rng = np.random.default_rng(18)
+        xd = (rng.normal(size=(3, 5, 9)) * 4).astype(dtype)
+        m = None
+        z = xd.copy()
+        if masked:
+            m = rng.random((5, 9)) > 0.4
+            m[:, 2] = True
+            z[:, ~m] = -np.inf
+        top, total = np.full((3, 5, 1), np.nan, dtype=dtype), np.full((3, 5, 1), np.nan, dtype=dtype)
+        out = softmax(Tensor(xd), axis=-1, mask=m, stats=(top, total)).data
+        assert np.array_equal(top, z.max(axis=-1, keepdims=True))
+        assert out.tobytes() == (np.exp(z - top) / total).tobytes()
+
+    def test_empty_axis_is_a_dimension_error(self):
+        with pytest.raises(DimensionError):
+            softmax(Tensor(np.ones((3, 0))), axis=-1)
+        with pytest.raises(DimensionError):
+            softmax(Tensor(np.ones((0, 4))), axis=0)
+        with pytest.raises(DimensionError):
+            softmax(Tensor(np.ones(3)), axis=1)
+        assert softmax(Tensor(np.ones((0, 4))), axis=-1).shape == (0, 4)
+
 
 class TestLayerNorm:
     def test_constant_vector(self):
@@ -586,6 +613,148 @@ class TestAttention:
             attention(x, Tensor(np.ones((2, 5, 3))), x)
         with pytest.raises(DimensionError):
             attention(Tensor(np.ones(3)), Tensor(np.ones(3)), Tensor(np.ones(3)))
+
+    def test_no_tokens_is_a_dimension_error(self):
+        x = Tensor(np.ones((2, 0, 3)))
+        with pytest.raises(DimensionError):
+            attention(x, x, x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_empty_batch_gives_empty_output_and_zero_gradients(self, dtype):
+        q, k, v = (Tensor(np.ones((0, 4, 3), dtype=dtype), requires_grad=True) for _ in range(3))
+        with Tape():
+            out = attention(q, k, v)
+            backward(tensor_sum(out))
+        assert out.shape == (0, 4, 3) and out.data.dtype == dtype
+        assert all(t.grad.shape == (0, 4, 3) and t.grad.dtype == dtype for t in (q, k, v))
+
+    @pytest.mark.parametrize("layout", ["single", "slices", "rows"])
+    def test_bound_fallback_on_orthogonal_huge_rows(self, monkeypatch, layout):
+        """A q row and a k row of 1e19-scale float32 entries fail the bound
+        dh max|q| max|k| < max/2, but they are orthogonal, so no score
+        overflows: the per-tile row-min check passes and nothing raises."""
+        if layout != "single":
+            monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", self.TILE_ELEMENTS[layout] * 4)
+        q, k, v = (a.astype(np.float32) for a in _rng(43).normal(size=(3, 2, 2, self.S, 3)))
+        q[1, 0, 5], k[1, 0, 2] = [1e19, 0, 0], [0, 1e19, 0]
+        assert 3 * 1e19 * 1e19 > np.finfo(np.float32).max / 2
+        q, k, v = Tensor(q), Tensor(k), Tensor(v)
+        fused = attention(q, k, v).data
+        assert np.max(np.abs(fused - _composed_attention(q, k, v).data)) < 1e-6
+
+    @pytest.mark.parametrize("layout", ["slices", "rows"])
+    def test_backward_calls_no_softmax(self, monkeypatch, layout):
+        """Backward rebuilds a multi-tile call's weights from the forward's
+        row statistics: the forward's softmax calls are all there are."""
+        monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", self.TILE_ELEMENTS[layout] * 8)
+        calls = []
+        softmax_ = core.softmax
+
+        def recording(*args, **kwargs):
+            calls.append(1)
+            return softmax_(*args, **kwargs)
+
+        monkeypatch.setattr(core, "softmax", recording)
+        x = Tensor(_rng(44).normal(size=(2, 2, self.S, 3)), dtype=np.float64, requires_grad=True)
+        with Tape():
+            out = attention(x, x, x)
+            forward_calls = len(calls)
+            backward(tensor_sum(out))
+        assert forward_calls == {"slices": 2, "rows": 12}[layout]
+        assert len(calls) == forward_calls
+
+
+def _frozen_attention(q, k, v, mask, g):
+    """The attention op as it stood before backward rebuilt weights from row
+    statistics, frozen as numpy to be the bit-identity oracle: the same
+    tiles, a full softmax per tile in forward and again in backward.
+    Returns the output and the q/k/v gradients for output gradient g."""
+    lead, (s, dh) = q.shape[:-2], q.shape[-2:]
+    n = int(np.prod(lead))
+    qd, kd, vd = (a.reshape(n, s, dh) for a in (q, k, v))
+    m = mask
+    if m is not None and m.ndim > 2:
+        m = np.broadcast_to(m, lead + m.shape[-2:])
+        where = np.unravel_index(np.arange(n), lead)
+    budget = core.ATTENTION_BLOCK_BYTES
+    if s * s * qd.itemsize <= budget:
+        step = budget // (s * s * qd.itemsize)
+        tiles = [(i, min(i + step, n), 0, s) for i in range(0, n, step)]
+    else:
+        rows = max(1, budget // (s * qd.itemsize))
+        tiles = [(i, i + 1, r, min(r + rows, s)) for i in range(n) for r in range(0, s, rows)]
+    kt = np.swapaxes(kd, -1, -2)
+    size = max((i1 - i0) * (r1 - r0) for i0, i1, r0, r1 in tiles) * s
+
+    def block(buf, i0, i1, r0, r1):
+        return buf[: (i1 - i0) * (r1 - r0) * s].reshape(i1 - i0, r1 - r0, s)
+
+    def tile_mask(i0, i1, r0, r1):
+        if m is None or m.ndim < 2:
+            return m
+        rows = slice(r0, r1) if m.shape[-2] == s else slice(None)
+        return m[rows] if m.ndim == 2 else m[tuple(w[i0:i1] for w in where) + (rows,)]
+
+    def weights(tile, buf):
+        i0, i1, r0, r1 = tile
+        xd = np.matmul(qd[i0:i1, r0:r1], kt[i0:i1], out=block(buf, *tile))
+        tm = tile_mask(*tile)
+        if tm is not None:
+            z = np.where(np.broadcast_to(tm.astype(bool), xd.shape), xd, -np.inf)
+            z -= z.max(axis=-1, keepdims=True)
+        else:
+            z = xd - xd.max(axis=-1, keepdims=True)
+        p = np.exp(z, out=z)
+        p /= p.sum(axis=-1, keepdims=True)
+        return p
+
+    buf = np.empty(size, dtype=qd.dtype)
+    if len(tiles) == 1:
+        kept = weights(tiles[0], buf)
+        out = np.matmul(kept, vd)
+    else:
+        kept = None
+        out = np.empty_like(qd)
+        for i0, i1, r0, r1 in tiles:
+            np.matmul(weights((i0, i1, r0, r1), buf), vd[i0:i1], out=out[i0:i1, r0:r1])
+    g = g.reshape(n, s, dh)
+    dq, dk, dv = np.empty_like(qd), np.zeros_like(kd), np.zeros_like(vd)
+    vt = np.swapaxes(vd, -1, -2)
+    buf = np.empty(size, dtype=qd.dtype)
+    for tile in tiles:
+        i0, i1, r0, r1 = tile
+        p = kept if kept is not None else weights(tile, buf)
+        gb = g[i0:i1, r0:r1]
+        dv[i0:i1] += np.matmul(np.swapaxes(p, -1, -2), gb)
+        ds = np.matmul(gb, vt[i0:i1], out=block(buf, *tile))
+        ds -= (gb * out[i0:i1, r0:r1]).sum(axis=-1, keepdims=True)
+        ds *= p
+        np.matmul(ds, kd[i0:i1], out=dq[i0:i1, r0:r1])
+        dk[i0:i1] += np.matmul(np.swapaxes(ds, -1, -2), qd[i0:i1, r0:r1])
+    return tuple(a.reshape(q.shape) for a in (out, dq, dk, dv))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["single", "slices", "rows"])
+@pytest.mark.parametrize("mask", ["none", "causal", "lead", "int"])
+def test_attention_bit_identical_to_the_frozen_oracle(monkeypatch, dtype, layout, mask):
+    """Output and q/k/v gradients match the frozen op byte for byte in the
+    one-tile, slice-tile and row-tile layouts of (2, 2, 7, 3) inputs."""
+    s = TestAttention.S
+    if layout != "single":
+        monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", TestAttention.TILE_ELEMENTS[layout] * np.dtype(dtype).itemsize)
+    lead = _rng(46).random((2, 1, s, s)) > 0.5
+    lead[..., 3] = True
+    m = {"none": None, "causal": _masks(s)["causal"], "lead": lead, "int": lead.astype(np.int64)}[mask]
+    q, k, v, c = (a.astype(dtype) for a in _rng(47).normal(size=(4, 2, 2, s, 3)))
+    tq, tk, tv = (Tensor(a, requires_grad=True) for a in (q, k, v))
+    with Tape():
+        out = attention(tq, tk, tv, mask=m)
+        backward(tensor_sum(mul(out, Tensor(c))))
+    expected = _frozen_attention(q, k, v, m, c)
+    got = (out.data, tq.grad, tk.grad, tv.grad)
+    for name, e, a in zip(("out", "dq", "dk", "dv"), expected, got):
+        assert a.dtype == dtype and a.tobytes() == e.tobytes(), name
 
 
 def test_attention_memory_of_a_long_masked_sequence():

@@ -30,13 +30,13 @@ SEEDS = (1, 2, 3)
 SECONDS = 25.0
 
 
-def _run(workload: str, seed: int) -> tuple[dict, dict]:
-    """The report and result lines of one benchmark run."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS)]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+def run(workload: str, seed: int, root: Path = ROOT, seconds: float = SECONDS) -> tuple[dict, dict]:
+    """The report and result lines of one benchmark run in the checkout `root`."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
-        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr.strip()}")
+        raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr.strip()}")
     return json.loads(lines[-2])["report"], json.loads(lines[-1])
 
 
@@ -60,7 +60,7 @@ def collect() -> dict:
     for workload in (w["name"] for w in declared["workloads"]):
         runs = []
         for seed in SEEDS:
-            report, result = _run(workload, seed)
+            report, result = run(workload, seed)
             out["machine"] = out["machine"] or report["machine"]
             runs.append({"seed": seed, **result})
         out["workloads"][workload] = {
