@@ -13,7 +13,7 @@ Inf raises NumericalError. Most ops check their whole output (`_result`).
 `softmax` checks only its input's slice max (NaN and +inf show there) and
 wraps its output, which a finite input keeps in [0, 1], unchecked
 (`_record`); every input it gets is a finite Tensor except attention's
-score tiles, for which `attention` vouches.
+score tiles, whose row min `attention` checks first.
 
 `attention` is the one fused op: softmax(q k^T) v over split heads, computed
 in cache-sized tiles so that at most one tile of attention weights exists
@@ -22,10 +22,9 @@ that rebuilds a tile's weights from the forward's row max and exp-sum
 instead of storing them (Dao et al., arXiv:2205.14135; Dao,
 arXiv:2307.08691). A tile is a group of whole (batch, head) slices, or a
 band of query rows of one slice whose weights alone exceed the budget, so
-every pass over a tile reuses data that is still in cache. The op vouches
-for its scores with one O(n S dh) bound on |q| and |k|, or, when that
-fails, a row-min check per tile, so no score tile gets an O(S^2)
-finiteness pass.
+every pass over a tile reuses data that is still in cache. The op checks
+each forward tile's row min and softmax its row max, so a score tile gets
+one O(S^2) finiteness pass, the min, and backward none.
 
 Concurrency: a tape is confined to the thread that opened it. Tensors that
 do not track gradients are immutable values and safe to share across
@@ -389,10 +388,11 @@ def softmax(x: Tensor, axis: int = -1, mask=None, *, stats=None) -> Tensor:
     must keep at least one unmasked entry.
 
     Finiteness: every Tensor is finite, and the one unchecked input this op
-    gets, an attention score tile, is vouched for by `attention`. The op
-    checks only each slice's max, masked entries included, which it needs
-    anyway: NaN propagates into it and +inf shows there. A finite slice
-    gives weights in [0, 1], so the output gets no O(S^2) check.
+    gets, an attention score tile, has its row min checked by `attention`
+    first. The op checks only each slice's max, masked entries included,
+    which it needs anyway: NaN propagates into it and +inf shows there. A
+    finite slice gives weights in [0, 1], so the output gets no O(S^2)
+    check.
 
     `stats`, keyword-only, is an output, not a tunable: a pair of arrays
     `(top, total)` of the reduced shape (keepdims) into which the op writes
@@ -589,14 +589,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     place from them, by the forward's operations in the forward's order, so
     they are the same bits and need no second softmax.
 
-    Who checks what: q, k and v are finite Tensors, so every score is
-    finite when dh max|q| max|k| is under half the dtype's max, and the op
-    vouches for its scores with that O(n S dh) bound. When the bound fails,
-    each tile's row min is checked before its softmax, whose row-max check
-    covers NaN and +inf: a NaN, +inf or -inf score raises NumericalError
-    either way, with no O(S^2) pass. Masked weights (`mask`, boolean,
-    broadcastable to (..., S, S)) are exactly 0, and a fully masked row
-    raises DegenerateMaskError. A mask with leading axes is indexed per
+    Who checks what: the forward checks each tile's row min before its
+    softmax, whose row-max check covers NaN and +inf, so a NaN, +inf or
+    -inf score raises NumericalError; backward's rebuilt weights are the
+    forward's bits and are not checked again. Masked weights (`mask`,
+    boolean, broadcastable to (..., S, S)) are exactly 0, and a fully
+    masked row raises DegenerateMaskError. A mask with leading axes is indexed per
     tile, so at most a tile of it is ever copied. No slices (n = 0) give an
     empty output and zero gradients; S = 0 raises DimensionError.
     """
@@ -612,10 +610,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     if n == 0:
         return _record(np.zeros_like(q.data), (q, k, v), lambda g: tuple(np.zeros_like(t.data) for t in (q, k, v)))
     qd, kd, vd = (t.data.reshape(n, s, dh) for t in (q, k, v))
-    # |q.k| <= dh max|q| max|k|: below half the dtype's max, every score and
-    # every partial sum of one is finite, whatever the summation order
-    half_max = float(np.finfo(qd.dtype).max) / 2
-    vouched = dh == 0 or dh * float(max(qd.max(), -qd.min())) * float(max(kd.max(), -kd.min())) < half_max
     m = None if mask is None else (mask.data if isinstance(mask, Tensor) else np.asarray(mask))
     if m is not None and m.ndim > 2:
         m = np.broadcast_to(m, lead + m.shape[-2:])  # a view: no copy
@@ -648,7 +642,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
 
     def weights(tile: tuple, buf: np.ndarray, stats=None) -> np.ndarray:
         z = scores(tile, buf)
-        if not vouched and not np.all(np.isfinite(z.min(axis=-1))):
+        if not np.all(np.isfinite(z.min(axis=-1))):
             raise NumericalError("attention scores hold non-finite values")
         return softmax(_record(z, (), None), axis=-1, mask=tile_mask(*tile), stats=stats).data
 

@@ -629,15 +629,14 @@ class TestAttention:
         assert all(t.grad.shape == (0, 4, 3) and t.grad.dtype == dtype for t in (q, k, v))
 
     @pytest.mark.parametrize("layout", ["single", "slices", "rows"])
-    def test_bound_fallback_on_orthogonal_huge_rows(self, monkeypatch, layout):
-        """A q row and a k row of 1e19-scale float32 entries fail the bound
-        dh max|q| max|k| < max/2, but they are orthogonal, so no score
-        overflows: the per-tile row-min check passes and nothing raises."""
+    def test_huge_orthogonal_rows_raise_nothing(self, monkeypatch, layout):
+        """A q row and a k row of 1e19-scale float32 entries, |q| |k| near
+        float32's max, are orthogonal, so every score is finite: the checks
+        look at scores, not at |q| and |k|, and nothing raises."""
         if layout != "single":
             monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", self.TILE_ELEMENTS[layout] * 4)
         q, k, v = (a.astype(np.float32) for a in _rng(43).normal(size=(3, 2, 2, self.S, 3)))
         q[1, 0, 5], k[1, 0, 2] = [1e19, 0, 0], [0, 1e19, 0]
-        assert 3 * 1e19 * 1e19 > np.finfo(np.float32).max / 2
         q, k, v = Tensor(q), Tensor(k), Tensor(v)
         fused = attention(q, k, v).data
         assert np.max(np.abs(fused - _composed_attention(q, k, v).data)) < 1e-6

@@ -1,6 +1,7 @@
 """tools/: the pair summary of bench_pairs.py on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,12 @@ def _load(name):
     return module
 
 
-def _pairs(parent, change, name):
-    return [{"parent": {name: p}, "change": {name: c}} for p, c in zip(parent, change)]
+def _pairs(parent, change, name, change_correct=None):
+    change_correct = change_correct or [True] * len(change)
+    return [
+        {"parent": {name: p}, "change": {name: c}, "parent_correct": True, "change_correct": ok}
+        for p, c, ok in zip(parent, change, change_correct)
+    ]
 
 
 def test_pair_summary_of_a_clear_gain():
@@ -42,3 +47,39 @@ def test_pair_summary_of_lower_is_better_with_ties_and_a_small_gap():
     assert not t["gap_exceeds_iqr"] and not t["claim_holds"]
     s = _load("bench_pairs").summarize_pairs(_pairs(parent, [v - 0.1 for v in parent], "setup_s"), {"setup_s": "lower"})
     assert s["setup_s"]["wins"] == 5 and not s["setup_s"]["claim_holds"]
+
+
+def test_no_claim_when_the_change_has_more_incorrect_runs():
+    """A clear gain does not count when more change runs fail their checks
+    than parent runs."""
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 12.0]
+    change = [v + 3.0 for v in parent]
+    correct = [True] * 9 + [False]
+    pairs = _pairs(parent, change, "windows_per_s", correct)
+    bench_pairs = _load("bench_pairs")
+    w = bench_pairs.summarize_pairs(pairs, {"windows_per_s": "higher"})["windows_per_s"]
+    assert w["wins"] == 10 and w["gap_exceeds_iqr"] and not w["claim_holds"]
+    assert bench_pairs.incorrect_runs(pairs) == {"parent": 0, "change": 1}
+    pairs[0]["parent_correct"] = False  # as many failures on each side
+    assert bench_pairs.summarize_pairs(pairs, {"windows_per_s": "higher"})["windows_per_s"]["claim_holds"]
+
+
+def test_exit_status_is_one_when_the_change_fails_more_runs(monkeypatch, tmp_path, capsys):
+    """main runs each side through bench_collect.run at BENCHMARK.json's
+    length and exits 1 when the change has more incorrect runs."""
+    bench_pairs = _load("bench_pairs")
+    names = [m["name"] for m in json.loads((TOOLS.parent / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = []
+
+    def fake_run(workload, seed, root):
+        calls.append((workload, seed, root))
+        correct = root == tmp_path or seed != 2
+        return {}, {"correct": correct, "metrics": {name: {"value": 1.0} for name in names}}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    argv = ["--parent", str(tmp_path), "--workload", "train_ft", "--seeds", "1", "2"]
+    assert bench_pairs.main(argv) == 1
+    assert [c[2] == tmp_path for c in calls] == [True, False, False, True]  # sides swap each pair
+    assert "incorrect runs: parent 0, change 1, of 2 each" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        bench_pairs.main(argv + ["--seconds", "5"])

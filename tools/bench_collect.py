@@ -27,12 +27,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
-SECONDS = 25.0
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 
 
-def run(workload: str, seed: int, root: Path = ROOT, seconds: float = SECONDS) -> tuple[dict, dict]:
-    """The report and result lines of one benchmark run in the checkout `root`."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+def run(workload: str, seed: int, root: Path = ROOT) -> tuple[dict, dict]:
+    """The report and result lines of one benchmark run of BENCHMARK.json's
+    length in the checkout `root`."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:

@@ -9,11 +9,13 @@ direction the metric counts as better:
 
     git clone -q . ../parent && git -C ../parent checkout -q <parent-sha>
     python3 tools/bench_pairs.py --parent ../parent --workload train_ft \\
-        --seeds 71 72 73 74 75 76 77 78 79 80 --seconds 25
+        --seeds 71 72 73 74 75 76 77 78 79 80
 
-A gain holds when the change wins at least nine pairs in ten and its
-median beats the parent's by more than the parent's interquartile range.
-The metrics and their directions are read from this tree's BENCHMARK.json.
+A gain holds when the change wins at least nine pairs in ten, its median
+beats the parent's by more than the parent's interquartile range, and it
+has no more incorrect runs than the parent. The metrics, their directions
+and the run length are read from this tree's BENCHMARK.json. The exit
+status is 1 when the change has more incorrect runs than the parent.
 """
 
 from __future__ import annotations
@@ -24,15 +26,25 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_collect import ROOT, SECONDS, run, summarize  # noqa: E402
+from bench_collect import ROOT, run, summarize  # noqa: E402
+
+SIDES = ("parent", "change")
+
+
+def incorrect_runs(pairs: list[dict]) -> dict[str, int]:
+    """Each side's count of runs whose result is not correct."""
+    return {side: sum(not p[f"{side}_correct"] for p in pairs) for side in SIDES}
 
 
 def summarize_pairs(pairs: list[dict], better: dict[str, str]) -> dict:
     """Per metric: each side's summary, the change's wins, the signed gain
-    of its median (positive is better) and whether that gain exceeds the
-    parent's interquartile range. `pairs` holds {"parent": {metric: value},
-    "change": {metric: value}}; `better` maps each metric to "higher" or
-    "lower"."""
+    of its median (positive is better), whether that gain exceeds the
+    parent's interquartile range and whether the claim holds. `pairs` holds
+    {"parent": {metric: value}, "change": {metric: value}, "parent_correct":
+    bool, "change_correct": bool}; `better` maps each metric to "higher" or
+    "lower". No claim holds when the change has more incorrect runs."""
+    failed = incorrect_runs(pairs)
+    no_more_failures = failed["change"] <= failed["parent"]
     out = {}
     for name, direction in better.items():
         sign = 1.0 if direction == "higher" else -1.0
@@ -50,7 +62,7 @@ def summarize_pairs(pairs: list[dict], better: dict[str, str]) -> dict:
             "gain": gain,
             "parent_iqr": iqr,
             "gap_exceeds_iqr": gain > iqr,
-            "claim_holds": 10 * wins >= 9 * len(pairs) and gain > iqr,
+            "claim_holds": 10 * wins >= 9 * len(pairs) and gain > iqr and no_more_failures,
         }
     return out
 
@@ -60,7 +72,6 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, type=Path, help="a checkout of the parent commit")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", required=True, type=int, nargs="+")
-    p.add_argument("--seconds", type=float, default=SECONDS)
     args = p.parse_args(argv)
     if len(args.seeds) < 2:
         p.error("quartiles need at least two pairs")
@@ -72,7 +83,7 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            _, result = run(args.workload, seed, sides[side], args.seconds)
+            _, result = run(args.workload, seed, sides[side])
             pair[side] = {name: result["metrics"][name]["value"] for name in better}
             pair[f"{side}_correct"] = result["correct"]
         pairs.append(pair)
@@ -85,9 +96,9 @@ def main(argv=None) -> int:
             f" wins {s['wins']}/{s['pairs']} gain {s['gain']:+.4g}"
             f" parent IQR {s['parent_iqr']:.4g} gap>IQR {s['gap_exceeds_iqr']} claim {s['claim_holds']}"
         )
-    failed = sum(not p[f"{side}_correct"] for p in pairs for side in sides)
-    print(f"incorrect runs: {failed} of {2 * len(pairs)}")
-    return 0
+    failed = incorrect_runs(pairs)
+    print(f"incorrect runs: parent {failed['parent']}, change {failed['change']}, of {len(pairs)} each")
+    return 1 if failed["change"] > failed["parent"] else 0
 
 
 if __name__ == "__main__":
