@@ -434,7 +434,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all model gradients")
     p.add_argument("--config", required=True)
-    p.add_argument("--eps", type=float, default=1e-5)
+    p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--elements", type=int, default=150)
     p.set_defaults(fn=_cmd_gradcheck)
 

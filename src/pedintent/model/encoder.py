@@ -3,6 +3,8 @@
 The layer form is x + MHA(LN(x)) followed by + FFN(LN(.)), GELU inside the
 FFN, dropout on each sublayer output in training mode only. Masks are
 boolean with True = may attend; masked attention weights are exactly zero.
+The key projection has no bias: q . b_k adds one constant to a whole
+softmax row, so it changes no output, and its exact gradient is zero.
 
 Attention runs through the tiled `attention` op, which works in tiles of
 whole (batch, head) slices (or row bands of one slice when a slice alone
@@ -33,7 +35,7 @@ from ..tensor import (
     softmax,
     transpose,
 )
-from .common import add_affine, add_param
+from .common import add_affine, add_param, glorot_uniform
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,9 @@ def init_encoder_params(params: dict, prefix: str, cfg: EncoderConfig, rng: np.r
         lp = f"{prefix}L{i}"
         add_param(params, f"{lp}.ln1.gamma", np.ones(d, dtype=np.float32))
         add_param(params, f"{lp}.ln1.beta", np.zeros(d, dtype=np.float32))
-        for proj in ("wq", "wk", "wv", "wo"):
+        add_affine(params, f"{lp}.attn.wq", rng, d, d)
+        add_param(params, f"{lp}.attn.wk.w", glorot_uniform(rng, (d, d), d, d))
+        for proj in ("wv", "wo"):
             add_affine(params, f"{lp}.attn.{proj}", rng, d, d)
         add_param(params, f"{lp}.ln2.gamma", np.ones(d, dtype=np.float32))
         add_param(params, f"{lp}.ln2.beta", np.zeros(d, dtype=np.float32))
@@ -100,7 +104,7 @@ def _heads(x: Tensor, params: dict, prefix: str, n_heads: int) -> tuple[Tensor, 
     """Split-head projections q, k, v; q carries the 1/sqrt(dh) scale."""
     dh = x.shape[-1] // n_heads
     q = mul(_split_heads(_affine(x, params, f"{prefix}attn.wq"), n_heads), 1.0 / np.sqrt(dh))
-    k = _split_heads(_affine(x, params, f"{prefix}attn.wk"), n_heads)
+    k = _split_heads(matmul(x, params[f"{prefix}attn.wk.w"]), n_heads)
     v = _split_heads(_affine(x, params, f"{prefix}attn.wv"), n_heads)
     return q, k, v
 

@@ -79,12 +79,8 @@ REGISTERED_OPS = (
 # Byte budget for the attention weights of one tile of (batch, head)
 # slices. It bounds the attention op's working set whatever the sequence
 # length, and a tile this small stays near the cache while the q k^T,
-# softmax and p v passes reuse it. A call whose weights fit in one tile
-# keeps them for backward instead of recomputing. 8 MiB keeps every
-# attention call of the named configs' short sequences on that path: the
-# largest, ours3's 111-token fusion attention at batch 32, takes 6.0 MiB
-# of float32 weights, and its forward + backward took 1.5 times as long
-# split at 4 MiB. 2 and 4 MiB made ours8_ft's attention no faster.
+# softmax and p v passes reuse it. 2 and 4 MiB made ours8_ft's attention
+# no faster.
 ATTENTION_BLOCK_BYTES = 8 << 20
 
 
@@ -583,11 +579,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     ATTENTION_BLOCK_BYTES: a tile is a group of whole slices or, when one
     slice's weights exceed the budget, a band of rows (at least one) of one
     slice. A tile's scores go to a scratch buffer and on to the `softmax`
-    op unchecked. A call of one tile keeps its weights for backward. With
-    more than one tile, `softmax` writes each row's max and exp-sum into
-    two (n, S, 1) arrays, and backward rebuilds each tile's weights in
-    place from them, by the forward's operations in the forward's order, so
-    they are the same bits and need no second softmax.
+    op unchecked. `softmax` writes each row's max and exp-sum into two
+    (n, S, 1) arrays, and backward rebuilds each tile's weights in place
+    from them, by the forward's operations in the forward's order, so they
+    are the same bits and need no second softmax.
 
     Who checks what: the forward checks each tile's row min before its
     softmax, whose row-max check covers NaN and +inf, so a NaN, +inf or
@@ -640,24 +635,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
         i0, i1, r0, r1 = tile
         return np.matmul(qd[i0:i1, r0:r1], kt[i0:i1], out=block(buf, *tile))
 
-    def weights(tile: tuple, buf: np.ndarray, stats=None) -> np.ndarray:
+    buf = scratch()
+    top, total = np.empty((n, s, 1), dtype=qd.dtype), np.empty((n, s, 1), dtype=qd.dtype)
+    out = np.empty_like(qd)
+    for tile in tiles:
+        i0, i1, r0, r1 = tile
         z = scores(tile, buf)
         if not np.all(np.isfinite(z.min(axis=-1))):
             raise NumericalError("attention scores hold non-finite values")
-        return softmax(_record(z, (), None), axis=-1, mask=tile_mask(*tile), stats=stats).data
-
-    buf = scratch()
-    if len(tiles) == 1:
-        kept = weights(tiles[0], buf)
-        out = np.matmul(kept, vd)
-    else:
-        kept = None
-        top, total = np.empty((n, s, 1), dtype=qd.dtype), np.empty((n, s, 1), dtype=qd.dtype)
-        out = np.empty_like(qd)
-        for tile in tiles:
-            i0, i1, r0, r1 = tile
-            stats = top[i0:i1, r0:r1], total[i0:i1, r0:r1]
-            np.matmul(weights(tile, buf, stats), vd[i0:i1], out=out[i0:i1, r0:r1])
+        stats = top[i0:i1, r0:r1], total[i0:i1, r0:r1]
+        p = softmax(_record(z, (), None), axis=-1, mask=tile_mask(*tile), stats=stats).data
+        np.matmul(p, vd[i0:i1], out=out[i0:i1, r0:r1])
 
     def rebuild(tile: tuple, buf: np.ndarray) -> np.ndarray:
         # softmax's steps in its order, on its stored row statistics, give
@@ -678,11 +666,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
         dk = np.zeros_like(kd)
         dv = np.zeros_like(vd)
         vt = np.swapaxes(vd, -1, -2)
-        wbuf = None if kept is not None else scratch()  # a tile's rebuilt weights
+        wbuf = scratch()  # a tile's rebuilt weights
         dbuf = scratch()  # a tile's ds
         for tile in tiles:
             i0, i1, r0, r1 = tile
-            p = kept if kept is not None else rebuild(tile, wbuf)
+            p = rebuild(tile, wbuf)
             gb = g[i0:i1, r0:r1]
             dv[i0:i1] += np.matmul(np.swapaxes(p, -1, -2), gb)
             ds = np.matmul(gb, vt[i0:i1], out=block(dbuf, *tile))

@@ -19,8 +19,9 @@ from pedintent.model import (
     named_model_spec,
     save_model,
 )
+from pedintent.model import encoder
 from pedintent.model.verify import check_model_gradients
-from pedintent.tensor import save_checkpoint
+from pedintent.tensor import Tensor, add, matmul, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +119,43 @@ class TestBuild:
     def test_ours6_smaller_than_ours3(self):
         assert build(named_model_spec("ours6_bboxes")).parameter_count < build(named_model_spec("ours3")).parameter_count
 
+    def test_attention_keys_have_no_bias(self):
+        counts = {}
+        for name in NAMED_CONFIGS:
+            model = build(named_model_spec(name))
+            assert not [k for k in model.params if k.endswith("attn.wk.b")], name
+            counts[name] = model.parameter_count
+        assert counts == {
+            "ours1": 334_401,
+            "ours2_nonvisual": 111_425,
+            "ours3": 747_649,
+            "ours4_factorised": 599_041,
+            "ours6_bboxes": 108_673,
+            "ours8_ft": 114_433,
+            "ours9_causal": 334_401,
+        }
+
+    def test_zero_key_bias_changes_no_probability(self, windows, monkeypatch):
+        """A fresh float32 build scores bit-identically to the same build
+        with a zero key bias added back, as every layer once had."""
+        heads = encoder._heads
+
+        def heads_with_key_bias(x, params, prefix, n_heads):
+            q, _, v = heads(x, params, prefix, n_heads)
+            k = add(matmul(x, params[f"{prefix}attn.wk.w"]), params[f"{prefix}attn.wk.b"])
+            return q, encoder._split_heads(k, n_heads), v
+
+        for name in NAMED_CONFIGS:
+            model = build(named_model_spec(name))
+            expected = forward_batch(model, windows[:8]).data
+            for key, w in list(model.params.items()):
+                if key.endswith("attn.wk.w"):
+                    model.params[key[: -len(".w")] + ".b"] = Tensor(np.zeros(w.shape[1], np.float32))
+            with monkeypatch.context() as patch:
+                patch.setattr(encoder, "_heads", heads_with_key_bias)
+                got = forward_batch(model, windows[:8]).data
+            assert got.tobytes() == expected.tobytes(), name
+
     def test_every_named_config_builds_and_runs(self, windows):
         for name in NAMED_CONFIGS:
             model = build(named_model_spec(name))
@@ -128,7 +166,7 @@ class TestBuild:
         for name in NAMED_CONFIGS:
             model = build(named_model_spec(name), dtype=np.float64)
             small = [w for w in windows[:2]]
-            report = check_model_gradients(model, small, eps=1e-5, max_elements=40)
+            report = check_model_gradients(model, small, eps=1e-6, max_elements=40)
             assert report.max_rel_err < 1e-5, f"{name}: {report.max_rel_err}"
 
 
@@ -247,3 +285,7 @@ class TestPersistence:
         other = build(named_model_spec("ours2_nonvisual"))
         with pytest.raises(CheckpointError):
             other.load_state_dict({k: v.data for k, v in model.params.items()})
+        state = {k: v.data for k, v in other.params.items()}
+        state["nonvisual.enc.L0.attn.wk.b"] = np.zeros(64, np.float32)  # the key bias of older checkpoints
+        with pytest.raises(CheckpointError, match=r"extra \['nonvisual\.enc\.L0\.attn\.wk\.b'\]"):
+            other.load_state_dict(state)

@@ -777,6 +777,25 @@ def test_attention_memory_of_a_long_masked_sequence():
     assert peak < 96 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_one_tile_attention_holds_no_weights_until_backward():
+    """A one-tile float32 (32, 4, 111, 16) call (ours3's fusion attention)
+    holds less than its 6.0 MiB of weights between forward and backward:
+    only the output and the row statistics (about 1 MiB)."""
+    rng = _rng(48)
+    q, k, v = (Tensor(rng.normal(size=(32, 4, 111, 16)).astype(np.float32), requires_grad=True) for _ in range(3))
+    weight_bytes = 32 * 4 * 111 * 111 * 4
+    assert weight_bytes <= core.ATTENTION_BLOCK_BYTES  # one tile
+    with Tape():
+        tracemalloc.start()
+        try:
+            out = attention(q, k, v)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        backward(tensor_sum(out))
+    assert held < weight_bytes, f"held {held / 2**20:.2f} MiB"
+
+
 class TestCheckGradients:
     def test_sum_sigmoid_tight(self):
         x = Tensor(_rng(1).normal(size=8), dtype=np.float64)
