@@ -796,6 +796,22 @@ def test_one_tile_attention_holds_no_weights_until_backward():
     assert held < weight_bytes, f"held {held / 2**20:.2f} MiB"
 
 
+def test_attention_forward_frees_each_tiles_weights(monkeypatch):
+    """A forward of four two-slice tiles peaks at the scores buffer, one
+    tile's weights and the output: a tile's weights are freed before the
+    next tile's softmax allocates its own."""
+    tile = 2 * 256 * 256 * 8
+    monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", tile)
+    q, k, v = (Tensor(a) for a in _rng(49).normal(size=(3, 8, 256, 2)))
+    tracemalloc.start()
+    try:
+        attention(q, k, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * tile, f"peak {peak / tile:.2f} tiles"
+
+
 class TestCheckGradients:
     def test_sum_sigmoid_tight(self):
         x = Tensor(_rng(1).normal(size=8), dtype=np.float64)
