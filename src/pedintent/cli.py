@@ -260,7 +260,9 @@ def _cmd_generate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_annotations(out_dir / "annotations.jsonl", tracks)
     frames.save(out_dir / "frames.pvf")
-    n_windows = sum(len(extract_windows(t, 16, (30, 60), 15)) for t in tracks)
+    defaults = DataConfig()
+    tte_range = (defaults.tte_lo, defaults.tte_hi)
+    n_windows = sum(len(extract_windows(t, defaults.obs_len, tte_range, defaults.stride)) for t in tracks)
     print(f"tracks={len(tracks)} frames={len(frames)} windows={n_windows} out={out_dir}")
     return EXIT_OK
 

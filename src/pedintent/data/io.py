@@ -3,6 +3,10 @@
 Annotations carry one record per (pedestrian, frame):
   {"pid": str, "frame": int, "bbox": [4], "center": [2], "pose": [36],
    "speed": category string, "event_frame": int, "label": 0|1}
+Loading groups the records by pedestrian, sorts them by frame and builds
+each track's per-frame columns (frames, bbox, center, pose, speed) once;
+saving writes one record per row of those columns. A malformed record is
+a ParseError naming its line.
 
 Frames live in a flat little-endian container: magic "PVF1", u32 height,
 u32 width, u32 frame count, then raw 8-bit RGB payload, frames consecutive.
@@ -16,66 +20,59 @@ import json
 import mmap
 import os
 import struct
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import IntegrityError, ParseError
 from ..tensor import write_atomic
-from .preprocess import FrameSource
-from .types import (
-    POSE_DIM,
-    SPEED_CATEGORIES,
-    BoundingBox,
-    Center,
-    Frame,
-    PedestrianTrack,
-    TrackFrame,
-)
+from .types import Frame, PedestrianTrack
 
 FRAME_MAGIC = b"PVF1"
 
 _RECORD_FIELDS = ("pid", "frame", "bbox", "center", "pose", "speed", "event_frame", "label")
 
 
-def _parse_record(obj: dict, lineno: int) -> tuple[str, TrackFrame, int, int]:
+def _check_record(obj, lineno: int):
+    """The checks of one record that need no other record: its fields, id, frame indices and label."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"line {lineno}: record must be a JSON object")
     for key in _RECORD_FIELDS:
         if key not in obj:
             raise ParseError(f"line {lineno}: missing field {key!r}")
-    pid = obj["pid"]
-    if not isinstance(pid, str):
+    if not isinstance(obj["pid"], str):
         raise ParseError(f"line {lineno}: field 'pid' must be a string")
-    if not isinstance(obj["frame"], int) or not isinstance(obj["event_frame"], int):
+    if type(obj["frame"]) is not int or type(obj["event_frame"]) is not int:
         raise ParseError(f"line {lineno}: fields 'frame'/'event_frame' must be integers")
-    if obj["label"] not in (0, 1):
+    if type(obj["label"]) is not int or obj["label"] not in (0, 1):
         raise ParseError(f"line {lineno}: field 'label' must be 0 or 1")
-    bbox = obj["bbox"]
-    if not isinstance(bbox, list) or len(bbox) != 4:
-        raise ParseError(f"line {lineno}: field 'bbox' must hold 4 floats")
-    center = obj["center"]
-    if not isinstance(center, list) or len(center) != 2:
-        raise ParseError(f"line {lineno}: field 'center' must hold 2 floats")
-    pose = obj["pose"]
-    if not isinstance(pose, list) or len(pose) != POSE_DIM:
-        raise ParseError(f"line {lineno}: field 'pose' must hold {POSE_DIM} floats")
-    if obj["speed"] not in SPEED_CATEGORIES:
-        raise ParseError(f"line {lineno}: field 'speed' must be one of {SPEED_CATEGORIES}")
+
+
+def _build_track(pid: str, rows: list, event_frame: int, label: int) -> PedestrianTrack:
+    """The track of one pedestrian's (frame, line, bbox, center, pose, speed)
+    rows. The columns are checked together; only when a check fails are the
+    rows checked one by one, to name the line at fault."""
+    rows.sort(key=itemgetter(0))
+    for prev, row in zip(rows, rows[1:]):
+        if row[0] == prev[0]:
+            raise IntegrityError(f"line {row[1]}: pedestrian {pid!r} has duplicate frame index {row[0]}")
+    frames, _, *columns = zip(*rows)
     try:
-        record = TrackFrame(
-            frame=obj["frame"],
-            bbox=BoundingBox(*[float(v) for v in bbox]),
-            center=Center(float(center[0]), float(center[1])),
-            pose=np.array(pose, dtype=np.float64),
-            speed=obj["speed"],
-        )
-    except IntegrityError as e:
-        raise ParseError(f"line {lineno}: {e}") from e
-    return pid, record, obj["event_frame"], obj["label"]
+        return PedestrianTrack(pid, frames, *columns, event_frame, label)
+    except IntegrityError:
+        for frame, lineno, *values in rows:
+            try:
+                PedestrianTrack(pid, [frame], *([v] for v in values), event_frame, label)
+            except IntegrityError as e:
+                raise ParseError(f"line {lineno}: {e}") from e
+        raise
 
 
 def load_annotations(path) -> list[PedestrianTrack]:
-    """Parse tracks grouped by pedestrian id, frames sorted ascending."""
-    grouped: dict[str, list[TrackFrame]] = {}
+    """Parse tracks grouped by pedestrian id, frames sorted ascending, each
+    track's columns built once from its records."""
+    grouped: dict[str, list[tuple]] = {}
     meta: dict[str, tuple[int, int]] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -87,46 +84,40 @@ def load_annotations(path) -> list[PedestrianTrack]:
                     obj = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise ParseError(f"line {lineno}: invalid JSON ({e.msg})") from e
-                if not isinstance(obj, dict):
-                    raise ParseError(f"line {lineno}: record must be a JSON object")
-                pid, record, event_frame, label = _parse_record(obj, lineno)
-                if pid in meta and meta[pid] != (event_frame, label):
-                    raise IntegrityError(f"pedestrian {pid!r} has inconsistent event_frame/label")
-                meta[pid] = (event_frame, label)
-                grouped.setdefault(pid, []).append(record)
+                _check_record(obj, lineno)
+                pid = obj["pid"]
+                event = (obj["event_frame"], obj["label"])
+                if meta.setdefault(pid, event) != event:
+                    raise IntegrityError(f"line {lineno}: pedestrian {pid!r} has inconsistent event_frame/label")
+                row = (obj["frame"], lineno, obj["bbox"], obj["center"], obj["pose"], obj["speed"])
+                grouped.setdefault(pid, []).append(row)
     except UnicodeDecodeError as e:
         raise ParseError(f"annotations {path} are not UTF-8 text ({e.reason})") from e
-
-    tracks = []
-    for pid, records in grouped.items():
-        records.sort(key=lambda r: r.frame)
-        idx = [r.frame for r in records]
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise IntegrityError(f"pedestrian {pid!r} has duplicate frame indices")
-        event_frame, label = meta[pid]
-        tracks.append(PedestrianTrack(pid, tuple(records), event_frame, label))
-    return tracks
+    return [_build_track(pid, rows, *meta[pid]) for pid, rows in grouped.items()]
 
 
 def save_annotations(path, tracks: Sequence[PedestrianTrack]):
+    """Write one record per row of each track's columns, tracks in order."""
     records = (
         {
             "pid": track.pedestrian_id,
-            "frame": rec.frame,
-            "bbox": [float(v) for v in rec.bbox.as_array()],
-            "center": [float(rec.center.x), float(rec.center.y)],
-            "pose": [float(v) for v in rec.pose],
-            "speed": rec.speed,
+            "frame": frame,
+            "bbox": bbox,
+            "center": center,
+            "pose": pose,
+            "speed": speed,
             "event_frame": track.event_frame,
             "label": track.label,
         }
         for track in tracks
-        for rec in track.frames
+        for frame, bbox, center, pose, speed in zip(
+            track.frames.tolist(), track.bbox.tolist(), track.center.tolist(), track.pose.tolist(), track.speed
+        )
     )
     write_atomic(path, "".join(json.dumps(obj) + "\n" for obj in records).encode("utf-8"))
 
 
-class FrameStore(FrameSource):
+class FrameStore:
     """Stack of same-sized RGB frames, in memory or mapped from a container
     file (`load`), addressed by global index."""
 

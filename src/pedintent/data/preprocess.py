@@ -30,6 +30,7 @@ from ..errors import (
     DimensionError,
     WindowError,
 )
+from .io import FrameStore
 from .types import (
     CHANNEL_WIDTHS,
     NONVISUAL_CHANNELS,
@@ -181,38 +182,15 @@ class ClipConfig:
     global_size: tuple = (32, 32)
 
 
-class FrameSource:
-    """Minimal interface windowing needs: frame lookup by global index."""
-
-    def get(self, index: int) -> Frame:  # pragma: no cover - interface stub
-        raise NotImplementedError
-
-
-def _window_features(records: Sequence, label: int, tte: int, pid: str, clips: dict) -> ObservationWindow:
-    bbox = np.stack([r.bbox.as_array() for r in records])
-    center = np.stack([r.center.as_array() for r in records])
-    pose = np.stack([r.pose for r in records])
-    speed = np.stack([speed_one_hot(r.speed) for r in records])
-    return ObservationWindow(
-        bbox_delta=delta_encode(bbox).astype(np.float32),
-        center_delta=delta_encode(center).astype(np.float32),
-        pose=pose[1:].astype(np.float32),
-        speed=speed[1:].astype(np.float32),
-        label=label,
-        time_to_event=tte,
-        pedestrian_id=pid,
-        **clips,
-    )
-
-
-def _build_clips(records: Sequence, frames: FrameSource, cfg: ClipConfig) -> dict:
-    fetched = [frames.get(rec.frame) for rec in records]
+def _build_clips(track: PedestrianTrack, rows: slice, frames: FrameStore, cfg: ClipConfig) -> dict:
+    fetched = [frames.get(index) for index in track.frames[rows].tolist()]
+    boxes = [BoundingBox(*box) for box in track.bbox[rows].tolist()]
     clips: dict[str, np.ndarray] = {}
     for name in cfg.inputs:
         if name == "local_context":
-            per_frame = [build_local_context(f, r.bbox, cfg.ratio, cfg.local_size) for f, r in zip(fetched, records)]
+            per_frame = [build_local_context(f, b, cfg.ratio, cfg.local_size) for f, b in zip(fetched, boxes)]
         elif name == "local_surround":
-            per_frame = [build_local_surround(f, r.bbox, cfg.ratio, cfg.local_size) for f, r in zip(fetched, records)]
+            per_frame = [build_local_surround(f, b, cfg.ratio, cfg.local_size) for f, b in zip(fetched, boxes)]
         elif name == "global_context":
             per_frame = [build_global_context(f, cfg.global_size) for f in fetched]
         else:
@@ -221,16 +199,28 @@ def _build_clips(records: Sequence, frames: FrameSource, cfg: ClipConfig) -> dic
     return clips
 
 
-def _build_window(
-    track: PedestrianTrack, by_index: dict, end_frame: int, obs_len: int, frames, clip_cfg
-) -> Optional[ObservationWindow]:
+def _build_window(track: PedestrianTrack, end_frame: int, obs_len: int, frames, clip_cfg) -> Optional[ObservationWindow]:
     """The window of raw frames end_frame - obs_len + 1 .. end_frame, or None if `track` lacks one."""
-    needed = range(end_frame - obs_len + 1, end_frame + 1)
-    if needed[0] < 0 or any(i not in by_index for i in needed):
+    start = end_frame - obs_len + 1
+    first = int(np.searchsorted(track.frames, start))
+    rows = slice(first, first + obs_len)
+    # Frame indices strictly increase, so the obs_len rows from the first
+    # index >= start hold the frames start..end_frame exactly when the last
+    # of them is end_frame.
+    if start < 0 or rows.stop > len(track) or track.frames[rows.stop - 1] != end_frame:
         return None
-    records = [by_index[i] for i in needed]
-    clips = _build_clips(records, frames, clip_cfg) if clip_cfg and clip_cfg.inputs else {}
-    return _window_features(records, track.label, track.event_frame - end_frame, track.pedestrian_id, clips)
+    clips = _build_clips(track, rows, frames, clip_cfg) if clip_cfg and clip_cfg.inputs else {}
+    after_first = slice(first + 1, rows.stop)
+    return ObservationWindow(
+        bbox_delta=delta_encode(track.bbox[rows]).astype(np.float32),
+        center_delta=delta_encode(track.center[rows]).astype(np.float32),
+        pose=track.pose[after_first].astype(np.float32),
+        speed=np.stack([speed_one_hot(s) for s in track.speed[after_first]]).astype(np.float32),
+        label=track.label,
+        time_to_event=track.event_frame - end_frame,
+        pedestrian_id=track.pedestrian_id,
+        **clips,
+    )
 
 
 def extract_windows(
@@ -238,7 +228,7 @@ def extract_windows(
     obs_len: int,
     tte_range: tuple[int, int],
     stride: int,
-    frames: Optional[FrameSource] = None,
+    frames: Optional[FrameStore] = None,
     clip_cfg: Optional[ClipConfig] = None,
 ) -> list[ObservationWindow]:
     """One window per time-to-event in {lo, lo+stride, ...} <= hi.
@@ -257,9 +247,8 @@ def extract_windows(
     if clip_cfg is not None and clip_cfg.inputs and frames is None:
         raise ConfigError("clip construction requires a frame source")
 
-    by_index = track.frame_map()
     ends = (track.event_frame - tte for tte in range(lo, hi + 1, stride))
-    windows = (_build_window(track, by_index, end, obs_len, frames, clip_cfg) for end in ends)
+    windows = (_build_window(track, end, obs_len, frames, clip_cfg) for end in ends)
     return [w for w in windows if w is not None]
 
 
@@ -267,11 +256,11 @@ def extract_window_at(
     track: PedestrianTrack,
     obs_len: int,
     end_frame: int,
-    frames: Optional[FrameSource] = None,
+    frames: Optional[FrameStore] = None,
     clip_cfg: Optional[ClipConfig] = None,
 ) -> ObservationWindow:
     """Single window whose last observed frame is `end_frame` (for prediction)."""
-    window = _build_window(track, track.frame_map(), end_frame, obs_len, frames, clip_cfg)
+    window = _build_window(track, end_frame, obs_len, frames, clip_cfg)
     if window is None:
         raise WindowError(f"track {track.pedestrian_id!r} lacks frames {end_frame - obs_len + 1}..{end_frame}")
     return window

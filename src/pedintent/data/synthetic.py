@@ -21,12 +21,12 @@ import numpy as np
 
 from ..errors import ConfigError
 from .io import FrameStore
-from .types import SPEED_CATEGORIES, BoundingBox, PedestrianTrack, TrackFrame
+from .types import SPEED_CATEGORIES, PedestrianTrack
 
 RULES = ("separable_motion", "separable_visual", "random")
 
 # relative joint layout inside the bounding box (18 joints)
-_JOINT_FRACTIONS = [
+_JOINT_FRACTIONS = np.array([
     (0.5, 0.05), (0.5, 0.15),                      # head, neck
     (0.3, 0.2), (0.7, 0.2),                        # shoulders
     (0.2, 0.35), (0.8, 0.35),                      # elbows
@@ -36,7 +36,7 @@ _JOINT_FRACTIONS = [
     (0.35, 0.85), (0.65, 0.85),                    # ankles
     (0.45, 0.03), (0.55, 0.03),                    # eyes
     (0.42, 0.07), (0.58, 0.07),                    # ears
-]
+])
 
 
 def _track(
@@ -76,32 +76,21 @@ def _track(
     pose_noise = rng.normal(0.0, 0.3, size=(track_len, 18, 2))
     missing = rng.random((track_len, 18)) < 0.05
 
-    records = []
-    for t in range(track_len):
-        x = int(np.clip(x0 + vx * t + jitter_x[t], 0, width - rect_w))
-        y = int(np.clip(y0 + jitter_y[t], 0, height - rect_h))
-        frame_idx = start_frame + t
+    t = np.arange(track_len)
+    xs = np.clip(x0 + vx * t + jitter_x, 0, width - rect_w)
+    ys = np.clip(y0 + jitter_y, 0, height - rect_h)
+    frames = start_frame + t
+    for frame_idx, x, y in zip(frames.tolist(), xs.tolist(), ys.tolist()):
         canvas[frame_idx].fill(background)
         canvas[frame_idx, y : y + rect_h, x : x + rect_w] = intensity
 
-        bbox = BoundingBox(float(x), float(y), float(x + rect_w), float(y + rect_h))
-        joints = np.array(
-            [
-                (x + fx * rect_w + pose_noise[t, j, 0], y + fy * rect_h + pose_noise[t, j, 1])
-                for j, (fx, fy) in enumerate(_JOINT_FRACTIONS)
-            ]
-        )
-        joints[missing[t]] = 0.0
-        records.append(
-            TrackFrame(
-                frame=frame_idx,
-                bbox=bbox,
-                center=bbox.center(),
-                pose=joints.reshape(36),
-                speed=speed,
-            )
-        )
-    return PedestrianTrack(pid, tuple(records), start_frame + track_len - 1, label)
+    corner = np.stack([xs, ys], axis=1)
+    bbox = np.hstack([corner, corner + (rect_w, rect_h)]).astype(np.float64)
+    joints = corner[:, None, :] + _JOINT_FRACTIONS * (rect_w, rect_h) + pose_noise
+    joints[missing] = 0.0
+    pose = joints.reshape(track_len, 36)
+    center = (bbox[:, :2] + bbox[:, 2:]) / 2.0
+    return PedestrianTrack(pid, frames, bbox, center, pose, (speed,) * track_len, start_frame + track_len - 1, label)
 
 
 def generate_synthetic(

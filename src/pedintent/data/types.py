@@ -1,5 +1,9 @@
 """Domain types for pedestrian tracks and observation windows.
 
+A `PedestrianTrack` holds one row per observed frame in each of its
+per-frame columns: `frames` (the frame indices, strictly increasing),
+`bbox`, `center`, `pose` and `speed`. Windows are slices of these columns.
+
 Everything here is immutable after construction; preprocessing operations
 are pure functions over these types and safe to run in parallel across
 windows.
@@ -33,15 +37,9 @@ class BoundingBox:
 
     def __post_init__(self):
         if self.x_tl > self.x_br or self.y_tl > self.y_br:
-            raise IntegrityError(f"inverted bounding box {self.as_array().tolist()}")
+            raise IntegrityError(f"inverted bounding box {[self.x_tl, self.y_tl, self.x_br, self.y_br]}")
         if min(self.x_tl, self.y_tl, self.x_br, self.y_br) < 0:
             raise IntegrityError("bounding box coordinates must be non-negative")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x_tl, self.y_tl, self.x_br, self.y_br], dtype=np.float64)
-
-    def center(self) -> "Center":
-        return Center((self.x_tl + self.x_br) / 2.0, (self.y_tl + self.y_br) / 2.0)
 
     @property
     def width(self) -> float:
@@ -50,22 +48,6 @@ class BoundingBox:
     @property
     def height(self) -> float:
         return self.y_br - self.y_tl
-
-
-@dataclass(frozen=True)
-class Center:
-    x: float
-    y: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=np.float64)
-
-
-def validate_pose(pose) -> np.ndarray:
-    arr = np.asarray(pose, dtype=np.float64)
-    if arr.shape != (POSE_DIM,):
-        raise IntegrityError(f"pose must have exactly {POSE_DIM} floats, got shape {arr.shape}")
-    return arr
 
 
 def speed_one_hot(category: str) -> np.ndarray:
@@ -89,53 +71,59 @@ class Frame:
             raise IntegrityError("frame payload must be (height, width, 3) uint8")
 
 
-@dataclass(frozen=True)
-class TrackFrame:
-    """Per-frame annotation record for one pedestrian."""
-
-    frame: int
-    bbox: BoundingBox
-    center: Center
-    pose: np.ndarray
-    speed: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "pose", validate_pose(self.pose))
-        if self.speed not in SPEED_CATEGORIES:
-            raise IntegrityError(f"unknown speed category {self.speed!r}")
+def _numbers(name: str, values, n: int, width: int) -> np.ndarray:
+    """`values` as an (n, width) float64 array of finite numbers."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as e:  # rows of different lengths
+        raise IntegrityError(f"{name} must hold {width} numbers per frame") from e
+    if arr.dtype.kind not in "iuf" or arr.shape != (n, width):
+        raise IntegrityError(f"{name} must hold {width} numbers per frame, got {arr.dtype.name} values of shape {arr.shape}")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise IntegrityError(f"{name} values must be finite")
+    return arr
 
 
 @dataclass(frozen=True)
 class PedestrianTrack:
-    """Ordered per-frame records plus the crossing event and label."""
+    """One pedestrian's observed frames, one row per frame in each column,
+    plus the crossing event and label."""
 
     pedestrian_id: str
-    frames: tuple
+    frames: np.ndarray  # (n,) int64 frame indices, strictly increasing
+    bbox: np.ndarray  # (n, 4) float64: x_tl, y_tl, x_br, y_br
+    center: np.ndarray  # (n, 2) float64
+    pose: np.ndarray  # (n, 36) float64
+    speed: tuple  # n speed categories
     event_frame: int
     label: int
 
     def __post_init__(self):
-        if self.label not in (0, 1):
+        if type(self.label) is not int or self.label not in (0, 1):
             raise IntegrityError(f"label must be 0 or 1, got {self.label!r}")
-        idx = [f.frame for f in self.frames]
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        frames = np.asarray(self.frames)
+        if frames.ndim != 1 or frames.dtype.kind not in "iu" or not np.can_cast(frames.dtype, np.int64):
+            raise IntegrityError(f"track {self.pedestrian_id!r} frame indices must be integers")
+        if np.any(frames[1:] <= frames[:-1]):
             raise IntegrityError(f"track {self.pedestrian_id!r} frame indices are not strictly increasing")
-        object.__setattr__(self, "frames", tuple(self.frames))
+        object.__setattr__(self, "frames", frames.astype(np.int64, copy=False))
+        for name in ("bbox", "center", "pose"):
+            object.__setattr__(self, name, _numbers(name, getattr(self, name), len(frames), CHANNEL_WIDTHS[name]))
+        inverted = (self.bbox[:, 0] > self.bbox[:, 2]) | (self.bbox[:, 1] > self.bbox[:, 3])
+        if inverted.any():
+            raise IntegrityError(f"bbox {self.bbox[np.argmax(inverted)].tolist()} is inverted")
+        if (self.bbox < 0).any():
+            raise IntegrityError("bbox coordinates must be non-negative")
+        object.__setattr__(self, "speed", tuple(self.speed))
+        if len(self.speed) != len(frames):
+            raise IntegrityError(f"speed must hold one category per frame, got {len(self.speed)} for {len(frames)} frames")
+        unknown = [category for category in self.speed if category not in SPEED_CATEGORIES]
+        if unknown:
+            raise IntegrityError(f"unknown speed category {unknown[0]!r}")
 
     def __len__(self) -> int:
         return len(self.frames)
-
-    def frame_map(self) -> dict[int, TrackFrame]:
-        return {f.frame: f for f in self.frames}
-
-    def bbox_array(self) -> np.ndarray:
-        return np.stack([f.bbox.as_array() for f in self.frames])
-
-    def center_array(self) -> np.ndarray:
-        return np.stack([f.center.as_array() for f in self.frames])
-
-    def pose_array(self) -> np.ndarray:
-        return np.stack([f.pose for f in self.frames])
 
 
 @dataclass

@@ -51,31 +51,6 @@ from ..errors import (
 _node_ids = itertools.count()
 _tls = threading.local()
 
-# Ops with a registered backward rule; tests enumerate this to guarantee
-# every rule is covered by a finite-difference check.
-REGISTERED_OPS = (
-    "matmul",
-    "add",
-    "mul",
-    "relu",
-    "gelu",
-    "sigmoid",
-    "tanh",
-    "log",
-    "clamp",
-    "softmax",
-    "layer_norm",
-    "mean_over_axis",
-    "tensor_sum",
-    "concat_along_axis",
-    "slice",
-    "transpose",
-    "reshape",
-    "broadcast_to",
-    "dropout",
-    "attention",
-)
-
 # Byte budget for the attention weights of one tile of (batch, head)
 # slices. It bounds the attention op's working set whatever the sequence
 # length, and a tile this small stays near the cache while the q k^T,
@@ -687,6 +662,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
         return dq.reshape(q.shape), dk.reshape(q.shape), dv.reshape(q.shape)
 
     return _result(out.reshape(q.shape), (q, k, v), backward)
+
+
+# Every op with a backward rule, by name: the one list of ops. Tests
+# enumerate it to guarantee every rule is covered by a finite-difference
+# check.
+REGISTERED_OPS = {
+    "matmul": matmul,
+    "add": add,
+    "mul": mul,
+    "relu": relu,
+    "gelu": gelu,
+    "sigmoid": sigmoid,
+    "tanh": tanh,
+    "log": log,
+    "clamp": clamp,
+    "softmax": softmax,
+    "layer_norm": layer_norm,
+    "mean_over_axis": mean_over_axis,
+    "tensor_sum": tensor_sum,
+    "concat_along_axis": concat_along_axis,
+    "slice": tensor_slice,
+    "transpose": transpose,
+    "reshape": reshape,
+    "broadcast_to": broadcast_to,
+    "dropout": dropout,
+    "attention": attention,
+}
 
 
 # ---------------------------------------------------------------------------

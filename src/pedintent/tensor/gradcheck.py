@@ -20,6 +20,10 @@ import numpy as np
 from ..errors import ContractError, DeterminismError
 from .core import Tape, Tensor, backward
 
+# Floor of the relative error's denominator: it keeps genuinely-zero
+# gradients from amplifying finite-difference noise.
+DENOM_FLOOR = 1e-3
+
 
 @dataclass
 class GradCheckReport:
@@ -51,13 +55,11 @@ def finite_difference_errors(
     loss: Callable[[], float],
     indices: np.ndarray,
     eps: float,
-    denom_floor: float,
 ) -> np.ndarray:
-    """Relative errors |ad - fd| / max(|ad|, |fd|, denom_floor) between the
+    """Relative errors |ad - fd| / max(|ad|, |fd|, DENOM_FLOOR) between the
     autodiff gradients `grads` and central differences of `loss()`, at flat
     `indices` into the concatenated `arrays`. Each element is perturbed in
-    place and restored. The floor keeps genuinely-zero gradients from
-    amplifying FD noise."""
+    place and restored."""
     rel = np.empty(len(indices), dtype=np.float64)
     for k, (i, local) in enumerate(zip(*_locate(arrays, indices))):
         arr = arrays[i]
@@ -70,7 +72,7 @@ def finite_difference_errors(
         arr[pos] = saved
         fd = (fp - fm) / (2.0 * eps)
         ad = float(grads[i][pos])
-        rel[k] = abs(ad - fd) / max(abs(ad), abs(fd), denom_floor)
+        rel[k] = abs(ad - fd) / max(abs(ad), abs(fd), DENOM_FLOOR)
     return rel
 
 
@@ -89,7 +91,6 @@ def check_gradients(
     eps: float = 1e-4,
     max_elements: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
-    denom_floor: float = 1e-3,
 ) -> GradCheckReport:
     """Compare autodiff gradients of scalar f(x) against central differences.
 
@@ -123,5 +124,5 @@ def check_gradients(
         idx = np.sort(gen.choice(n, size=max_elements, replace=False))
     else:
         idx = np.arange(n)
-    rel = finite_difference_errors([base], [leaf.grad], value, idx, eps, denom_floor)
+    rel = finite_difference_errors([base], [leaf.grad], value, idx, eps)
     return gradcheck_report(rel, idx, [base], ["x"])

@@ -298,23 +298,9 @@ def test_c10_ensemble_freeze(tmp_path):
 def test_c11_delta_encoding_invariance():
     """Translating every bbox/center coordinate by a constant leaves each
     non-visual-only model's outputs bit-identical."""
-    from pedintent.data.types import BoundingBox, Center, PedestrianTrack, TrackFrame
-
     tracks, _ = generate_synthetic(11, 10, "separable_motion")
     shift = 37.0
-    shifted_tracks = []
-    for t in tracks:
-        recs = tuple(
-            TrackFrame(
-                r.frame,
-                BoundingBox(r.bbox.x_tl + shift, r.bbox.y_tl + shift, r.bbox.x_br + shift, r.bbox.y_br + shift),
-                Center(r.center.x + shift, r.center.y + shift),
-                r.pose,
-                r.speed,
-            )
-            for r in t.frames
-        )
-        shifted_tracks.append(PedestrianTrack(t.pedestrian_id, recs, t.event_frame, t.label))
+    shifted_tracks = [dataclasses.replace(t, bbox=t.bbox + shift, center=t.center + shift) for t in tracks]
     base_w = windows_for(tracks)
     shift_w = windows_for(shifted_tracks)
     for name in ("ours2_nonvisual", "ours6_bboxes", "ours8_ft"):

@@ -384,6 +384,48 @@ class TestUndecodableInput:
         assert "annotations.jsonl" in err and "UTF-8" in err and len(err.splitlines()) == 1
 
 
+class TestMalformedNumbers:
+    """A malformed or out-of-range number in an annotations file exits 2
+    with one line naming the line and the field."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("bbox", [1.0, "x", 3.0, 4.0]),
+            ("pose", ["x"] * 36),
+            ("center", [None, 3.0]),
+            ("center", None),
+            ("pose", [0.0] * 35 + [float("nan")]),
+            ("bbox", [1.0, 2.0, float("inf"), 4.0]),
+            ("bbox", [5.0, 2.0, 3.0, 4.0]),
+            ("bbox", [-1.0, 2.0, 3.0, 4.0]),
+            ("frame", True),
+            ("label", True),
+        ],
+        ids=[
+            "string-in-bbox",
+            "string-in-pose",
+            "null-in-center",
+            "null-center",
+            "nan-in-pose",
+            "inf-in-bbox",
+            "inverted-bbox",
+            "negative-bbox",
+            "bool-frame",
+            "bool-label",
+        ],
+    )
+    def test_train_exit_2(self, tmp_path, capsys, field, value):
+        good = {"pid": "p", "frame": 0, "bbox": [1.0, 2.0, 3.0, 4.0], "center": [2.0, 3.0], "pose": [0.0] * 36}
+        good.update(speed="stopped", event_frame=50, label=1)
+        bad = {**good, "frame": 1, field: value}
+        (tmp_path / "annotations.jsonl").write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["train", "--config", str(cfg), "--data", str(tmp_path), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("data error: line 2:") and field in err and len(err.splitlines()) == 1, err
+
+
 class TestOSErrors:
     """An operating-system error exits 2 with a one-line message."""
 

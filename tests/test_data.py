@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 from pedintent.data import (
     VISUAL_INPUTS,
     BoundingBox,
-    Center,
     ClipConfig,
     Frame,
     ObservationWindow,
     PedestrianTrack,
-    TrackFrame,
     assemble_nonvisual,
     bilinear_resize,
     build_global_context,
@@ -47,12 +45,18 @@ def make_frame(pixels):
 
 
 def make_track(n=20, pid="p0", start=0, label=1, vx=2.0):
-    records = []
-    for t in range(n):
-        x = 10.0 + vx * t
-        bbox = BoundingBox(x, 5.0, x + 8.0, 21.0)
-        records.append(TrackFrame(start + t, bbox, bbox.center(), np.zeros(36), "stopped"))
-    return PedestrianTrack(pid, tuple(records), start + n - 1, label)
+    x = 10.0 + vx * np.arange(n)
+    bbox = np.stack([x, np.full(n, 5.0), x + 8.0, np.full(n, 21.0)], axis=1)
+    center = (bbox[:, :2] + bbox[:, 2:]) / 2.0
+    return PedestrianTrack(pid, start + np.arange(n), bbox, center, np.zeros((n, 36)), ("stopped",) * n, start + n - 1, label)
+
+
+def drop_frames(track, dropped):
+    """`track` without the rows of the frame indices in `dropped`."""
+    keep = ~np.isin(track.frames, dropped)
+    speed = [s for s, k in zip(track.speed, keep) if k]
+    rows = (track.frames[keep], track.bbox[keep], track.center[keep], track.pose[keep], speed)
+    return PedestrianTrack(track.pedestrian_id, *rows, track.event_frame, track.label)
 
 
 class TestTypes:
@@ -61,15 +65,22 @@ class TestTypes:
             BoundingBox(5.0, 0.0, 1.0, 4.0)
         with pytest.raises(IntegrityError):
             BoundingBox(-1.0, 0.0, 1.0, 4.0)
+        track = make_track(n=3)
+        inverted, negative = track.bbox.copy(), track.bbox.copy()
+        inverted[1] = [5.0, 0.0, 1.0, 4.0]
+        negative[2, 0] = -1.0
+        for bbox in (inverted, negative):
+            with pytest.raises(IntegrityError, match="bbox"):
+                dataclasses.replace(track, bbox=bbox)
 
     def test_center_is_midpoint(self):
-        c = BoundingBox(2.0, 4.0, 6.0, 10.0).center()
-        assert (c.x, c.y) == (4.0, 7.0)
+        tracks, _ = generate_synthetic(2, 3, "random", track_len=20, frame_size=(40, 64))
+        for t in tracks:
+            assert np.array_equal(t.center, (t.bbox[:, :2] + t.bbox[:, 2:]) / 2.0)
 
     def test_pose_arity(self):
-        bbox = BoundingBox(0, 0, 1, 1)
-        with pytest.raises(IntegrityError):
-            TrackFrame(0, bbox, bbox.center(), np.zeros(35), "stopped")
+        with pytest.raises(IntegrityError, match="pose"):
+            dataclasses.replace(make_track(n=3), pose=np.zeros((3, 35)))
 
     def test_speed_one_hot(self):
         assert speed_one_hot("moving_fast").tolist() == [0, 0, 1, 0, 0]
@@ -77,10 +88,30 @@ class TestTypes:
             speed_one_hot("warp")
 
     def test_track_monotone_frames(self):
-        bbox = BoundingBox(0, 0, 1, 1)
-        recs = [TrackFrame(i, bbox, bbox.center(), np.zeros(36), "stopped") for i in (0, 2, 2)]
         with pytest.raises(IntegrityError):
-            PedestrianTrack("p", tuple(recs), 5, 0)
+            dataclasses.replace(make_track(n=3), frames=np.array([0, 2, 2]))
+
+    @pytest.mark.parametrize(
+        "columns, field",
+        [
+            ({"frames": np.array([0.0, 1.0, 2.0])}, "frame"),
+            ({"frames": np.array([True, False, True])}, "frame"),
+            ({"label": 2}, "label"),
+            ({"label": True}, "label"),
+            ({"bbox": np.zeros((2, 4))}, "bbox"),
+            ({"center": np.zeros((3, 3))}, "center"),
+            ({"center": [[1.0, 2.0], [1.0, None], [1.0, 2.0]]}, "center"),
+            ({"pose": np.full((3, 36), np.nan)}, "pose"),
+            ({"pose": [["x"] * 36] * 3}, "pose"),
+            ({"pose": [[0.0] * 36, [0.0] * 35, [0.0] * 36]}, "pose"),
+            ({"speed": ("stopped",) * 2}, "speed"),
+            ({"speed": ("stopped", "warp", "stopped")}, "speed"),
+        ],
+    )
+    def test_track_column_checks(self, columns, field):
+        """Every column is checked: row counts agree, widths, finite numbers, known categories."""
+        with pytest.raises(IntegrityError, match=field):
+            dataclasses.replace(make_track(n=3), **columns)
 
     def test_window_channel_alignment(self):
         with pytest.raises(IntegrityError):
@@ -407,7 +438,7 @@ class TestExtractWindows:
         assert wins[0].n_frames == 15
         assert wins[0].time_to_event == 30
         # first delta row = bbox(56) - bbox(55) from first frame removal
-        expected = track.bbox_array()[56] - track.bbox_array()[55]
+        expected = track.bbox[56] - track.bbox[55]
         assert np.allclose(wins[0].bbox_delta[0], expected)
 
     def test_enumerates_tte_grid(self):
@@ -425,12 +456,25 @@ class TestExtractWindows:
             assert w.time_to_event >= 30
 
     def test_gap_skipped(self):
-        track = make_track(n=101)
-        # remove one frame inside the tte=30 window span (frames 55..70)
-        records = tuple(r for r in track.frames if r.frame != 60)
-        gappy = PedestrianTrack("p0", records, track.event_frame, track.label)
-        wins = extract_windows(gappy, 16, (30, 60), 15)
-        assert [w.time_to_event for w in wins] == [45, 60]
+        """A window is kept exactly when the track holds all its frames: gaps
+        inside it or at its ends, and the track's own ends, included."""
+        frames = np.arange(101)  # event at frame 100; pose holds each row's frame index
+        track = dataclasses.replace(make_track(n=101), pose=np.repeat(frames[:, None], 36, axis=1))
+        cases = [
+            ((60,), (30, 60), 15, [45, 60]),  # a gap inside the tte=30 window (frames 55..70)
+            ((55,), (30, 60), 15, [60]),  # the first frame of tte=30's window, the last of tte=45's
+            ((), (84, 86), 1, [84, 85]),  # tte=85 starts at the first frame; tte=86 would start at -1
+            ((0,), (84, 85), 1, [84]),  # tte=85 is one frame short at the start
+            ((), (0, 1), 1, [0, 1]),  # tte=0 ends at the last frame
+            ((100,), (0, 1), 1, [1]),  # tte=0 is one frame short at the end
+        ]
+        for dropped, tte_range, stride, expected in cases:
+            gappy = drop_frames(track, dropped)
+            wins = extract_windows(gappy, 16, tte_range, stride)
+            assert [w.time_to_event for w in wins] == expected, dropped
+            for w in wins:  # each kept window holds the rows of its own frames
+                end = track.event_frame - w.time_to_event
+                assert w.pose[:, 0].tolist() == list(range(end - 14, end + 1))
 
     def test_bad_params(self):
         track = make_track()
@@ -462,7 +506,7 @@ class TestExtractWindowAt:
             extract_window_at(track, 16, 10)  # would start at frame -5
         with pytest.raises(WindowError):
             extract_window_at(track, 16, 101)  # past the last frame
-        gappy = PedestrianTrack("p0", tuple(r for r in track.frames if r.frame != 60), track.event_frame, track.label)
+        gappy = drop_frames(track, [60])
         with pytest.raises(WindowError):
             extract_window_at(gappy, 16, 70)
 

@@ -58,8 +58,8 @@ class TestAnnotations:
         )
         tracks = {t.pedestrian_id: t for t in load_annotations(path)}
         assert sorted(tracks) == ["a", "b"]
-        assert [r.frame for r in tracks["a"].frames] == [0, 1]
-        assert [r.frame for r in tracks["b"].frames] == [0, 2]
+        assert tracks["a"].frames.tolist() == [0, 1]
+        assert tracks["b"].frames.tolist() == [0, 2]
 
     def test_pose_arity_error_names_field_and_line(self, tmp_path):
         path = tmp_path / "a.jsonl"
@@ -109,10 +109,11 @@ class TestAnnotations:
         for t in tracks:
             twin = by_pid[t.pedestrian_id]
             assert twin.event_frame == t.event_frame and twin.label == t.label
-            assert np.array_equal(twin.bbox_array(), t.bbox_array())
-            assert np.array_equal(twin.center_array(), t.center_array())
-            assert np.array_equal(twin.pose_array(), t.pose_array())
-            assert [r.speed for r in twin.frames] == [r.speed for r in t.frames]
+            assert np.array_equal(twin.frames, t.frames)
+            assert np.array_equal(twin.bbox, t.bbox)
+            assert np.array_equal(twin.center, t.center)
+            assert np.array_equal(twin.pose, t.pose)
+            assert twin.speed == t.speed
         # a second save of the loaded tracks is byte-identical
         twin_path = tmp_path / "b.jsonl"
         save_annotations(twin_path, loaded)
@@ -184,8 +185,8 @@ class TestSyntheticGenerator:
         assert np.array_equal(a_frames.frames, b_frames.frames)
         for ta, tb in zip(a_tracks, b_tracks):
             assert ta.label == tb.label
-            assert np.array_equal(ta.bbox_array(), tb.bbox_array())
-            assert np.array_equal(ta.pose_array(), tb.pose_array())
+            assert np.array_equal(ta.bbox, tb.bbox)
+            assert np.array_equal(ta.pose, tb.pose)
 
     def test_motion_rule_oracle_is_perfect(self):
         tracks, _ = generate_synthetic(1, 30, "separable_motion")
@@ -209,24 +210,19 @@ class TestSyntheticGenerator:
         assert 0.3 <= hits <= 0.7
         # pedestrian pixels encode the label
         for t in tracks[:10]:
-            rec = t.frames[10]
-            frame = frames.get(rec.frame)
-            patch = frame.pixels[
-                int(rec.bbox.y_tl) + 2 : int(rec.bbox.y_br) - 2,
-                int(rec.bbox.x_tl) + 2 : int(rec.bbox.x_br) - 2,
-            ]
+            x_tl, y_tl, x_br, y_br = t.bbox[10].astype(int)
+            patch = frames.get(int(t.frames[10])).pixels[y_tl + 2 : y_br - 2, x_tl + 2 : x_br - 2]
             assert np.all(patch == (220 if t.label == 1 else 60))
 
     def test_pedestrian_rendered_at_bbox(self):
         tracks, frames = generate_synthetic(5, 3, "separable_motion", track_len=30, frame_size=(40, 64))
-        rec = tracks[0].frames[5]
-        frame = frames.get(rec.frame)
-        inside = frame.pixels[int(rec.bbox.y_tl) + 1 : int(rec.bbox.y_br) - 1, int(rec.bbox.x_tl) + 1 : int(rec.bbox.x_br) - 1]
+        x_tl, y_tl, x_br, y_br = tracks[0].bbox[5].astype(int)
+        inside = frames.get(int(tracks[0].frames[5])).pixels[y_tl + 1 : y_br - 1, x_tl + 1 : x_br - 1]
         assert np.all(inside == 170)
 
     def test_bbox_coords_are_integers(self):
         tracks, _ = generate_synthetic(6, 3, "separable_motion", track_len=30, frame_size=(40, 64))
-        arr = tracks[0].bbox_array()
+        arr = tracks[0].bbox
         assert np.array_equal(arr, np.round(arr))
 
     def test_unknown_rule(self):

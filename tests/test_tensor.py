@@ -2,6 +2,7 @@
 checkpoint format."""
 
 import gc
+import inspect
 import json
 import os
 import stat
@@ -11,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pedintent.tensor as tensor_pkg
 import pedintent.tensor.core as core
 from pedintent.errors import (
     CheckpointError,
@@ -345,6 +347,14 @@ _CASES = _op_cases()
 
 def test_every_registered_op_has_a_case():
     assert set(_CASES) == set(REGISTERED_OPS)
+
+
+def test_every_exported_op_is_registered():
+    """The registry and the package's exported ops are one set: every
+    exported function of tensor.core but `backward` is a registered op."""
+    exported = [getattr(tensor_pkg, name) for name in tensor_pkg.__all__]
+    ops = {f for f in exported if inspect.isfunction(f) and f.__module__ == core.__name__}
+    assert ops - {backward} == set(REGISTERED_OPS.values())
 
 
 @pytest.mark.parametrize("op", sorted(REGISTERED_OPS))
