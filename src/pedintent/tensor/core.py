@@ -10,21 +10,29 @@ inputs' dtype: constants take that dtype, never a float64 scalar's.
 
 Values are finite: `Tensor()` checks its data, and an op producing NaN or
 Inf raises NumericalError. Most ops check their whole output (`_result`).
-`softmax` checks only its input's slice max (NaN and +inf show there) and
-wraps its output, which a finite input keeps in [0, 1], unchecked
-(`_record`); every input it gets is a finite Tensor except attention's
-score tiles, whose row min `attention` checks first.
+`gelu` wraps its output unchecked (`_record`): a finite x gives a finite
+x * cdf. `softmax` checks only its input's slice max (NaN and +inf show
+there) and wraps its output, which a finite input keeps in [0, 1],
+unchecked; every input it gets is a finite Tensor except attention's score
+tiles, whose row min `attention` checks first.
 
 `attention` is the one fused op: softmax(q k^T) v over split heads, computed
 in cache-sized tiles so that at most one tile of attention weights exists
-at a time (Rabe & Staats, arXiv:2112.05682), with a closed-form backward
-that rebuilds a tile's weights from the forward's row max and exp-sum
-instead of storing them (Dao et al., arXiv:2205.14135; Dao,
-arXiv:2307.08691). A tile is a group of whole (batch, head) slices, or a
-band of query rows of one slice whose weights alone exceed the budget, so
-every pass over a tile reuses data that is still in cache. The op checks
-each forward tile's row min and softmax its row max, so a score tile gets
-one O(S^2) finiteness pass, the min, and backward none.
+at a time (Rabe & Staats, arXiv:2112.05682), each written over its own
+scores. Its closed-form backward rebuilds a tile's weights from the
+forward's row max and exp-sum instead of storing them (Dao et al.,
+arXiv:2205.14135), and leaves them unnormalised, dividing the much smaller
+output gradient by the exp-sum instead (Dao, arXiv:2307.08691). A tile is a
+group of whole (batch, head) slices, or a band of query rows of one slice
+whose weights alone exceed the budget, so every pass over a tile reuses
+data that is still in cache. The op checks each forward tile's row min and
+softmax its row max, so a score tile gets one O(S^2) finiteness pass, the
+min, and backward none: a non-finite gradient shows in `backward`'s check
+of the leaves.
+
+`gelu` computes a float32 erf as a rational function (Eigen's and XLA's
+float32 form) in numpy passes over cache-sized chunks, about four times as
+fast as scipy's erf, which serves float64.
 
 Concurrency: a tape is confined to the thread that opened it. Tensors that
 do not track gradients are immutable values and safe to share across
@@ -301,22 +309,97 @@ def relu(x: Tensor) -> Tensor:
     return _result(np.maximum(xd, 0), (x,), lambda g: (g * (xd > 0),))
 
 
+# Float32 erf(t) = t P(t^2) / Q(t^2) for t clamped to [-4, 4], beyond which
+# erf rounds to +-1 in float32: the coefficients of Eigen's
+# generic_fast_erf_float, which XLA's float32 erf also uses, highest power
+# first. Against float64 erf it errs by at most 4.5e-7.
+_ERF_P = np.array(
+    [-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06, -5.69250639462346e-05,
+     -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02],
+    dtype=np.float32,
+)
+_ERF_Q = np.array(
+    [-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
+     -1.42647390514189e-02],
+    dtype=np.float32,
+)
+# Elements per pass of gelu's kernels: the chunk and its scratch arrays stay
+# in cache across the twenty-odd passes over them.
+GELU_CHUNK = 1 << 15
+
+
+def _chunks(size: int):
+    return (slice(i, i + GELU_CHUNK) for i in range(0, size, GELU_CHUNK))
+
+
+def _horner(coefs: np.ndarray, x: np.ndarray, out: np.ndarray):
+    np.multiply(x, coefs[0], out=out)
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+
+
+def _gelu32(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * cdf and cdf = (1 + erf(x / sqrt(2))) / 2 of a float32 array, by
+    the rational erf in in-place passes over chunks."""
+    x = xd.reshape(-1)
+    out, cdf = np.empty_like(x), np.empty_like(x)
+    t, t2, q = (np.empty(min(x.size, GELU_CHUNK), dtype=np.float32) for _ in range(3))
+    for part in _chunks(x.size):
+        c = cdf[part]
+        k = c.size
+        tc, t2c, qc = t[:k], t2[:k], q[:k]
+        np.multiply(x[part], np.float32(1.0 / math.sqrt(2.0)), out=tc)
+        np.clip(tc, np.float32(-4.0), np.float32(4.0), out=tc)
+        np.multiply(tc, tc, out=t2c)
+        _horner(_ERF_P, t2c, c)
+        c *= tc
+        _horner(_ERF_Q, t2c, qc)
+        c /= qc
+        c += np.float32(1.0)
+        c *= np.float32(0.5)
+        np.multiply(x[part], c, out=out[part])
+    return out.reshape(xd.shape), cdf.reshape(xd.shape)
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact erf form: 0.5 * x * (1 + erf(x / sqrt(2))), in x's dtype; the
-    pdf only backward uses is built there."""
+    """Exact erf form: 0.5 * x * (1 + erf(x / sqrt(2))), in x's dtype.
+
+    Float64 takes scipy's erf, so gradient checks run the exact function.
+    Float32 takes the rational erf above (Eigen's and XLA's float32 form):
+    GELU then errs by at most 2.6e-7 * max(1, |x|) against float64, 1.4e-6
+    at |x| near 5.6, where the clamp sets in. A finite x gives a finite
+    output, which is not checked again. Forward and backward run in-place
+    passes over chunks of GELU_CHUNK elements.
+    """
     x = _as_tensor(x)
     xd = x.data
     dt = xd.dtype.type
-    cdf = erf(xd / dt(math.sqrt(2.0)))
-    cdf += dt(1.0)
-    cdf *= dt(0.5)
+    if xd.dtype == np.float32:
+        out, cdf = _gelu32(xd)
+    else:
+        cdf = erf(xd / dt(math.sqrt(2.0)))
+        cdf += dt(1.0)
+        cdf *= dt(0.5)
+        out = xd * cdf
 
     def backward(g):
-        pdf = np.exp(dt(-0.5) * xd * xd)
-        pdf /= dt(math.sqrt(2.0 * math.pi))
-        return (g * (cdf + xd * pdf),)
+        # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi)
+        xs, cs, gs = xd.reshape(-1), cdf.reshape(-1), g.reshape(-1)
+        dx = np.empty_like(xs)
+        for part in _chunks(xs.size):
+            d, xc = dx[part], xs[part]
+            np.multiply(xc, dt(-0.5), out=d)
+            d *= xc
+            np.exp(d, out=d)
+            d /= dt(math.sqrt(2.0 * math.pi))
+            d *= xc
+            d += cs[part]
+            d *= gs[part]
+        return (dx.reshape(xd.shape),)
 
-    return _result(xd * cdf, (x,), backward)
+    return _record(out, (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -351,7 +434,7 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
 # normalization / reduction
 
 
-def softmax(x: Tensor, axis: int = -1, mask=None, *, stats=None) -> Tensor:
+def softmax(x: Tensor, axis: int = -1, mask=None, *, stats=None, out=None) -> Tensor:
     """Max-stabilized softmax along `axis`.
 
     `mask` (boolean, broadcastable to x) selects the entries that
@@ -365,29 +448,41 @@ def softmax(x: Tensor, axis: int = -1, mask=None, *, stats=None) -> Tensor:
     finite slice gives weights in [0, 1], so the output gets no O(S^2)
     check.
 
-    `stats`, keyword-only, is an output, not a tunable: a pair of arrays
-    `(top, total)` of the reduced shape (keepdims) into which the op writes
-    each slice's max over its allowed entries and its exp-sum.
-    `exp(x - top) / total`, with forbidden entries set to -inf first,
-    rebuilds the output bit for bit.
+    `stats` and `out`, keyword-only, are outputs, not tunables. `stats` is
+    a pair of arrays `(top, total)` of the reduced shape (keepdims) into
+    which the op writes each slice's max over its allowed entries and its
+    exp-sum: `exp(x - top) / total`, with forbidden entries set to -inf
+    first, rebuilds the output bit for bit. `out`, an array of x's shape
+    and dtype, receives the same bits as a fresh output. It may be x's own
+    data, which is then written over in place, masked or not, with no
+    copy. An output that a tape would record raises ContractError with
+    `out`, since a later write to the array would corrupt its backward.
     """
     x = _as_tensor(x)
     xd = x.data
     if not -xd.ndim <= axis < xd.ndim or xd.shape[axis] == 0:
         raise DimensionError(f"softmax needs a non-empty axis {axis}, got shape {xd.shape}")
+    if out is not None:
+        if x.requires_grad and _active_tape() is not None:
+            raise ContractError("softmax out= cannot hold an output recorded on a tape")
+        if out.shape != xd.shape or out.dtype != xd.dtype:
+            raise ContractError(f"softmax out= needs shape {xd.shape} and dtype {xd.dtype}, got {out.shape} {out.dtype}")
     top = xd.max(axis=axis, keepdims=True)
     if not np.all(np.isfinite(top)):
         raise NumericalError("softmax input holds non-finite values")
+    z = np.empty_like(xd) if out is None else out
     if mask is not None:
         m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-        m = np.broadcast_to(m.astype(bool), xd.shape)
-        if not m.any(axis=axis).all():
+        m = m.astype(bool, copy=False)
+        if not np.broadcast_to(m, xd.shape).any(axis=axis).all():
             raise DegenerateMaskError("softmax slice is fully masked")
-        z = np.where(m, xd, -np.inf)
+        if z is not xd:
+            np.copyto(z, xd)
+        np.copyto(z, -np.inf, where=~m)
         top = z.max(axis=axis, keepdims=True)
         z -= top
     else:
-        z = xd - top
+        np.subtract(xd, top, out=z)
     out = np.exp(z, out=z)  # exp(-inf) = 0 exactly on masked entries
     total = out.sum(axis=axis, keepdims=True)
     out /= total
@@ -554,19 +649,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     ATTENTION_BLOCK_BYTES: a tile is a group of whole slices or, when one
     slice's weights exceed the budget, a band of rows (at least one) of one
     slice. A tile's scores go to a scratch buffer and on to the `softmax`
-    op unchecked. `softmax` writes each row's max and exp-sum into two
-    (n, S, 1) arrays, and backward rebuilds each tile's weights in place
-    from them, by the forward's operations in the forward's order, so they
-    are the same bits and need no second softmax.
+    op unchecked, which writes the weights over them (`out=`) and each
+    row's max `top` and exp-sum `total` into two (n, S, 1) arrays.
+
+    Backward rebuilds each tile's unnormalised weights e = exp(q k^T - top)
+    by one augmented product, [q, -top] . [k, 1]^T, and an in-place exp;
+    with p = e / total, dv = e^T (g / total) and ds = p * (g v^T - <g,
+    out>) = e * ([g / total, -<g, out> / total] . [v, 1]^T). The product
+    sums q k^T - top in another order than the forward's q k^T, then
+    - top, so e / total is the forward's weights up to rounding, and the
+    gradients match a backward from those weights to within rounding.
 
     Who checks what: the forward checks each tile's row min before its
     softmax, whose row-max check covers NaN and +inf, so a NaN, +inf or
-    -inf score raises NumericalError; backward's rebuilt weights are the
-    forward's bits and are not checked again. Masked weights (`mask`,
-    boolean, broadcastable to (..., S, S)) are exactly 0, and a fully
-    masked row raises DegenerateMaskError. A mask with leading axes is indexed per
-    tile, so at most a tile of it is ever copied. No slices (n = 0) give an
-    empty output and zero gradients; S = 0 raises DimensionError.
+    -inf score raises NumericalError. Backward checks nothing itself; a
+    non-finite gradient raises NumericalError in `backward`'s check of the
+    leaves. Masked weights (`mask`, boolean, broadcastable to (..., S, S))
+    are exactly 0, and a fully masked row raises DegenerateMaskError. A
+    mask with leading axes is indexed per tile, so at most a tile of it is
+    ever copied. No slices (n = 0) give an empty output and zero
+    gradients; S = 0 raises DimensionError.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
@@ -616,47 +718,46 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
         if not np.all(np.isfinite(z.min(axis=-1))):
             raise NumericalError("attention scores hold non-finite values")
         stats = top[i0:i1, r0:r1], total[i0:i1, r0:r1]
-        return softmax(_record(z, (), None), axis=-1, mask=tile_mask(*tile), stats=stats).data
+        return softmax(_record(z, (), None), axis=-1, mask=tile_mask(*tile), stats=stats, out=z).data
 
     buf = scratch()
     top, total = np.empty((n, s, 1), dtype=qd.dtype), np.empty((n, s, 1), dtype=qd.dtype)
     out = np.empty_like(qd)
     for tile in tiles:
         i0, i1, r0, r1 = tile
-        # the weights stay unnamed, so they are freed before the next tile's
-        # are allocated and one block of memory serves every tile; with two
-        # alive at once, train_ft's softmax ran 15% slower
         np.matmul(weights(tile, buf), vd[i0:i1], out=out[i0:i1, r0:r1])
-
-    def rebuild(tile: tuple, buf: np.ndarray) -> np.ndarray:
-        # softmax's steps in its order, on its stored row statistics, give
-        # the forward's bits; the forward already checked finiteness and mask
-        i0, i1, r0, r1 = tile
-        z = scores(tile, buf)
-        tm = tile_mask(*tile)
-        if tm is not None:
-            np.copyto(z, -np.inf, where=~tm.astype(bool, copy=False))
-        np.subtract(z, top[i0:i1, r0:r1], out=z)
-        np.exp(z, out=z)
-        z /= total[i0:i1, r0:r1]
-        return z
 
     def backward(g):
         g = g.reshape(n, s, dh)
         dq = np.empty_like(qd)
         dk = np.zeros_like(kd)
         dv = np.zeros_like(vd)
-        vt = np.swapaxes(vd, -1, -2)
-        wbuf = scratch()  # a tile's rebuilt weights
+        ones = np.ones((max(i1 - i0 for i0, i1, _, _ in tiles), s, 1), dtype=qd.dtype)
+        ebuf = scratch()  # a tile's unnormalised weights e, p = e / total
         dbuf = scratch()  # a tile's ds
         for tile in tiles:
             i0, i1, r0, r1 = tile
-            p = rebuild(tile, wbuf)
-            gb = g[i0:i1, r0:r1]
-            dv[i0:i1] += np.matmul(np.swapaxes(p, -1, -2), gb)
-            ds = np.matmul(gb, vt[i0:i1], out=block(dbuf, *tile))
-            ds -= (gb * out[i0:i1, r0:r1]).sum(axis=-1, keepdims=True)
-            ds *= p
+            one = ones[: i1 - i0]
+            # e = exp([q, -top] . [k, 1]^T), forbidden entries set to -inf
+            # first: the forward's weights times total, up to rounding
+            qa = np.concatenate((qd[i0:i1, r0:r1], -top[i0:i1, r0:r1]), axis=-1)
+            ka = np.concatenate((kd[i0:i1], one), axis=-1)
+            e = np.matmul(qa, np.swapaxes(ka, -1, -2), out=block(ebuf, *tile))
+            tm = tile_mask(*tile)
+            if tm is not None:
+                np.copyto(e, -np.inf, where=~tm.astype(bool, copy=False))
+            np.exp(e, out=e)
+            # dv = p^T g = e^T (g / total); ds = p * (g v^T - <g, out>)
+            # = e * ([g / total, -<g, out> / total] . [v, 1]^T)
+            gb, tb = g[i0:i1, r0:r1], total[i0:i1, r0:r1]
+            gs = gb / tb
+            inner = (gb * out[i0:i1, r0:r1]).sum(axis=-1, keepdims=True)
+            inner /= tb
+            ga = np.concatenate((gs, -inner), axis=-1)
+            va = np.concatenate((vd[i0:i1], one), axis=-1)
+            dv[i0:i1] += np.matmul(np.swapaxes(e, -1, -2), gs)
+            ds = np.matmul(ga, np.swapaxes(va, -1, -2), out=block(dbuf, *tile))
+            ds *= e
             np.matmul(ds, kd[i0:i1], out=dq[i0:i1, r0:r1])
             dk[i0:i1] += np.matmul(np.swapaxes(ds, -1, -2), qd[i0:i1, r0:r1])
         return dq.reshape(q.shape), dk.reshape(q.shape), dv.reshape(q.shape)

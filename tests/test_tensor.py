@@ -151,6 +151,34 @@ class TestSoftmax:
         assert np.array_equal(top, z.max(axis=-1, keepdims=True))
         assert out.tobytes() == (np.exp(z - top) / total).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_out_gives_the_bits_of_a_fresh_output(self, dtype, masked):
+        """out=, a separate array or the input's own data, holds the fresh
+        output's bytes, and the op returns it."""
+        rng = np.random.default_rng(19)
+        xd = (rng.normal(size=(3, 5, 9)) * 4).astype(dtype)
+        m = None
+        if masked:
+            m = rng.random((5, 9)) > 0.4
+            m[:, 2] = True
+        fresh = softmax(Tensor(xd), axis=-1, mask=m).data
+        buf = np.full_like(xd, np.nan)
+        got = softmax(Tensor(xd), axis=-1, mask=m, out=buf).data
+        assert got is buf and buf.tobytes() == fresh.tobytes()
+        x = Tensor(xd.copy())
+        got = softmax(x, axis=-1, mask=m, out=x.data).data
+        assert got is x.data and got.tobytes() == fresh.tobytes()
+
+    def test_out_is_refused_on_a_tape_and_at_another_shape_or_dtype(self):
+        x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        with Tape():
+            with pytest.raises(ContractError):
+                softmax(x, axis=-1, out=np.empty((2, 3), dtype=np.float32))
+        for buf in (np.empty((3, 2), dtype=np.float32), np.empty((2, 3), dtype=np.float64)):
+            with pytest.raises(ContractError):
+                softmax(Tensor(np.ones((2, 3), dtype=np.float32)), axis=-1, out=buf)
+
     def test_empty_axis_is_a_dimension_error(self):
         with pytest.raises(DimensionError):
             softmax(Tensor(np.ones((3, 0))), axis=-1)
@@ -392,20 +420,51 @@ def test_op_keeps_float32(op, monkeypatch):
     assert seen and set(seen) == {np.dtype(np.float32)}, f"{op}: {set(seen)}"
 
 
-def test_gelu_erf_in_float32(monkeypatch):
-    seen = []
-    erf = core.erf
+def _gelu_value_and_grad(x, c):
+    """gelu(x) and the gradient of sum(gelu(x) * c) with respect to x."""
+    t = Tensor(x, requires_grad=True)
+    with Tape():
+        out = gelu(t)
+        backward(tensor_sum(mul(out, Tensor(c))))
+    return out.data, t.grad
 
-    def recording(a):
-        out = erf(a)
-        seen.append((a.dtype, out.dtype))
-        return out
 
-    monkeypatch.setattr(core, "erf", recording)
+def test_gelu_erf_in_float32():
+    """Float32 gelu computes in float32 and stays within 1e-6 of float64 in
+    value and gradient on a 49-point grid, and within 5e-7 * max(1, |x|)
+    in value on a dense [-8, 8] grid."""
     x = np.linspace(-6, 6, 49)
-    out = gelu(Tensor(x.astype(np.float32))).data
-    assert seen == [(np.float32, np.float32)] and out.dtype == np.float32
-    assert np.max(np.abs(out - gelu(t64(x)).data)) < 1e-6
+    ones = np.ones_like(x)
+    out, grad = _gelu_value_and_grad(x.astype(np.float32), ones.astype(np.float32))
+    out64, grad64 = _gelu_value_and_grad(x, ones)
+    assert out.dtype == grad.dtype == np.float32
+    assert np.max(np.abs(out - out64)) < 1e-6
+    assert np.max(np.abs(grad - grad64)) < 1e-6
+    dense = np.linspace(-8, 8, 400_001).astype(np.float32)
+    err = np.abs(gelu(Tensor(dense)).data - gelu(t64(dense)).data)
+    assert np.max(err / np.maximum(1.0, np.abs(dense))) < 5e-7
+
+
+@pytest.mark.parametrize("size", [0, 1, core.GELU_CHUNK - 1, core.GELU_CHUNK + 1, 3 * core.GELU_CHUNK + 7])
+def test_gelu_chunks_give_the_bits_of_slices(size):
+    """Value and gradient of one call over `size` float32 elements are the
+    bits of calls over slices whose ends fall off the chunk boundaries."""
+    x, c = (a.astype(np.float32) for a in _rng(50).normal(size=(2, size)) * 3)
+    out, grad = _gelu_value_and_grad(x, c)
+    assert out.shape == grad.shape == (size,)
+    cuts = list(range(0, size, 1000)) + [size]
+    parts = [_gelu_value_and_grad(x[a:b], c[a:b]) for a, b in zip(cuts, cuts[1:])]
+    if parts:
+        assert out.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
+        assert grad.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
+
+
+def test_gelu_of_a_0d_input():
+    x, c = np.float32(0.7), np.float32(-1.5)
+    out, grad = _gelu_value_and_grad(np.array(x), np.array(c))
+    one_out, one_grad = _gelu_value_and_grad(np.array([x]), np.array([c]))
+    assert out.shape == grad.shape == ()
+    assert out.tobytes() == one_out.tobytes() and grad.tobytes() == one_grad.tobytes()
 
 
 def _f32_cases():
@@ -675,7 +734,7 @@ class TestAttention:
 
 def _frozen_attention(q, k, v, mask, g):
     """The attention op as it stood before backward rebuilt weights from row
-    statistics, frozen as numpy to be the bit-identity oracle: the same
+    statistics, frozen as numpy to be the oracle: the same
     tiles, a full softmax per tile in forward and again in backward.
     Returns the output and the q/k/v gradients for output gradient g."""
     lead, (s, dh) = q.shape[:-2], q.shape[-2:]
@@ -747,8 +806,11 @@ def _frozen_attention(q, k, v, mask, g):
 @pytest.mark.parametrize("layout", ["single", "slices", "rows"])
 @pytest.mark.parametrize("mask", ["none", "causal", "lead", "int"])
 def test_attention_bit_identical_to_the_frozen_oracle(monkeypatch, dtype, layout, mask):
-    """Output and q/k/v gradients match the frozen op byte for byte in the
-    one-tile, slice-tile and row-tile layouts of (2, 2, 7, 3) inputs."""
+    """The output is bit-identical to the frozen op's in the one-tile,
+    slice-tile and row-tile layouts of (2, 2, 7, 3) inputs. Backward builds
+    its weights by another sum than the forward's, so the q/k/v gradients
+    are not: each is within 2e-6 (float32) or 1e-14 (float64) of the
+    oracle's largest |gradient|."""
     s = TestAttention.S
     if layout != "single":
         monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", TestAttention.TILE_ELEMENTS[layout] * np.dtype(dtype).itemsize)
@@ -762,8 +824,11 @@ def test_attention_bit_identical_to_the_frozen_oracle(monkeypatch, dtype, layout
         backward(tensor_sum(mul(out, Tensor(c))))
     expected = _frozen_attention(q, k, v, m, c)
     got = (out.data, tq.grad, tk.grad, tv.grad)
-    for name, e, a in zip(("out", "dq", "dk", "dv"), expected, got):
-        assert a.dtype == dtype and a.tobytes() == e.tobytes(), name
+    assert all(a.dtype == dtype for a in got)
+    assert got[0].tobytes() == expected[0].tobytes()
+    tol = {np.float32: 2e-6, np.float64: 1e-14}[dtype]
+    for name, e, a in zip(("dq", "dk", "dv"), expected[1:], got[1:]):
+        assert np.max(np.abs(a - e)) <= tol * np.max(np.abs(e)), name
 
 
 def test_attention_memory_of_a_long_masked_sequence():
@@ -807,9 +872,9 @@ def test_one_tile_attention_holds_no_weights_until_backward():
 
 
 def test_attention_forward_frees_each_tiles_weights(monkeypatch):
-    """A forward of four two-slice tiles peaks at the scores buffer, one
-    tile's weights and the output: a tile's weights are freed before the
-    next tile's softmax allocates its own."""
+    """A forward of four two-slice tiles peaks at the scores buffer and the
+    output: each tile's softmax writes its weights over its scores, so no
+    tile allocates weights of its own."""
     tile = 2 * 256 * 256 * 8
     monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", tile)
     q, k, v = (Tensor(a) for a in _rng(49).normal(size=(3, 8, 256, 2)))
@@ -819,7 +884,7 @@ def test_attention_forward_frees_each_tiles_weights(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * tile, f"peak {peak / tile:.2f} tiles"
+    assert peak < 1.5 * tile, f"peak {peak / tile:.2f} tiles"
 
 
 class TestCheckGradients:

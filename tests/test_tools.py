@@ -28,7 +28,7 @@ def test_pair_summary_of_a_clear_gain():
     parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 12.0]
     change = [v + 3.0 for v in parent]
     change[3] = 12.0  # one loss: 12 < 13
-    s = _load("bench_pairs").summarize_pairs(_pairs(parent, change, "windows_per_s"), {"windows_per_s": "higher"})
+    s = _load("bench_pairs").summarize_pairs(_pairs(parent, change, "windows_per_s"), {"windows_per_s": "higher"}, {"windows_per_s": 0.25})
     w = s["windows_per_s"]
     assert w["parent"] == {"median": 12.0, "q1": 11.125, "q3": 12.875, "n": 10}
     assert w["change"]["median"] == 14.75
@@ -41,12 +41,36 @@ def test_pair_summary_of_lower_is_better_with_ties_and_a_small_gap():
     """Ties count for neither side; a gap inside the parent's spread is no
     claim even with every pair won."""
     parent = [1.0, 2.0, 3.0, 4.0, 5.0]
-    s = _load("bench_pairs").summarize_pairs(_pairs(parent, [0.5, 2.0, 2.5, 3.5, 4.5], "setup_s"), {"setup_s": "lower"})
+    s = _load("bench_pairs").summarize_pairs(_pairs(parent, [0.5, 2.0, 2.5, 3.5, 4.5], "setup_s"), {"setup_s": "lower"}, {"setup_s": 0.25})
     t = s["setup_s"]
     assert t["wins"] == 4 and t["gain"] == pytest.approx(0.5) and t["parent_iqr"] == pytest.approx(2.0)
     assert not t["gap_exceeds_iqr"] and not t["claim_holds"]
-    s = _load("bench_pairs").summarize_pairs(_pairs(parent, [v - 0.1 for v in parent], "setup_s"), {"setup_s": "lower"})
+    s = _load("bench_pairs").summarize_pairs(_pairs(parent, [v - 0.1 for v in parent], "setup_s"), {"setup_s": "lower"}, {"setup_s": 0.25})
     assert s["setup_s"]["wins"] == 5 and not s["setup_s"]["claim_holds"]
+
+
+@pytest.mark.parametrize(
+    "parent, shift, better, verdict",
+    [
+        ([10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 12.0], -2.0, "higher", "within bound"),
+        ([10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 12.0], -4.0, "higher", "beyond bound"),
+        ([10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 12.0], 4.0, "lower", "beyond bound"),
+        ([4.0, 8.0, 12.0, 16.0, 20.0], -1.0, "higher", "unresolved"),
+        ([4.0, 8.0, 12.0, 16.0, 20.0], 17.0, "higher", "within bound"),
+        ([4.0, 8.0, 12.0, 16.0, 20.0], 17.0, "lower", "beyond bound"),
+        ([4.0, 8.0, 12.0, 16.0, 20.0], 1.0, "lower", "unresolved"),
+    ],
+)
+def test_no_regression_verdict(parent, shift, better, verdict):
+    """Bound 0.25 of the parent's median (12, a limit of 3). The first
+    parent's IQR, 1.75, is inside the limit, so its medians decide: worse by
+    2 is within bound, by 4 beyond it. The second parent's IQR, 8, exceeds
+    it: overlapping runs are unresolved whichever median is better, and
+    runs that all read better or all worse than every parent run are
+    judged by their median."""
+    change = [v + shift for v in parent]
+    s = _load("bench_pairs").summarize_pairs(_pairs(parent, change, "m"), {"m": better}, {"m": 0.25})
+    assert s["m"]["verdict"] == verdict
 
 
 def test_no_claim_when_the_change_has_more_incorrect_runs():
@@ -57,11 +81,11 @@ def test_no_claim_when_the_change_has_more_incorrect_runs():
     correct = [True] * 9 + [False]
     pairs = _pairs(parent, change, "windows_per_s", correct)
     bench_pairs = _load("bench_pairs")
-    w = bench_pairs.summarize_pairs(pairs, {"windows_per_s": "higher"})["windows_per_s"]
+    w = bench_pairs.summarize_pairs(pairs, {"windows_per_s": "higher"}, {"windows_per_s": 0.25})["windows_per_s"]
     assert w["wins"] == 10 and w["gap_exceeds_iqr"] and not w["claim_holds"]
     assert bench_pairs.incorrect_runs(pairs) == {"parent": 0, "change": 1}
     pairs[0]["parent_correct"] = False  # as many failures on each side
-    assert bench_pairs.summarize_pairs(pairs, {"windows_per_s": "higher"})["windows_per_s"]["claim_holds"]
+    assert bench_pairs.summarize_pairs(pairs, {"windows_per_s": "higher"}, {"windows_per_s": 0.25})["windows_per_s"]["claim_holds"]
 
 
 def test_exit_status_is_one_when_the_change_fails_more_runs(monkeypatch, tmp_path, capsys):

@@ -13,9 +13,14 @@ direction the metric counts as better:
 
 A gain holds when the change wins at least nine pairs in ten, its median
 beats the parent's by more than the parent's interquartile range, and it
-has no more incorrect runs than the parent. The metrics, their directions
-and the run length are read from this tree's BENCHMARK.json. The exit
-status is 1 when the change has more incorrect runs than the parent.
+has no more incorrect runs than the parent. Each metric also gets a
+no-regression verdict against its bound, a fraction of the parent's
+median: "unresolved" when the parent's interquartile range exceeds the
+bound and the two sides' runs overlap, else "within bound" when the
+change's median is worse than the parent's by no more than the bound, else
+"beyond bound". The metrics, their directions and bounds and the run
+length are read from this tree's BENCHMARK.json. The exit status is 1
+when the change has more incorrect runs than the parent.
 """
 
 from __future__ import annotations
@@ -36,13 +41,14 @@ def incorrect_runs(pairs: list[dict]) -> dict[str, int]:
     return {side: sum(not p[f"{side}_correct"] for p in pairs) for side in SIDES}
 
 
-def summarize_pairs(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize_pairs(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     """Per metric: each side's summary, the change's wins, the signed gain
     of its median (positive is better), whether that gain exceeds the
-    parent's interquartile range and whether the claim holds. `pairs` holds
-    {"parent": {metric: value}, "change": {metric: value}, "parent_correct":
-    bool, "change_correct": bool}; `better` maps each metric to "higher" or
-    "lower". No claim holds when the change has more incorrect runs."""
+    parent's interquartile range, whether the claim holds and the
+    no-regression verdict. `pairs` holds {"parent": {metric: value},
+    "change": {metric: value}, "parent_correct": bool, "change_correct":
+    bool}; `better` maps each metric to "higher" or "lower", `bounds` to
+    its bound. No claim holds when the change has more incorrect runs."""
     failed = incorrect_runs(pairs)
     no_more_failures = failed["change"] <= failed["parent"]
     out = {}
@@ -54,6 +60,12 @@ def summarize_pairs(pairs: list[dict], better: dict[str, str]) -> dict:
         gain = sign * (cs["median"] - ps["median"])
         iqr = ps["q3"] - ps["q1"]
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        limit = bounds[name] * abs(ps["median"])
+        overlap = min(change) <= max(parent) and min(parent) <= max(change)
+        if iqr > limit and overlap:
+            verdict = "unresolved"
+        else:
+            verdict = "within bound" if -gain <= limit else "beyond bound"
         out[name] = {
             "parent": ps,
             "change": cs,
@@ -63,6 +75,7 @@ def summarize_pairs(pairs: list[dict], better: dict[str, str]) -> dict:
             "parent_iqr": iqr,
             "gap_exceeds_iqr": gain > iqr,
             "claim_holds": 10 * wins >= 9 * len(pairs) and gain > iqr and no_more_failures,
+            "verdict": verdict,
         }
     return out
 
@@ -77,6 +90,7 @@ def main(argv=None) -> int:
         p.error("quartiles need at least two pairs")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     pairs = []
     for i, seed in enumerate(args.seeds):
@@ -88,13 +102,14 @@ def main(argv=None) -> int:
             pair[f"{side}_correct"] = result["correct"]
         pairs.append(pair)
         print(json.dumps(pair), flush=True)
-    for name, s in summarize_pairs(pairs, better).items():
+    for name, s in summarize_pairs(pairs, better, bounds).items():
         ps, cs = s["parent"], s["change"]
         print(
             f"{name}: parent {ps['median']:.4g} [{ps['q1']:.4g}-{ps['q3']:.4g}]"
             f" change {cs['median']:.4g} [{cs['q1']:.4g}-{cs['q3']:.4g}]"
             f" wins {s['wins']}/{s['pairs']} gain {s['gain']:+.4g}"
             f" parent IQR {s['parent_iqr']:.4g} gap>IQR {s['gap_exceeds_iqr']} claim {s['claim_holds']}"
+            f" verdict {s['verdict']}"
         )
     failed = incorrect_runs(pairs)
     print(f"incorrect runs: parent {failed['parent']}, change {failed['change']}, of {len(pairs)} each")
