@@ -1,8 +1,6 @@
 """Binary classification metrics: accuracy, AUC, F1, precision, recall.
 
-The production AUC is the rank-based Mann-Whitney estimator with ties
-credited 0.5; `auc_oracle` recomputes it by exhaustive pair enumeration and
-exists purely to cross-check the rank formula.
+The AUC is the rank-based Mann-Whitney estimator with ties credited 0.5.
 """
 
 from __future__ import annotations
@@ -74,19 +72,6 @@ def evaluate(scores, labels, threshold: float = 0.5) -> MetricsReport:
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     auc = _rank_auc(s, y) if 0 < y.sum() < len(y) else None
     return MetricsReport(tp, fp, tn, fn, accuracy, auc, f1, precision, recall, threshold)
-
-
-def auc_oracle(scores, labels) -> float:
-    """Exhaustive pairwise AUC: mean over all positive-negative pairs of
-    1 (positive scored higher), 0.5 (tie), else 0."""
-    s, y = _validate(scores, labels)
-    pos = s[y == 1]
-    neg = s[y == 0]
-    if len(pos) == 0 or len(neg) == 0:
-        raise ContractError("pairwise AUC needs both classes present")
-    diff = pos[:, None] - neg[None, :]
-    credit = np.where(diff > 0, 1.0, np.where(diff == 0, 0.5, 0.0))
-    return float(credit.mean())
 
 
 def report_to_csv(report: MetricsReport) -> str:

@@ -11,10 +11,17 @@ inputs' dtype: constants take that dtype, never a float64 scalar's.
 Values are finite: `Tensor()` checks its data, and an op producing NaN or
 Inf raises NumericalError. Most ops check their whole output (`_result`).
 `gelu` wraps its output unchecked (`_record`): a finite x gives a finite
-x * cdf. `softmax` checks only its input's slice max (NaN and +inf show
-there) and wraps its output, which a finite input keeps in [0, 1],
-unchecked; every input it gets is a finite Tensor except attention's score
-tiles, whose row min `attention` checks first.
+x * cdf. `softmax` checks only each slice's max over its allowed entries
+(NaN and +inf show there) and wraps its output, which a finite input keeps
+in [0, 1], unchecked; every input it gets is a finite Tensor except
+attention's score tiles, which `attention` checks first.
+
+`matmul` with a 2-D right operand, as every affine product in the model
+has, runs as one GEMM over a's leading axes collapsed into rows, forward
+and both gradients alike; its outputs can differ from per-slice products by
+rounding. Backward rules compute no gradient for an operand that tracks
+none (`matmul`, `add`, `mul`): the clip pixels of a tubelet embedding, a
+constant positional encoding or loss weights.
 
 `attention` is the one fused op: softmax(q k^T) v over split heads, computed
 in cache-sized tiles so that at most one tile of attention weights exists
@@ -25,10 +32,10 @@ arXiv:2205.14135), and leaves them unnormalised, dividing the much smaller
 output gradient by the exp-sum instead (Dao, arXiv:2307.08691). A tile is a
 group of whole (batch, head) slices, or a band of query rows of one slice
 whose weights alone exceed the budget, so every pass over a tile reuses
-data that is still in cache. The op checks each forward tile's row min and
-softmax its row max, so a score tile gets one O(S^2) finiteness pass, the
-min, and backward none: a non-finite gradient shows in `backward`'s check
-of the leaves.
+data that is still in cache. The op checks each forward tile's scores,
+masked entries included, in one O(S^2) `isfinite` pass before its softmax,
+and backward checks none: a non-finite gradient shows in `backward`'s
+check of the leaves.
 
 `gelu` computes a float32 erf as a rational function (Eigen's and XLA's
 float32 form) in numpy passes over cache-sized chunks, about four times as
@@ -247,7 +254,15 @@ def _check_suffix_broadcast(a_shape: tuple, b_shape: tuple):
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the trailing two axes; leading axes broadcast."""
+    """Matrix product over the trailing two axes; leading axes broadcast.
+
+    A 2-D `b` (a weight) takes a's leading axes as rows of one (rows, k)
+    matrix, so forward and both gradients are one GEMM each, with no
+    per-slice products and no sum over slices for b's gradient. The rows
+    sum in another order than per-slice products do, so outputs can differ
+    from theirs by rounding. Backward computes no gradient for an operand
+    that does not track one.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError("matmul requires rank >= 2 operands")
@@ -258,12 +273,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as e:
         raise DimensionError(f"matmul leading dims not broadcastable: {a.shape} x {b.shape}") from e
     ad, bd = a.data, b.data
-    out = np.matmul(ad, bd)
+    if bd.ndim == 2:
+        n, k = math.prod(ad.shape[:-1]), ad.shape[-1]  # a contiguous a reshapes to (n, k) as a view
+        out = np.matmul(ad.reshape(n, k), bd).reshape(ad.shape[:-1] + bd.shape[1:])
 
-    def backward(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
-        return ga, gb
+        def backward(g):
+            g2 = g.reshape(n, bd.shape[1])
+            ga = np.matmul(g2, bd.T).reshape(ad.shape) if a.requires_grad else None
+            gb = np.matmul(ad.reshape(n, k).T, g2) if b.requires_grad else None
+            return ga, gb
+
+    else:
+        out = np.matmul(ad, bd)
+
+        def backward(g):
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape) if a.requires_grad else None
+            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape) if b.requires_grad else None
+            return ga, gb
 
     return _result(out, (a, b), backward)
 
@@ -279,7 +305,10 @@ def add(a: Tensor, b) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
+        return (
+            _unbroadcast(g, a_shape) if a.requires_grad else None,
+            _unbroadcast(g, b_shape) if b.requires_grad else None,
+        )
 
     return _result(out, (a, b), backward)
 
@@ -294,7 +323,10 @@ def mul(a: Tensor, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def backward(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
+        return (
+            _unbroadcast(g * bd, ad.shape) if a.requires_grad else None,
+            _unbroadcast(g * ad, bd.shape) if b.requires_grad else None,
+        )
 
     return _result(ad * bd, (a, b), backward)
 
@@ -442,11 +474,11 @@ def softmax(x: Tensor, axis: int = -1, mask=None, *, stats=None, out=None) -> Te
     must keep at least one unmasked entry.
 
     Finiteness: every Tensor is finite, and the one unchecked input this op
-    gets, an attention score tile, has its row min checked by `attention`
-    first. The op checks only each slice's max, masked entries included,
-    which it needs anyway: NaN propagates into it and +inf shows there. A
-    finite slice gives weights in [0, 1], so the output gets no O(S^2)
-    check.
+    gets, an attention score tile, is checked whole by `attention` first,
+    masked entries included. The op checks only each slice's max over its
+    allowed entries, which it needs anyway: NaN propagates into it and +inf
+    shows there; masked entries are overwritten unread. A finite slice
+    gives weights in [0, 1], so the output gets no O(S^2) check.
 
     `stats` and `out`, keyword-only, are outputs, not tunables. `stats` is
     a pair of arrays `(top, total)` of the reduced shape (keepdims) into
@@ -467,22 +499,23 @@ def softmax(x: Tensor, axis: int = -1, mask=None, *, stats=None, out=None) -> Te
             raise ContractError("softmax out= cannot hold an output recorded on a tape")
         if out.shape != xd.shape or out.dtype != xd.dtype:
             raise ContractError(f"softmax out= needs shape {xd.shape} and dtype {xd.dtype}, got {out.shape} {out.dtype}")
-    top = xd.max(axis=axis, keepdims=True)
-    if not np.all(np.isfinite(top)):
-        raise NumericalError("softmax input holds non-finite values")
     z = np.empty_like(xd) if out is None else out
+    src = xd
     if mask is not None:
         m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
         m = m.astype(bool, copy=False)
-        if not np.broadcast_to(m, xd.shape).any(axis=axis).all():
+        # each slice of x is a slice of the mask with its leading axes padded
+        # to x's rank; x with no slices at all has none fully masked
+        if xd.size and not m.reshape((1,) * (xd.ndim - m.ndim) + m.shape).any(axis=axis).all():
             raise DegenerateMaskError("softmax slice is fully masked")
         if z is not xd:
             np.copyto(z, xd)
         np.copyto(z, -np.inf, where=~m)
-        top = z.max(axis=axis, keepdims=True)
-        z -= top
-    else:
-        np.subtract(xd, top, out=z)
+        src = z
+    top = src.max(axis=axis, keepdims=True)
+    if not np.all(np.isfinite(top)):
+        raise NumericalError("softmax input holds non-finite values")
+    np.subtract(src, top, out=z)
     out = np.exp(z, out=z)  # exp(-inf) = 0 exactly on masked entries
     total = out.sum(axis=axis, keepdims=True)
     out /= total
@@ -660,14 +693,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     - top, so e / total is the forward's weights up to rounding, and the
     gradients match a backward from those weights to within rounding.
 
-    Who checks what: the forward checks each tile's row min before its
-    softmax, whose row-max check covers NaN and +inf, so a NaN, +inf or
-    -inf score raises NumericalError. Backward checks nothing itself; a
-    non-finite gradient raises NumericalError in `backward`'s check of the
-    leaves. Masked weights (`mask`, boolean, broadcastable to (..., S, S))
-    are exactly 0, and a fully masked row raises DegenerateMaskError. A
-    mask with leading axes is indexed per tile, so at most a tile of it is
-    ever copied. No slices (n = 0) give an empty output and zero
+    Who checks what: the forward checks every score of each tile, masked
+    entries included, in one `isfinite` pass before its softmax, so a NaN,
+    +inf or -inf score raises NumericalError. Backward checks nothing
+    itself; a non-finite gradient raises NumericalError in `backward`'s
+    check of the leaves. Masked weights (`mask`, boolean, broadcastable to
+    (..., S, S)) are exactly 0, and a fully masked row raises
+    DegenerateMaskError. A mask with leading axes is indexed per tile, so
+    at most a tile of it is ever copied. No slices (n = 0) give an empty output and zero
     gradients; S = 0 raises DimensionError.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
@@ -715,7 +748,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     def weights(tile: tuple, buf: np.ndarray) -> np.ndarray:
         i0, i1, r0, r1 = tile
         z = scores(tile, buf)
-        if not np.all(np.isfinite(z.min(axis=-1))):
+        if not np.all(np.isfinite(z)):
             raise NumericalError("attention scores hold non-finite values")
         stats = top[i0:i1, r0:r1], total[i0:i1, r0:r1]
         return softmax(_record(z, (), None), axis=-1, mask=tile_mask(*tile), stats=stats, out=z).data

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from oracles import auc_oracle
 from pedintent.cli import main as cli_main
 from pedintent.data import ClipConfig, extract_windows, generate_synthetic
-from pedintent.metrics import auc_oracle, evaluate
+from pedintent.metrics import evaluate
 from pedintent.model import (
     NAMED_CONFIGS,
     EncoderConfig,

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import auc_oracle
 from pedintent.errors import ContractError
-from pedintent.metrics import auc_oracle, evaluate, report_to_csv
+from pedintent.metrics import evaluate, report_to_csv
 
 
 class TestEvaluate:

@@ -83,6 +83,70 @@ class TestMatmul:
         assert out.shape == (2, 5, 3, 2)
         assert np.allclose(out.data, a.astype(np.float32) @ b.astype(np.float32), atol=1e-6)
 
+    @pytest.mark.parametrize(
+        "wrt, a_shape, b_shape",
+        [
+            ("a", (3, 4, 5), (5, 2)),
+            ("a", (2, 3, 4, 5), (5, 2)),
+            ("b", (3, 4, 5), (5, 2)),
+            ("b", (2, 3, 4, 5), (5, 2)),
+            ("a", (2, 3, 4, 1, 1), (4, 1, 3)),  # the feature tokenizer's shapes
+            ("b", (2, 3, 4, 1, 1), (4, 1, 3)),
+        ],
+    )
+    def test_gradients_by_operand_rank(self, wrt, a_shape, b_shape):
+        """Float64 gradients with respect to either operand, the other one a
+        constant: a 2-D weight under 3-D and 4-D rows, and a 3-D weight
+        under a 5-D operand."""
+        r = _rng(60)
+        a, b = t64(r.normal(size=a_shape)), t64(r.normal(size=b_shape))
+        c = t64(r.normal(size=np.matmul(a.data, b.data).shape))
+        if wrt == "a":
+            report = check_gradients(lambda x: tensor_sum(mul(matmul(x, b), c)), a, eps=1e-5)
+        else:
+            report = check_gradients(lambda x: tensor_sum(mul(matmul(a, x), c)), b, eps=1e-5)
+        assert report.max_rel_err < 1e-5
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((32, 32, 1536), (1536, 64)), ((27, 8, 16, 64), (64, 256))])
+    def test_float32_rows_match_per_slice_products(self, a_shape, b_shape):
+        """A 2-D weight's one product over collapsed rows is within 1e-6 of
+        per-slice products, on [0, 1) pixels and 1/sqrt(k)-scaled weights."""
+        r = _rng(61)
+        a = r.random(a_shape).astype(np.float32)
+        b = (r.normal(size=b_shape) / np.sqrt(b_shape[0])).astype(np.float32)
+        got = matmul(Tensor(a), Tensor(b)).data
+        slices = a.reshape((-1,) + a_shape[-2:])
+        expected = np.stack([np.matmul(s, b) for s in slices]).reshape(got.shape)
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - expected)) < 1e-6
+
+    @pytest.mark.parametrize(
+        "op, b_shape, products",
+        [(matmul, (5, 2), 1), (matmul, (3, 5, 2), 1), (add, (4, 5), 0), (mul, (4, 5), 0)],
+        ids=["matmul-2d", "matmul-3d", "add", "mul"],
+    )
+    @pytest.mark.parametrize("tracked", ["a", "b"])
+    def test_backward_skips_a_constant_operand(self, monkeypatch, op, b_shape, products, tracked):
+        """A binary rule returns no gradient for the operand that tracks
+        none, and matmul's runs one product, not two."""
+        r = _rng(62)
+        a = Tensor(r.normal(size=(3, 4, 5)), requires_grad=tracked == "a")
+        b = Tensor(r.normal(size=b_shape), requires_grad=tracked == "b")
+        with Tape() as tape:
+            out = op(a, b)
+        rule = tape.entries[-1].backward
+        calls = []
+        matmul_ = np.matmul
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return matmul_(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        ga, gb = rule(np.ones_like(out.data))
+        assert (ga is None, gb is None) == (tracked == "b", tracked == "a")
+        assert len(calls) == products
+
 
 class TestSoftmax:
     def test_uniform(self):
@@ -112,6 +176,34 @@ class TestSoftmax:
     def test_fully_masked_slice(self):
         with pytest.raises(DegenerateMaskError):
             softmax(Tensor([[1.0, 2.0], [3.0, 4.0]]), axis=-1, mask=np.array([[True, True], [False, False]]))
+
+    @pytest.mark.parametrize(
+        "x_shape, axis, mask_shape, degenerate",
+        [
+            ((2, 3, 4), -1, (3, 4), True),
+            ((0, 3, 4), -1, (3, 4), False),  # no slices, none fully masked
+            ((2, 3, 4), 0, (3, 4), True),  # the mask lacks the softmax axis
+            ((2, 3, 4), 1, (1, 4), True),  # the mask is 1 along the softmax axis
+            ((2, 3, 4), 1, (3, 1), False),
+            ((2, 3, 4), -1, (), True),
+        ],
+    )
+    def test_fully_masked_slice_of_a_broadcast_mask(self, x_shape, axis, mask_shape, degenerate):
+        """A slice is fully masked when its slice of the broadcast mask is.
+        The mask's last entry is False, and with the softmax along its rows
+        its whole last row."""
+        m = np.ones(mask_shape, dtype=bool)
+        m[(-1,) * len(mask_shape)] = False
+        if mask_shape == (3, 4) and axis == -1:
+            m[-1] = False
+        x = Tensor(_rng(63).normal(size=x_shape))
+        if degenerate:
+            with pytest.raises(DegenerateMaskError):
+                softmax(x, axis=axis, mask=m)
+        else:
+            out = softmax(x, axis=axis, mask=m).data
+            assert out.shape == x_shape
+            assert np.all(out[~np.broadcast_to(m, x_shape)] == 0.0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("masked", [False, True])

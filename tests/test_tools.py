@@ -1,4 +1,5 @@
-"""tools/: the pair summary of bench_pairs.py on fixed numbers."""
+"""tools/: the pair summary of bench_pairs.py and the probability
+comparison of compare_probs.py on fixed numbers."""
 
 import importlib.util
 import json
@@ -107,3 +108,16 @@ def test_exit_status_is_one_when_the_change_fails_more_runs(monkeypatch, tmp_pat
     assert "incorrect runs: parent 0, change 1, of 2 each" in capsys.readouterr().out
     with pytest.raises(SystemExit):
         bench_pairs.main(argv + ["--seconds", "5"])
+
+
+def test_compare_probs_maxima():
+    """Per config and seed, the largest absolute difference; sides that
+    score different configs or window counts are refused."""
+    compare_probs = _load("compare_probs")
+    parent = {"ours1 seed 0": [0.25, 0.5, 0.75], "ours3 seed 3": [0.125, 0.875], "ours8_ft seed 0": []}
+    change = {"ours1 seed 0": [0.25, 0.5 - 2**-22, 0.75 + 2**-21], "ours3 seed 3": [0.125, 0.875], "ours8_ft seed 0": []}
+    assert compare_probs.max_abs_differences(parent, change) == {"ours1 seed 0": 2**-21, "ours3 seed 3": 0.0, "ours8_ft seed 0": 0.0}
+    with pytest.raises(ValueError, match="ours3 seed 3"):
+        compare_probs.max_abs_differences(parent, {**change, "ours3 seed 3": [0.125]})
+    with pytest.raises(ValueError, match="different configs"):
+        compare_probs.max_abs_differences(parent, {"ours1 seed 0": change["ours1 seed 0"]})

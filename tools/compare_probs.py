@@ -1,0 +1,100 @@
+"""Largest difference between a parent checkout's float32 eval
+probabilities and this tree's.
+
+Builds every named config fresh at seeds 0 and 3 in each tree, scores the
+same fixed synthetic windows (all three clips) in eval mode, and prints the
+maximum absolute difference of the probabilities for each config and seed,
+then the overall maximum:
+
+    git clone -q . ../parent && git -C ../parent checkout -q <parent-sha>
+    python3 tools/compare_probs.py --parent ../parent
+
+Each tree's probabilities come from a child process that imports that
+tree's src/ (`--dump` prints them as JSON), so the two trees never share a
+module. The exit status is 1 when the two trees score different configs or
+windows.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 3)
+
+
+def probabilities() -> dict[str, list[float]]:
+    """"<config> seed <s>" -> float32 eval probabilities on the fixed
+    windows, from the pedintent package on the import path."""
+    from pedintent.data import ClipConfig, extract_windows, generate_synthetic
+    from pedintent.model import NAMED_CONFIGS, build, forward_batch, named_model_spec
+
+    tracks, frames = generate_synthetic(21, 4, "separable_motion", track_len=70)
+    cfg = ClipConfig(
+        inputs=("local_context", "local_surround", "global_context"), local_size=(32, 32), global_size=(32, 32)
+    )
+    windows = [w for t in tracks for w in extract_windows(t, 8, (30, 60), 15, frames=frames, clip_cfg=cfg)]
+    return {
+        f"{name} seed {seed}": forward_batch(build(named_model_spec(name, seed)), windows).data.tolist()
+        for name in NAMED_CONFIGS
+        for seed in SEEDS
+    }
+
+
+def max_abs_differences(parent: dict[str, list[float]], change: dict[str, list[float]]) -> dict[str, float]:
+    """Per key, the largest |parent - change| over its probabilities. Both
+    sides must hold the same keys with lists of one length each."""
+    if parent.keys() != change.keys():
+        raise ValueError(f"the trees score different configs: {sorted(parent.keys() ^ change.keys())}")
+    out = {}
+    for key, p in parent.items():
+        c = change[key]
+        if len(p) != len(c):
+            raise ValueError(f"{key}: {len(p)} parent probabilities against {len(c)}")
+        out[key] = max((abs(a - b) for a, b in zip(p, c)), default=0.0)
+    return out
+
+
+def _dump_of(root: Path) -> dict[str, list[float]]:
+    """The probabilities a child process computes from `root`'s src/."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, __file__, "--dump"], env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"scoring in {root} exited {proc.returncode}:\n{proc.stderr.strip()}")
+    dump = json.loads(proc.stdout)
+    if not Path(dump["module"]).resolve().is_relative_to((root / "src").resolve()):
+        raise RuntimeError(f"scoring in {root} imported pedintent from {dump['module']}")
+    return dump["probabilities"]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--parent", type=Path, help="a checkout of the parent commit")
+    group.add_argument("--dump", action="store_true", help="print this import path's probabilities as JSON")
+    args = p.parse_args(argv)
+    if args.dump:
+        import pedintent
+
+        print(json.dumps({"module": pedintent.__file__, "probabilities": probabilities()}))
+        return 0
+    parent, change = _dump_of(args.parent.resolve()), _dump_of(ROOT)
+    try:
+        diffs = max_abs_differences(parent, change)
+    except ValueError as e:
+        print(e, file=sys.stderr)
+        return 1
+    for key, d in diffs.items():
+        print(f"{key}: max |parent - change| {d:.3g}")
+    worst = max(diffs, key=diffs.get)
+    print(f"overall: {diffs[worst]:.3g} ({worst})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
