@@ -18,8 +18,8 @@ import numpy as np
 from ..data.preprocess import assemble_nonvisual
 from ..data.types import CHANNEL_WIDTHS, NONVISUAL_CHANNELS, VISUAL_INPUTS, ObservationWindow
 from ..errors import CheckpointError, ConfigError, InputError
-from ..tensor import Tensor, add, layer_norm, load_checkpoint, matmul, save_checkpoint, tensor_slice
-from .common import add_affine, add_param, glorot_uniform
+from ..tensor import Tensor, add, layer_norm, load_checkpoint, save_checkpoint, tensor_slice
+from .common import add_affine, add_param, affine, glorot_uniform
 from .embeddings import TubeletConfig, feature_tokenize, positional_encoding
 from .encoder import EncoderConfig, causal_mask, encode, init_encoder_params
 from .fusion import FusionConfig, fuse, head, init_fusion_params
@@ -235,7 +235,7 @@ def _branch_outputs(model: Model, nonvis, clips: dict, training: bool, rng) -> l
         if spec.use_feature_tokenizer:
             tokens = feature_tokenize(x, params["nonvisual.tok.w"], params["nonvisual.tok.b"], params["nonvisual.tok.cls"])
         else:
-            tokens = add(matmul(x, params["nonvisual.proj.w"]), params["nonvisual.proj.b"])
+            tokens = affine(x, params, "nonvisual.proj")
         tokens = layer_norm(tokens, params["nonvisual.emb_ln.gamma"], params["nonvisual.emb_ln.beta"])
         pe = positional_encoding(tokens.shape[-2], spec.d_model, dtype=tokens.data.dtype)
         tokens = add(tokens, Tensor(pe, dtype=tokens.data.dtype))

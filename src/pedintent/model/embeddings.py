@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, DimensionError
-from ..tensor import Tensor, add, concat_along_axis, broadcast_to, matmul, reshape, transpose
+from ..tensor import Tensor, add, concat_along_axis, broadcast_to, matmul, mul, reshape, transpose
 
 
 def positional_encoding(seq_len: int, d_model: int, dtype=np.float32) -> np.ndarray:
@@ -70,6 +70,8 @@ def feature_tokenize(features: Tensor, weight: Tensor, bias: Tensor, cls: Tensor
     learned cls token prepended at position 0.
 
     features: (..., T, F); weight: (F, 1, d); bias: (F, d); cls: (1, d).
+    The values, viewed as (..., T, F, 1, 1), broadcast against the weight
+    table in one `mul`.
     """
     t, f = features.shape[-2:]
     if weight.shape[0] != f or bias.shape[0] != f:
@@ -77,7 +79,7 @@ def feature_tokenize(features: Tensor, weight: Tensor, bias: Tensor, cls: Tensor
     d = weight.shape[-1]
     lead = features.shape[:-2]
     x = reshape(features, lead + (t, f, 1, 1))
-    tokens = matmul(x, weight)  # (..., T, F, 1, d)
+    tokens = mul(x, weight)  # (..., T, F, 1, d)
     tokens = reshape(tokens, lead + (t, f, d))
     tokens = add(tokens, bias)
     tokens = reshape(tokens, lead + (t * f, d))

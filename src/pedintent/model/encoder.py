@@ -35,7 +35,7 @@ from ..tensor import (
     softmax,
     transpose,
 )
-from .common import add_affine, add_param, glorot_uniform
+from .common import add_affine, add_param, affine, glorot_uniform
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,6 @@ def init_encoder_params(params: dict, prefix: str, cfg: EncoderConfig, rng: np.r
         add_affine(params, f"{lp}.ffn.w2", rng, dff, d)
 
 
-def _affine(x: Tensor, params: dict, name: str) -> Tensor:
-    return add(matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
-
-
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:
     lead, (s, d) = x.shape[:-2], x.shape[-2:]
     x = reshape(x, lead + (s, n_heads, d // n_heads))
@@ -103,9 +99,9 @@ def _merge_heads(x: Tensor) -> Tensor:
 def _heads(x: Tensor, params: dict, prefix: str, n_heads: int) -> tuple[Tensor, Tensor, Tensor]:
     """Split-head projections q, k, v; q carries the 1/sqrt(dh) scale."""
     dh = x.shape[-1] // n_heads
-    q = mul(_split_heads(_affine(x, params, f"{prefix}attn.wq"), n_heads), 1.0 / np.sqrt(dh))
+    q = mul(_split_heads(affine(x, params, f"{prefix}attn.wq"), n_heads), 1.0 / np.sqrt(dh))
     k = _split_heads(matmul(x, params[f"{prefix}attn.wk.w"]), n_heads)
-    v = _split_heads(_affine(x, params, f"{prefix}attn.wv"), n_heads)
+    v = _split_heads(affine(x, params, f"{prefix}attn.wv"), n_heads)
     return q, k, v
 
 
@@ -119,7 +115,7 @@ def multi_head_attention(
     """Scaled dot-product attention over the trailing (S, d_model) axes,
     returning the output projection."""
     ctx = _merge_heads(attention(*_heads(x, params, prefix, n_heads), mask=mask))
-    return _affine(ctx, params, f"{prefix}attn.wo")
+    return affine(ctx, params, f"{prefix}attn.wo")
 
 
 def attention_weights(
@@ -155,8 +151,8 @@ def encoder_layer(
     )
     attn_out = dropout(attn_out, cfg.dropout_rate, rng, training)
     h = add(x, attn_out)
-    ff = _affine(layer_norm(h, params[f"{prefix}ln2.gamma"], params[f"{prefix}ln2.beta"]), params, f"{prefix}ffn.w1")
-    ff = _affine(gelu(ff), params, f"{prefix}ffn.w2")
+    ff = affine(layer_norm(h, params[f"{prefix}ln2.gamma"], params[f"{prefix}ln2.beta"]), params, f"{prefix}ffn.w1")
+    ff = affine(gelu(ff), params, f"{prefix}ffn.w2")
     ff = dropout(ff, cfg.dropout_rate, rng, training)
     return add(h, ff)
 

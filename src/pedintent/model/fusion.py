@@ -4,7 +4,8 @@ output head.
 concat_ffn and gap pool each branch by mean first; transformer and
 recurrent strategies concatenate the raw token sequences along the token
 axis and reduce afterwards. The frozen three-member ensemble head is a
-plain sigmoid-affine over member probabilities.
+plain sigmoid-affine over member probabilities. Every product is one
+`matmul` of (..., d) rows by a weight.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from ..tensor import (
     mean_over_axis,
     mul,
     relu,
-    reshape,
     sigmoid,
     tanh,
     tensor_slice,
 )
-from .common import add_affine, add_param, glorot_uniform
+from .common import add_affine, add_param, affine, glorot_uniform
 from .encoder import EncoderConfig, encode, init_encoder_params
 
 STRATEGIES = ("concat_ffn", "gap", "transformer", "recurrent")
@@ -83,23 +83,13 @@ def _recurrent_scan(tokens: Tensor, params: dict) -> Tensor:
         gates = {}
         for gate in _GATES:
             z = add(
-                add(matmul(_as_rows(x_t), params[f"fusion.rnn.w{gate}"]), matmul(_as_rows(h), params[f"fusion.rnn.u{gate}"])),
+                add(matmul(x_t, params[f"fusion.rnn.w{gate}"]), matmul(h, params[f"fusion.rnn.u{gate}"])),
                 params[f"fusion.rnn.b{gate}"],
             )
-            z = reshape(z, lead + (d,))
             gates[gate] = tanh(z) if gate == "c" else sigmoid(z)
         c = add(mul(gates["f"], c), mul(gates["i"], gates["c"]))
         h = mul(gates["o"], tanh(c))
     return h
-
-
-def _as_rows(x: Tensor) -> Tensor:
-    """Lift (..., d) to (..., 1, d) so matmul sees rank >= 2."""
-    return reshape(x, x.shape[:-1] + (1, x.shape[-1]))
-
-
-def _from_rows(x: Tensor) -> Tensor:
-    return reshape(x, x.shape[:-2] + (x.shape[-1],))
 
 
 def fuse(
@@ -116,9 +106,7 @@ def fuse(
     if cfg.strategy == "concat_ffn":
         pooled = [mean_over_axis(b, axis=-2) for b in branches]
         x = pooled[0] if len(pooled) == 1 else concat_along_axis(pooled, axis=-1)
-        x = relu(add(matmul(_as_rows(x), params["fusion.ffn.w1.w"]), params["fusion.ffn.w1.b"]))
-        x = add(matmul(x, params["fusion.ffn.w2.w"]), params["fusion.ffn.w2.b"])
-        return _from_rows(x)
+        return affine(relu(affine(x, params, "fusion.ffn.w1")), params, "fusion.ffn.w2")
     tokens = branches[0] if len(branches) == 1 else concat_along_axis(branches, axis=-2)
     if cfg.strategy == "gap":
         return mean_over_axis(tokens, axis=-2)
@@ -129,13 +117,12 @@ def fuse(
 
 
 def head(features: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Crossing probability sigma(w . features + b), strictly inside (0, 1)."""
+    """Crossing probability sigma(w . features + b), strictly inside (0, 1):
+    features (..., K) times the 1-D weight w (K,) gives (...,)."""
     k = features.shape[-1]
     if w.shape != (k,):
         raise ConfigError(f"head weight width {w.shape} != feature width {k}")
-    z = matmul(_as_rows(features), reshape(w, (k, 1)))
-    z = reshape(z, features.shape[:-1])
-    return sigmoid(add(z, b))
+    return sigmoid(add(matmul(features, w), b))
 
 
 def ensemble_predict(member_probs, w: Tensor, b: Tensor) -> Tensor:

@@ -16,12 +16,14 @@ x * cdf. `softmax` checks only each slice's max over its allowed entries
 in [0, 1], unchecked; every input it gets is a finite Tensor except
 attention's score tiles, which `attention` checks first.
 
-`matmul` with a 2-D right operand, as every affine product in the model
-has, runs as one GEMM over a's leading axes collapsed into rows, forward
-and both gradients alike; its outputs can differ from per-slice products by
-rounding. Backward rules compute no gradient for an operand that tracks
-none (`matmul`, `add`, `mul`): the clip pixels of a tubelet embedding, a
-constant positional encoding or loss weights.
+`matmul` multiplies a (..., k) operand by a (k, m) or (k,) weight, the one
+product the model makes: a's leading axes are the rows of one GEMM,
+forward and both gradients alike, so its outputs can differ from
+per-slice products by rounding. `add` and `mul` broadcast as numpy does,
+and backward sums each gradient back to its operand's shape. Backward
+rules compute no gradient for an operand that tracks none (`matmul`,
+`add`, `mul`): the clip pixels of a tubelet embedding, a constant
+positional encoding or loss weights.
 
 `attention` is the one fused op: softmax(q k^T) v over split heads, computed
 in cache-sized tiles so that at most one tile of attention weights exists
@@ -236,73 +238,51 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _check_suffix_broadcast(a_shape: tuple, b_shape: tuple):
-    """Elementwise ops allow equal shapes, a scalar operand, or one shape
-    being a trailing suffix of the other; anything fancier is rejected to
-    keep backward rules small."""
-    if a_shape == b_shape:
-        return
-    small, big = (a_shape, b_shape) if len(a_shape) < len(b_shape) else (b_shape, a_shape)
-    if not small:
-        return
-    if len(small) == len(big) or big[-len(small):] != small:
-        raise DimensionError(f"shapes {a_shape} and {b_shape} are not elementwise-compatible")
-
-
 # ---------------------------------------------------------------------------
 # binary ops
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the trailing two axes; leading axes broadcast.
+    """Product of a (..., k) operand by a weight of shape (k, m) or (k,).
 
-    A 2-D `b` (a weight) takes a's leading axes as rows of one (rows, k)
-    matrix, so forward and both gradients are one GEMM each, with no
-    per-slice products and no sum over slices for b's gradient. The rows
-    sum in another order than per-slice products do, so outputs can differ
-    from theirs by rounding. Backward computes no gradient for an operand
-    that does not track one.
+    a's leading axes are the rows of one (rows, k) matrix, so forward and
+    both gradients are one GEMM each. A 1-D weight is a (k, 1) column whose
+    axis the output drops, as in numpy. Backward computes no gradient for
+    an operand that does not track one.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError("matmul requires rank >= 2 operands")
-    if a.shape[-1] != b.shape[-2]:
+    if a.ndim < 1 or b.ndim not in (1, 2):
+        raise DimensionError(f"matmul takes a (..., k) operand and a (k, m) or (k,) weight: {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError as e:
-        raise DimensionError(f"matmul leading dims not broadcastable: {a.shape} x {b.shape}") from e
     ad, bd = a.data, b.data
-    if bd.ndim == 2:
-        n, k = math.prod(ad.shape[:-1]), ad.shape[-1]  # a contiguous a reshapes to (n, k) as a view
-        out = np.matmul(ad.reshape(n, k), bd).reshape(ad.shape[:-1] + bd.shape[1:])
+    w = bd if bd.ndim == 2 else bd[:, None]
+    n, k = math.prod(ad.shape[:-1]), ad.shape[-1]  # a contiguous a reshapes to (n, k) as a view
+    rows = ad.reshape(n, k)
+    out = np.matmul(rows, w).reshape(ad.shape[:-1] + bd.shape[1:])
 
-        def backward(g):
-            g2 = g.reshape(n, bd.shape[1])
-            ga = np.matmul(g2, bd.T).reshape(ad.shape) if a.requires_grad else None
-            gb = np.matmul(ad.reshape(n, k).T, g2) if b.requires_grad else None
-            return ga, gb
-
-    else:
-        out = np.matmul(ad, bd)
-
-        def backward(g):
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape) if a.requires_grad else None
-            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape) if b.requires_grad else None
-            return ga, gb
+    def backward(g):
+        g2 = g.reshape(n, w.shape[1])
+        ga = np.matmul(g2, w.T).reshape(ad.shape) if a.requires_grad else None
+        gb = np.matmul(rows.T, g2).reshape(bd.shape) if b.requires_grad else None
+        return ga, gb
 
     return _result(out, (a, b), backward)
 
 
 def add(a: Tensor, b) -> Tensor:
+    """a + b under numpy broadcasting; each gradient is summed back to its
+    operand's shape."""
     a = _as_tensor(a)
     if isinstance(b, (int, float)):
         c = float(b)
         return _result(a.data + np.asarray(c, dtype=a.data.dtype)[()], (a,), lambda g: (g,))
     b = _as_tensor(b)
-    _check_suffix_broadcast(a.shape, b.shape)
+    try:
+        out = a.data + b.data
+    except ValueError as e:
+        raise DimensionError(f"shapes {a.shape} and {b.shape} do not broadcast") from e
     a_shape, b_shape = a.shape, b.shape
-    out = a.data + b.data
 
     def backward(g):
         return (
@@ -314,13 +294,18 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
+    """a * b under numpy broadcasting; each gradient is summed back to its
+    operand's shape."""
     a = _as_tensor(a)
     if isinstance(b, (int, float)):
         c = np.asarray(float(b), dtype=a.data.dtype)[()]
         return _result(a.data * c, (a,), lambda g: (g * c,))
     b = _as_tensor(b)
-    _check_suffix_broadcast(a.shape, b.shape)
     ad, bd = a.data, b.data
+    try:
+        out = ad * bd
+    except ValueError as e:
+        raise DimensionError(f"shapes {a.shape} and {b.shape} do not broadcast") from e
 
     def backward(g):
         return (
@@ -328,7 +313,7 @@ def mul(a: Tensor, b) -> Tensor:
             _unbroadcast(g * ad, bd.shape) if b.requires_grad else None,
         )
 
-    return _result(ad * bd, (a, b), backward)
+    return _result(out, (a, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +587,19 @@ def concat_along_axis(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _result(out, tensors, backward)
 
 
+def _is_basic_index(item) -> bool:
+    if isinstance(item, (int, np.integer)):
+        return not isinstance(item, bool)
+    return item is None or item is Ellipsis or isinstance(item, slice)
+
+
 def tensor_slice(x: Tensor, key) -> Tensor:
-    """Basic slicing (ints/slices/ellipsis); no fancy indexing."""
+    """Basic slicing (ints, slices, ellipsis, None). Any other key raises
+    DimensionError: an array key can repeat an entry, whose gradient the
+    backward's assignment would not sum."""
     x = _as_tensor(x)
+    if not all(_is_basic_index(item) for item in (key if isinstance(key, tuple) else (key,))):
+        raise DimensionError(f"tensor_slice takes only basic indices, got {key!r}")
     out = x.data[key]
     if isinstance(out, np.ndarray):
         out = out.copy()

@@ -1,4 +1,5 @@
-"""Reference implementations that tests compare the package against."""
+"""Reference implementations that tests compare the package against, and
+the op names a tape recorded."""
 
 import numpy as np
 
@@ -18,3 +19,9 @@ def auc_oracle(scores, labels) -> float:
     diff = pos[:, None] - neg[None, :]
     credit = np.where(diff > 0, 1.0, np.where(diff == 0, 0.5, 0.0))
     return float(credit.mean())
+
+
+def recorded_ops(tape) -> list[str]:
+    """Names of the ops whose outputs `tape` recorded, in order: each entry's
+    backward rule is defined inside its op function."""
+    return [entry.backward.__qualname__.split(".")[0] for entry in tape.entries]

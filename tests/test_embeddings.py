@@ -5,7 +5,9 @@ import pytest
 
 from pedintent.errors import ConfigError, DimensionError
 from pedintent.model import TubeletConfig, feature_tokenize, positional_encoding, tubelet_embed
-from pedintent.tensor import Tensor
+from pedintent.tensor import Tape, Tensor, backward, mul, tensor_sum
+
+from oracles import recorded_ops
 
 
 class TestPositionalEncoding:
@@ -149,3 +151,36 @@ class TestFeatureTokenize:
         w, b, cls = self._params(3, 4, rng)
         with pytest.raises(ConfigError):
             feature_tokenize(Tensor(np.zeros((2, 5), np.float32)), w, b, cls)
+
+    def test_bits_of_the_frozen_matmul_oracle(self):
+        """Output and weight gradient are the bytes of the batched numpy
+        product the tokenizer once ran: per (frame, column) a 1 x 1 by
+        1 x d product, the weight gradient summed over the leading axes.
+        Some values are zero; a zero times a negative weight is -0.0 in the
+        broadcast product and +0.0 in np.matmul's, and the bias add makes
+        both the same."""
+        rng = np.random.default_rng(5)
+        lead, t, f, d = (2, 3), 4, 5, 8
+        w, b, cls = (Tensor(p.data, requires_grad=True) for p in self._params(f, d, rng))
+        x = rng.normal(size=lead + (t, f)).astype(np.float32)
+        x[rng.random(x.shape) < 0.2] = 0.0
+        g = rng.normal(size=lead + (1 + t * f, d)).astype(np.float32)
+        with Tape():
+            out = feature_tokenize(Tensor(x), w, b, cls)
+            backward(tensor_sum(mul(out, Tensor(g))))
+
+        x5 = x.reshape(lead + (t, f, 1, 1))
+        tokens = (np.matmul(x5, w.data).reshape(lead + (t, f, d)) + b.data).reshape(lead + (t * f, d))
+        expected = np.concatenate([np.broadcast_to(cls.data, lead + (1, d)), tokens], axis=-2)
+        g5 = g[..., 1:, :].reshape(lead + (t, f, 1, d))
+        expected_gw = np.matmul(np.swapaxes(x5, -1, -2), g5).sum(axis=tuple(range(len(lead) + 1)))
+        assert out.data.tobytes() == expected.tobytes()
+        assert w.grad.tobytes() == expected_gw.tobytes()
+
+    def test_records_no_matmul(self):
+        rng = np.random.default_rng(6)
+        w, b, cls = (Tensor(p.data, requires_grad=True) for p in self._params(3, 4, rng))
+        with Tape() as tape:
+            feature_tokenize(Tensor(rng.normal(size=(2, 5, 3)).astype(np.float32)), w, b, cls)
+        ops = recorded_ops(tape)
+        assert "matmul" not in ops and ops.count("mul") == 1

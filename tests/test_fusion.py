@@ -7,6 +7,8 @@ from pedintent.errors import ConfigError, ContractError
 from pedintent.model import EncoderConfig, FusionConfig, ensemble_predict, fuse, head, init_fusion_params
 from pedintent.tensor import Tape, Tensor, backward, tensor_sum
 
+from oracles import recorded_ops
+
 
 def make_params(cfg, d_model, n_branches, seed=0):
     params = {}
@@ -53,6 +55,17 @@ class TestConcatFFN:
         params, width = make_params(cfg, 3, 1)
         tokens = Tensor(np.random.default_rng(2).normal(size=(4, 5, 3)).astype(np.float32))
         assert fuse([tokens], cfg, params).shape == (4, 3)
+
+    def test_records_no_reshape(self):
+        """The FFN multiplies the pooled (B, K) rows by each weight directly."""
+        cfg = FusionConfig("concat_ffn")
+        params, _ = make_params(cfg, 3, 2)
+        rng = np.random.default_rng(3)
+        branches = [Tensor(rng.normal(size=(4, 5, 3)).astype(np.float32)) for _ in range(2)]
+        with Tape() as tape:
+            fuse(branches, cfg, params)
+        ops = recorded_ops(tape)
+        assert "reshape" not in ops and ops.count("matmul") == 2
 
 
 class TestTransformerFusion:
@@ -126,6 +139,16 @@ class TestHead:
     def test_width_mismatch(self):
         with pytest.raises(ConfigError):
             head(Tensor(np.zeros(3, np.float32)), Tensor(np.zeros(2, np.float32)), Tensor(np.zeros(())))
+
+    def test_records_matmul_add_sigmoid(self):
+        rng = np.random.default_rng(12)
+        f = Tensor(rng.normal(size=(5, 6)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=6).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros((), np.float32), requires_grad=True)
+        with Tape() as tape:
+            out = head(f, w, b)
+        assert out.shape == (5,)
+        assert recorded_ops(tape) == ["matmul", "add", "sigmoid"]
 
 
 class TestEnsemble:

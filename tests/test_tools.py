@@ -1,11 +1,14 @@
-"""tools/: the pair summary of bench_pairs.py and the probability
-comparison of compare_probs.py on fixed numbers."""
+"""tools/: the pair summary of bench_pairs.py and the probability and
+trained-parameter comparisons of compare_probs.py on fixed numbers."""
 
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from pedintent.tensor import Tensor
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -121,3 +124,28 @@ def test_compare_probs_maxima():
         compare_probs.max_abs_differences(parent, {**change, "ours3 seed 3": [0.125]})
     with pytest.raises(ValueError, match="different configs"):
         compare_probs.max_abs_differences(parent, {"ours1 seed 0": change["ours1 seed 0"]})
+
+
+def test_compare_probs_trained_parameters():
+    """The digest covers every parameter's name, dtype, shape and bits, in
+    name order; sides that train different configs are refused."""
+    compare_probs = _load("compare_probs")
+    params = {"head.w": Tensor(np.array([0.25, -1.5], np.float32)), "head.b": Tensor(np.zeros((), np.float32))}
+    digest = compare_probs.parameter_digest(params)
+    assert compare_probs.parameter_digest(dict(reversed(params.items()))) == digest
+    w = params["head.w"].data
+    changed = [
+        {**params, "head.w": Tensor(np.nextafter(w, np.float32(1)))},
+        {**params, "head.b": Tensor(np.array(-0.0, np.float32))},
+        {**params, "head.w": Tensor(w.astype(np.float64))},
+        {**params, "head.w": Tensor(w.reshape(1, 2))},
+        {"head.v": params["head.w"], "head.b": params["head.b"]},
+    ]
+    assert all(compare_probs.parameter_digest(p) != digest for p in changed)
+    parent = {"ours1 seed 0": "aa", "ours3 seed 3": "bb"}
+    assert compare_probs.same_parameters(parent, {"ours1 seed 0": "aa", "ours3 seed 3": "cc"}) == {
+        "ours1 seed 0": True,
+        "ours3 seed 3": False,
+    }
+    with pytest.raises(ValueError, match="different configs"):
+        compare_probs.same_parameters(parent, {"ours1 seed 0": "aa"})

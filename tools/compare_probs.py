@@ -1,16 +1,20 @@
 """Largest difference between a parent checkout's float32 eval
-probabilities and this tree's.
+probabilities and this tree's, and whether one training step gives the
+same parameters.
 
 Builds every named config fresh at seeds 0 and 3 in each tree, scores the
-same fixed synthetic windows (all three clips) in eval mode, and prints the
-maximum absolute difference of the probabilities for each config and seed,
-then the overall maximum:
+same fixed synthetic windows (all three clips) in eval mode, then runs one
+`training.fit_step` on those windows in training mode (dropout on, its
+generator seeded with the config seed). For each config and seed it prints
+the maximum absolute difference of the probabilities and whether the
+sha256 of the updated parameters equals the parent's, then the overall
+maximum and the count of identical parameter sets:
 
     git clone -q . ../parent && git -C ../parent checkout -q <parent-sha>
     python3 tools/compare_probs.py --parent ../parent
 
-Each tree's probabilities come from a child process that imports that
-tree's src/ (`--dump` prints them as JSON), so the two trees never share a
+Each tree's results come from a child process that imports that tree's
+src/ (`--dump` prints them as JSON), so the two trees never share a
 module. The exit status is 1 when the two trees score different configs or
 windows.
 """
@@ -18,6 +22,7 @@ windows.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -28,22 +33,49 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 3)
 
 
-def probabilities() -> dict[str, list[float]]:
+def parameter_digest(params: dict) -> str:
+    """sha256 over every parameter's name, dtype, shape and bytes, in name
+    order."""
+    h = hashlib.sha256()
+    for name in sorted(params):
+        data = params[name].data
+        h.update(f"{name} {data.dtype} {data.shape}".encode())
+        h.update(data.tobytes())
+    return h.hexdigest()
+
+
+def results() -> tuple[dict[str, list[float]], dict[str, str]]:
     """"<config> seed <s>" -> float32 eval probabilities on the fixed
-    windows, from the pedintent package on the import path."""
+    windows, and -> the parameter digest after one seeded training step on
+    them, from the pedintent package on the import path."""
+    import numpy as np
+
     from pedintent.data import ClipConfig, extract_windows, generate_synthetic
     from pedintent.model import NAMED_CONFIGS, build, forward_batch, named_model_spec
+    from pedintent.training import TrainConfig, TrainState, class_weights, fit_step
 
     tracks, frames = generate_synthetic(21, 4, "separable_motion", track_len=70)
     cfg = ClipConfig(
         inputs=("local_context", "local_surround", "global_context"), local_size=(32, 32), global_size=(32, 32)
     )
     windows = [w for t in tracks for w in extract_windows(t, 8, (30, 60), 15, frames=frames, clip_cfg=cfg)]
-    return {
-        f"{name} seed {seed}": forward_batch(build(named_model_spec(name, seed)), windows).data.tolist()
-        for name in NAMED_CONFIGS
-        for seed in SEEDS
-    }
+    labels = np.array([w.label for w in windows])
+    probs, digests = {}, {}
+    for name in NAMED_CONFIGS:
+        for seed in SEEDS:
+            key = f"{name} seed {seed}"
+            model = build(named_model_spec(name, seed))
+            probs[key] = forward_batch(model, windows).data.tolist()
+            state = TrainState(lr=TrainConfig().lr, rng=np.random.default_rng(seed))
+            fit_step(
+                model.params,
+                lambda: forward_batch(model, windows, training=True, rng=state.rng),
+                labels,
+                class_weights(labels),
+                state,
+            )
+            digests[key] = parameter_digest(model.params)
+    return probs, digests
 
 
 def max_abs_differences(parent: dict[str, list[float]], change: dict[str, list[float]]) -> dict[str, float]:
@@ -60,8 +92,17 @@ def max_abs_differences(parent: dict[str, list[float]], change: dict[str, list[f
     return out
 
 
-def _dump_of(root: Path) -> dict[str, list[float]]:
-    """The probabilities a child process computes from `root`'s src/."""
+def same_parameters(parent: dict[str, str], change: dict[str, str]) -> dict[str, bool]:
+    """Per key, whether the two parameter digests are equal. Both sides
+    must hold the same keys."""
+    if parent.keys() != change.keys():
+        raise ValueError(f"the trees train different configs: {sorted(parent.keys() ^ change.keys())}")
+    return {key: digest == change[key] for key, digest in parent.items()}
+
+
+def _dump_of(root: Path) -> dict:
+    """The probabilities and parameter digests a child process computes
+    from `root`'s src/."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, __file__, "--dump"], env=env, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -69,30 +110,33 @@ def _dump_of(root: Path) -> dict[str, list[float]]:
     dump = json.loads(proc.stdout)
     if not Path(dump["module"]).resolve().is_relative_to((root / "src").resolve()):
         raise RuntimeError(f"scoring in {root} imported pedintent from {dump['module']}")
-    return dump["probabilities"]
+    return dump
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--parent", type=Path, help="a checkout of the parent commit")
-    group.add_argument("--dump", action="store_true", help="print this import path's probabilities as JSON")
+    group.add_argument("--dump", action="store_true", help="print this import path's results as JSON")
     args = p.parse_args(argv)
     if args.dump:
         import pedintent
 
-        print(json.dumps({"module": pedintent.__file__, "probabilities": probabilities()}))
+        probs, digests = results()
+        print(json.dumps({"module": pedintent.__file__, "probabilities": probs, "digests": digests}))
         return 0
     parent, change = _dump_of(args.parent.resolve()), _dump_of(ROOT)
     try:
-        diffs = max_abs_differences(parent, change)
+        diffs = max_abs_differences(parent["probabilities"], change["probabilities"])
+        same = same_parameters(parent["digests"], change["digests"])
     except ValueError as e:
         print(e, file=sys.stderr)
         return 1
     for key, d in diffs.items():
-        print(f"{key}: max |parent - change| {d:.3g}")
+        trained = "identical" if same[key] else "different"
+        print(f"{key}: max |parent - change| {d:.3g}, trained parameters {trained}")
     worst = max(diffs, key=diffs.get)
-    print(f"overall: {diffs[worst]:.3g} ({worst})")
+    print(f"overall: {diffs[worst]:.3g} ({worst}); trained parameters identical for {sum(same.values())} of {len(same)}")
     return 0
 
 
