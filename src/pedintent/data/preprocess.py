@@ -1,4 +1,10 @@
-"""Feature preprocessing: delta encoding, crop construction, windowing.
+"""Feature preprocessing: windowing, delta encoding, crop construction.
+
+A window's non-visual features are built once, as the one (T, 47) float32
+array `ObservationWindow.nonvisual`: for raw frames 0..T, row j holds the
+bbox delta (4) and center delta (2) of frame j+1 from frame 0, then frame
+j+1's pose (36) and speed one-hot (5), each written to the columns that
+`CHANNEL_COLUMNS` names.
 
 Crops follow the pipeline: enlarge the box about its center, crop with
 zero padding where the box leaves the frame, bilinear-resize (corner
@@ -23,7 +29,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import (
-    AlignmentError,
     BalanceError,
     ConfigError,
     DegenerateCropError,
@@ -32,25 +37,20 @@ from ..errors import (
 )
 from .io import FrameStore
 from .types import (
-    CHANNEL_WIDTHS,
-    NONVISUAL_CHANNELS,
+    CHANNEL_COLUMNS,
+    NONVISUAL_WIDTH,
+    SPEED_CATEGORIES,
     BoundingBox,
     Frame,
     ObservationWindow,
     PedestrianTrack,
-    speed_one_hot,
 )
 
 GREY_MASK_VALUE = 128  # pre-normalization grey used to hide the pedestrian
 _GREY = np.float32(GREY_MASK_VALUE / 255.0)  # the same bits as a scaled grey pixel
 
 
-def delta_encode(seq: np.ndarray) -> np.ndarray:
-    """Subtract the first frame from the rest and drop it: out[j] = seq[j+1] - seq[0]."""
-    arr = np.asarray(seq)
-    if arr.shape[0] < 2:
-        raise WindowError("delta encoding needs at least 2 frames")
-    return arr[1:] - arr[0]
+_ONE_HOT = np.eye(len(SPEED_CATEGORIES))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -211,11 +211,14 @@ def _build_window(track: PedestrianTrack, end_frame: int, obs_len: int, frames, 
         return None
     clips = _build_clips(track, rows, frames, clip_cfg) if clip_cfg and clip_cfg.inputs else {}
     after_first = slice(first + 1, rows.stop)
+    speed = [SPEED_CATEGORIES.index(category) for category in track.speed[after_first]]
+    nonvisual = np.empty((obs_len - 1, NONVISUAL_WIDTH), dtype=np.float32)
+    nonvisual[:, CHANNEL_COLUMNS["bbox"]] = track.bbox[after_first] - track.bbox[first]
+    nonvisual[:, CHANNEL_COLUMNS["center"]] = track.center[after_first] - track.center[first]
+    nonvisual[:, CHANNEL_COLUMNS["pose"]] = track.pose[after_first]
+    nonvisual[:, CHANNEL_COLUMNS["speed"]] = _ONE_HOT[speed]
     return ObservationWindow(
-        bbox_delta=delta_encode(track.bbox[rows]).astype(np.float32),
-        center_delta=delta_encode(track.center[rows]).astype(np.float32),
-        pose=track.pose[after_first].astype(np.float32),
-        speed=np.stack([speed_one_hot(s) for s in track.speed[after_first]]).astype(np.float32),
+        nonvisual=nonvisual,
         label=track.label,
         time_to_event=track.event_frame - end_frame,
         pedestrian_id=track.pedestrian_id,
@@ -260,35 +263,12 @@ def extract_window_at(
     clip_cfg: Optional[ClipConfig] = None,
 ) -> ObservationWindow:
     """Single window whose last observed frame is `end_frame` (for prediction)."""
+    if obs_len < 2:
+        raise WindowError(f"a window needs at least 2 frames, got obs_len {obs_len}")
     window = _build_window(track, end_frame, obs_len, frames, clip_cfg)
     if window is None:
         raise WindowError(f"track {track.pedestrian_id!r} lacks frames {end_frame - obs_len + 1}..{end_frame}")
     return window
-
-
-def assemble_nonvisual(window: ObservationWindow, channels: Sequence[str]) -> np.ndarray:
-    """Concatenate the enabled channels in the fixed order bbox, center, pose, speed."""
-    if not channels:
-        raise ConfigError("at least one non-visual channel must be enabled")
-    unknown = [c for c in channels if c not in NONVISUAL_CHANNELS]
-    if unknown:
-        raise ConfigError(f"unknown non-visual channels {unknown}")
-    parts = []
-    arrays = {
-        "bbox": window.bbox_delta,
-        "center": window.center_delta,
-        "pose": window.pose,
-        "speed": window.speed,
-    }
-    t = window.n_frames
-    for name in NONVISUAL_CHANNELS:
-        if name not in channels:
-            continue
-        arr = arrays[name]
-        if arr.shape != (t, CHANNEL_WIDTHS[name]):
-            raise AlignmentError(f"channel {name} has shape {arr.shape}, expected {(t, CHANNEL_WIDTHS[name])}")
-        parts.append(arr)
-    return np.hstack(parts).astype(np.float32)
 
 
 def resample_balance(windows: Sequence[ObservationWindow], seed: int) -> list[ObservationWindow]:

@@ -21,9 +21,10 @@ import numpy as np
 
 from ..errors import ConfigError
 from .io import FrameStore
-from .types import SPEED_CATEGORIES, PedestrianTrack
+from .types import CHANNEL_COLUMNS, SPEED_CATEGORIES, PedestrianTrack
 
 RULES = ("separable_motion", "separable_visual", "random")
+_MAX_RECT_H = 17  # the tallest pedestrian, so the least frame height
 
 # relative joint layout inside the bounding box (18 joints)
 _JOINT_FRACTIONS = np.array([
@@ -50,7 +51,7 @@ def _track(
     canvas: np.ndarray,
 ):
     rect_w = int(rng.integers(7, 11))
-    rect_h = int(rng.integers(13, 18))
+    rect_h = int(rng.integers(13, _MAX_RECT_H + 1))
     moving_right = bool(rng.integers(0, 2))
     vx = 1 if moving_right else -1
     span = track_len - 1
@@ -101,11 +102,15 @@ def generate_synthetic(
     frame_size: tuple[int, int] = (40, 96),
 ) -> tuple[list[PedestrianTrack], FrameStore]:
     """Deterministic tracks plus the rendered frame container."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if rule not in RULES:
         raise ConfigError(f"rule must be one of {RULES}, got {rule!r}")
     if n_tracks < 1 or track_len < 4:
         raise ConfigError("need n_tracks >= 1 and track_len >= 4")
     height, width = frame_size
+    if height < _MAX_RECT_H:
+        raise ConfigError(f"frame height must be >= {_MAX_RECT_H}, the tallest pedestrian, got {height}")
     if width < track_len + 16:
         raise ConfigError("frame width too small for the walking span; widen the frame or shorten tracks")
 
@@ -117,6 +122,7 @@ def generate_synthetic(
     return tracks, FrameStore(canvas)
 
 
-def motion_rule_oracle(window_bbox_delta: np.ndarray) -> int:
-    """The generating rule itself, as a linear classifier on delta boxes."""
-    return int(window_bbox_delta[:, 0].sum() > 0)
+def motion_rule_oracle(nonvisual: np.ndarray) -> int:
+    """The generating rule itself, as a linear classifier on a window's
+    `nonvisual` array: the x_tl deltas of its boxes sum above zero."""
+    return int(nonvisual[:, CHANNEL_COLUMNS["bbox"].start].sum() > 0)

@@ -4,6 +4,12 @@ A `PedestrianTrack` holds one row per observed frame in each of its
 per-frame columns: `frames` (the frame indices, strictly increasing),
 `bbox`, `center`, `pose` and `speed`. Windows are slices of these columns.
 
+An `ObservationWindow` carries its non-visual features as one (T, 47)
+float32 array whose columns hold, in `NONVISUAL_CHANNELS` order, the bbox
+delta (4), the center delta (2), the pose (36) and the speed one-hot (5);
+`CHANNEL_COLUMNS` names each channel's columns, and this module is the
+only one that knows them.
+
 Everything here is immutable after construction; preprocessing operations
 are pure functions over these types and safe to run in parallel across
 windows.
@@ -11,6 +17,7 @@ windows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +31,19 @@ VISUAL_INPUTS = ("local_context", "local_surround", "global_context")
 
 NONVISUAL_CHANNELS = ("bbox", "center", "pose", "speed")
 CHANNEL_WIDTHS = {"bbox": 4, "center": 2, "pose": POSE_DIM, "speed": len(SPEED_CATEGORIES)}
+_ENDS = np.cumsum([CHANNEL_WIDTHS[name] for name in NONVISUAL_CHANNELS]).tolist()
+CHANNEL_COLUMNS = {name: slice(end - CHANNEL_WIDTHS[name], end) for name, end in zip(NONVISUAL_CHANNELS, _ENDS)}
+NONVISUAL_WIDTH = _ENDS[-1]
+
+
+@functools.lru_cache(maxsize=64)
+def nonvisual_columns(channels: tuple) -> np.ndarray:
+    """Indices of the columns of `channels` in a window's `nonvisual` array,
+    in `NONVISUAL_CHANNELS` order whatever the order of `channels`. Cached,
+    so read-only: building the index costs more than stacking one window."""
+    columns = np.r_[tuple(CHANNEL_COLUMNS[name] for name in NONVISUAL_CHANNELS if name in channels)]
+    columns.flags.writeable = False
+    return columns
 
 
 @dataclass(frozen=True)
@@ -48,14 +68,6 @@ class BoundingBox:
     @property
     def height(self) -> float:
         return self.y_br - self.y_tl
-
-
-def speed_one_hot(category: str) -> np.ndarray:
-    if category not in SPEED_CATEGORIES:
-        raise IntegrityError(f"unknown speed category {category!r}")
-    vec = np.zeros(len(SPEED_CATEGORIES), dtype=np.float64)
-    vec[SPEED_CATEGORIES.index(category)] = 1.0
-    return vec
 
 
 @dataclass(frozen=True)
@@ -130,15 +142,13 @@ class PedestrianTrack:
 class ObservationWindow:
     """One training/evaluation sample.
 
-    Delta-encoded bbox/center drop the reference frame, and pose/speed drop
-    their first frame to match, so every non-visual channel has T rows for
-    a raw window of T+1 frames. Clips keep all T+1 frames.
+    `nonvisual` is one (T, 47) float32 array for a raw window of T+1
+    frames: row j holds frame j+1's bbox and center minus frame 0's, then
+    frame j+1's pose and speed one-hot (`CHANNEL_COLUMNS` names the
+    columns). The reference frame 0 has no row; clips keep all T+1 frames.
     """
 
-    bbox_delta: np.ndarray  # (T, 4) float32
-    center_delta: np.ndarray  # (T, 2) float32
-    pose: np.ndarray  # (T, 36) float32
-    speed: np.ndarray  # (T, 5) float32
+    nonvisual: np.ndarray  # (T, 47) float32: bbox delta, center delta, pose, speed one-hot
     label: int
     time_to_event: int
     pedestrian_id: str = ""
@@ -147,10 +157,9 @@ class ObservationWindow:
     global_context: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        t = self.bbox_delta.shape[0]
-        for name in ("center_delta", "pose", "speed"):
-            if getattr(self, name).shape[0] != t:
-                raise IntegrityError(f"window channel {name} has mismatched length")
+        if self.nonvisual.ndim != 2 or self.nonvisual.shape[1] != NONVISUAL_WIDTH:
+            raise IntegrityError(f"window non-visual array must be (T, {NONVISUAL_WIDTH}), got {self.nonvisual.shape}")
+        t = self.n_frames
         for name in VISUAL_INPUTS:
             clip = getattr(self, name)
             if clip is not None and clip.shape[0] != t + 1:
@@ -158,7 +167,7 @@ class ObservationWindow:
 
     @property
     def n_frames(self) -> int:
-        return self.bbox_delta.shape[0]
+        return self.nonvisual.shape[0]
 
     def clip(self, name: str) -> Optional[np.ndarray]:
         if name not in VISUAL_INPUTS:

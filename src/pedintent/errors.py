@@ -37,10 +37,6 @@ class WindowError(PedintentError, ValueError):
     """A feature sequence is too short or misaligned for windowing."""
 
 
-class AlignmentError(PedintentError, ValueError):
-    """Non-visual channels disagree on the number of frames."""
-
-
 class DegenerateCropError(PedintentError, ValueError):
     """A crop region is empty after enlargement and clipping to the frame."""
 

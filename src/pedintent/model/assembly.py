@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..data.preprocess import assemble_nonvisual
-from ..data.types import CHANNEL_WIDTHS, NONVISUAL_CHANNELS, VISUAL_INPUTS, ObservationWindow
+from ..data.types import CHANNEL_WIDTHS, NONVISUAL_CHANNELS, VISUAL_INPUTS, ObservationWindow, nonvisual_columns
 from ..errors import CheckpointError, ConfigError, InputError
 from ..tensor import Tensor, add, layer_norm, load_checkpoint, save_checkpoint, tensor_slice
 from .common import add_affine, add_param, affine, glorot_uniform
@@ -262,10 +261,14 @@ def forward_arrays(model: Model, nonvis, clips: dict, training: bool = False, rn
 
 
 def stack_windows(model_spec: ModelSpec, windows: Sequence[ObservationWindow], dtype=np.float32):
-    """Batch windows into model inputs, validating required channels."""
+    """Batch windows into model inputs: nonvis (B, T, F) holds the spec's
+    channel columns of each window's `nonvisual` array, in
+    `NONVISUAL_CHANNELS` order, and clips name -> (B, T+1, H, W, 3); a
+    visual input the spec enables and a window lacks raises InputError."""
     nonvis = None
     if model_spec.channels:
-        nonvis = np.stack([assemble_nonvisual(w, model_spec.channels) for w in windows]).astype(dtype)
+        columns = nonvisual_columns(model_spec.channels)
+        nonvis = np.stack([w.nonvisual for w in windows]).take(columns, axis=-1).astype(dtype, copy=False)
     clips = {}
     for name in model_spec.visual_inputs:
         missing = [i for i, w in enumerate(windows) if w.clip(name) is None]

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pedintent.data import ClipConfig, extract_windows, generate_synthetic
+from pedintent.data import CHANNEL_COLUMNS, ClipConfig, extract_windows, generate_synthetic
 from pedintent.errors import CheckpointError, ConfigError, InputError
 from pedintent.model import (
     NAMED_CONFIGS,
@@ -182,7 +182,7 @@ class TestForward:
         w = windows[0]
         base = forward(model, w)
         w2 = type(w)(
-            w.bbox_delta, w.center_delta, w.pose, w.speed, w.label, w.time_to_event, w.pedestrian_id,
+            w.nonvisual, w.label, w.time_to_event, w.pedestrian_id,
             local_context=np.zeros_like(w.local_context),
             local_surround=w.local_surround,
             global_context=w.global_context,
@@ -195,16 +195,17 @@ class TestForward:
         model = build(spec)
         w = windows[0]
         base = forward(model, w)
-        w2 = type(w)(
-            w.bbox_delta, w.center_delta, w.pose * 100 + 7, w.speed[:, ::-1].copy(), w.label,
-            w.time_to_event, w.pedestrian_id,
-        )
+        pose, speed = CHANNEL_COLUMNS["pose"], CHANNEL_COLUMNS["speed"]
+        nonvisual = w.nonvisual.copy()
+        nonvisual[:, pose] = w.nonvisual[:, pose] * 100 + 7
+        nonvisual[:, speed] = w.nonvisual[:, speed][:, ::-1]
+        w2 = type(w)(nonvisual, w.label, w.time_to_event, w.pedestrian_id)
         assert forward(model, w2) == base
 
     def test_missing_enabled_channel_named(self, windows):
         model = build(named_model_spec("ours1"))
         w = windows[0]
-        bare = type(w)(w.bbox_delta, w.center_delta, w.pose, w.speed, w.label, w.time_to_event)
+        bare = type(w)(w.nonvisual, w.label, w.time_to_event)
         with pytest.raises(InputError, match="local_context"):
             forward(model, bare)
 

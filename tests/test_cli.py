@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pedintent import cli
+from pedintent import cli, errors
 from pedintent.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_run_config, main
 from pedintent.data import load_annotations, split_tracks
 from pedintent.model import build, load_model, named_model_spec, save_model
@@ -62,6 +62,27 @@ class TestGenerate:
         main(["generate", "--seed", "1", "--tracks", "3", "--rule", "random", "--out", str(tmp_path / "d")])
         out = capsys.readouterr().out
         assert "tracks=3" in out and "windows=" in out
+
+    @pytest.mark.parametrize(
+        "seed, height, message",
+        [("-1", "40", "seed must be >= 0, got -1"), ("1", "16", "frame height must be >= 17")],
+        ids=["negative-seed", "frame-height-16"],
+    )
+    def test_bad_value_exit_1_one_line(self, tmp_path, capsys, seed, height, message):
+        out = tmp_path / "d"
+        argv = ["generate", "--seed", seed, "--tracks", "3", "--rule", "random", "--frame-height", height, "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_least_frame_height(self, tmp_path):
+        """17 px frames hold the tallest pedestrian, which seed 2 draws."""
+        out = tmp_path / "d"
+        argv = ["generate", "--seed", "2", "--tracks", "8", "--rule", "random", "--frame-height", "17", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        heights = [t.bbox[:, 3] - t.bbox[:, 1] for t in load_annotations(out / "annotations.jsonl")]
+        assert np.max(heights) == 17
 
 
 class TestTrainEval:
@@ -541,6 +562,17 @@ _JSON = st.recursive(
     max_leaves=30,
 )
 _MAPPED = cli._USAGE_ERRORS + cli._DATA_ERRORS + cli._NUMERIC_ERRORS
+
+
+def test_every_error_class_has_one_exit_code():
+    """Each package error class is listed in exactly one of the CLI's
+    usage, data and numeric error tuples."""
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.PedintentError)]
+    classes.remove(errors.PedintentError)
+    assert classes
+    for c in classes:
+        groups = [g for g in (cli._USAGE_ERRORS, cli._DATA_ERRORS, cli._NUMERIC_ERRORS) if c in g]
+        assert len(groups) == 1, f"{c.__name__} is in {len(groups)} of the CLI's error tuples"
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,5 +1,5 @@
 """Domain types and preprocessing: delta encoding, crops, windowing,
-channel assembly, rebalancing."""
+channel stacking, rebalancing."""
 
 import dataclasses
 
@@ -8,27 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import assemble_nonvisual, window_channels
 from pedintent.data import (
+    CHANNEL_COLUMNS,
     VISUAL_INPUTS,
     BoundingBox,
     ClipConfig,
     Frame,
     ObservationWindow,
     PedestrianTrack,
-    assemble_nonvisual,
     bilinear_resize,
     build_global_context,
     build_local_context,
     build_local_surround,
-    delta_encode,
     extract_window_at,
     extract_windows,
     generate_synthetic,
     resample_balance,
-    speed_one_hot,
 )
 from pedintent.errors import (
-    AlignmentError,
     BalanceError,
     ConfigError,
     DegenerateCropError,
@@ -37,6 +35,8 @@ from pedintent.errors import (
     WindowError,
 )
 from pedintent.data.preprocess import _axis_plan
+from pedintent.model import NAMED_CONFIGS, EncoderConfig, ModelSpec, named_model_spec
+from pedintent.model.assembly import stack_windows
 
 
 def make_frame(pixels):
@@ -83,9 +83,11 @@ class TestTypes:
             dataclasses.replace(make_track(n=3), pose=np.zeros((3, 35)))
 
     def test_speed_one_hot(self):
-        assert speed_one_hot("moving_fast").tolist() == [0, 0, 1, 0, 0]
+        track = dataclasses.replace(make_track(n=3), speed=("stopped", "moving_fast", "accelerating"))
+        w = extract_window_at(track, 3, 2)
+        assert w.nonvisual[:, CHANNEL_COLUMNS["speed"]].tolist() == [[0, 0, 1, 0, 0], [0, 0, 0, 0, 1]]
         with pytest.raises(IntegrityError):
-            speed_one_hot("warp")
+            dataclasses.replace(track, speed=("stopped", "warp", "stopped"))
 
     def test_track_monotone_frames(self):
         with pytest.raises(IntegrityError):
@@ -114,43 +116,55 @@ class TestTypes:
             dataclasses.replace(make_track(n=3), **columns)
 
     def test_window_channel_alignment(self):
-        with pytest.raises(IntegrityError):
-            ObservationWindow(
-                bbox_delta=np.zeros((3, 4), np.float32),
-                center_delta=np.zeros((2, 2), np.float32),
-                pose=np.zeros((3, 36), np.float32),
-                speed=np.zeros((3, 5), np.float32),
-                label=0,
-                time_to_event=30,
-            )
+        """The non-visual array is (T, 47), and each clip keeps T + 1 frames."""
+        for nonvisual, clip in [(np.zeros((3, 46)), None), (np.zeros(47), None), (np.zeros((3, 47)), np.zeros((3, 2, 2, 3)))]:
+            with pytest.raises(IntegrityError):
+                ObservationWindow(nonvisual.astype(np.float32), label=0, time_to_event=30, local_context=clip)
+
+
+def _positions(track, bbox):
+    """`track` with boxes `bbox` and their midpoints as centers."""
+    return dataclasses.replace(track, bbox=bbox, center=(bbox[:, :2] + bbox[:, 2:]) / 2.0)
+
+
+def _deltas(track, obs_len=None):
+    """The bbox and center delta columns of the window over all of `track`'s frames."""
+    w = extract_window_at(track, obs_len or len(track), int(track.frames[-1]))
+    return w.nonvisual[:, CHANNEL_COLUMNS["bbox"]], w.nonvisual[:, CHANNEL_COLUMNS["center"]]
 
 
 class TestDeltaEncode:
     def test_subtracts_first_frame(self):
         boxes = np.array([[10, 10, 20, 20], [12, 11, 22, 21], [14, 12, 24, 22]], dtype=float)
-        assert delta_encode(boxes).tolist() == [[2, 1, 2, 1], [4, 2, 4, 2]]
+        bbox, center = _deltas(_positions(make_track(n=3), boxes))
+        assert bbox.tolist() == [[2, 1, 2, 1], [4, 2, 4, 2]]
+        assert center.tolist() == [[2, 1], [4, 2]]
 
     def test_identical_frames_zero(self):
-        seq = np.tile([3.0, 7.0], (5, 1))
-        assert np.array_equal(delta_encode(seq), np.zeros((4, 2)))
+        bbox, center = _deltas(make_track(n=5, vx=0.0))
+        assert np.array_equal(bbox, np.zeros((4, 4))) and np.array_equal(center, np.zeros((4, 2)))
 
     def test_translation_invariance(self):
         # pixel-grid coordinates (integers and halves): shifting by a
         # constant leaves the deltas bit-identical
         rng = np.random.default_rng(0)
-        seq = rng.integers(0, 200, size=(6, 4)).astype(np.float64) * 0.5
-        shifted = seq + np.array([5.0, 5.0, 5.0, 5.0])
-        assert np.array_equal(delta_encode(seq), delta_encode(shifted))
+        corner = rng.integers(0, 200, size=(6, 2)).astype(np.float64) * 0.5
+        boxes = np.hstack([corner, corner + rng.integers(1, 20, size=(6, 2)) * 0.5])
+        track = make_track(n=6)
+        for a, b in zip(_deltas(_positions(track, boxes)), _deltas(_positions(track, boxes + 5.0))):
+            assert a.tobytes() == b.tobytes()
 
-    @given(st.integers(min_value=2, max_value=12), st.floats(-1000, 1000, allow_nan=False))
+    @given(st.integers(min_value=2, max_value=12), st.floats(0, 1000, allow_nan=False))
     @settings(max_examples=40, deadline=None)
     def test_translation_invariance_property(self, n, c):
-        seq = np.arange(n * 3, dtype=np.float64).reshape(n, 3) * 1.25
-        assert np.allclose(delta_encode(seq + c), delta_encode(seq), atol=1e-9)
+        track = make_track(n=n)
+        shifted = _positions(track, track.bbox + c)
+        for a, b in zip(_deltas(shifted), _deltas(track)):
+            assert np.allclose(a, b, atol=1e-5)  # a shifted float64 delta may round to the next float32
 
     def test_too_short(self):
         with pytest.raises(WindowError):
-            delta_encode(np.zeros((1, 4)))
+            _deltas(make_track(n=20), obs_len=1)
 
 
 def reference_bilinear(img, out_h, out_w):
@@ -439,7 +453,7 @@ class TestExtractWindows:
         assert wins[0].time_to_event == 30
         # first delta row = bbox(56) - bbox(55) from first frame removal
         expected = track.bbox[56] - track.bbox[55]
-        assert np.allclose(wins[0].bbox_delta[0], expected)
+        assert np.allclose(wins[0].nonvisual[0, CHANNEL_COLUMNS["bbox"]], expected)
 
     def test_enumerates_tte_grid(self):
         track = make_track(n=101)
@@ -474,7 +488,7 @@ class TestExtractWindows:
             assert [w.time_to_event for w in wins] == expected, dropped
             for w in wins:  # each kept window holds the rows of its own frames
                 end = track.event_frame - w.time_to_event
-                assert w.pose[:, 0].tolist() == list(range(end - 14, end + 1))
+                assert w.nonvisual[:, CHANNEL_COLUMNS["pose"].start].tolist() == list(range(end - 14, end + 1))
 
     def test_bad_params(self):
         track = make_track()
@@ -512,33 +526,51 @@ class TestExtractWindowAt:
 
 
 class TestAssemble:
-    def _window(self):
-        track = make_track(n=101)
-        return extract_windows(track, 16, (30, 30), 15)[0]
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        """Windows with clips of a few synthetic tracks, each with its track."""
+        tracks, frames = generate_synthetic(4, 6, "random", track_len=70)
+        cfg = ClipConfig(inputs=VISUAL_INPUTS, local_size=(8, 8), global_size=(8, 8))
+        return [(w, t) for t in tracks for w in extract_windows(t, 16, (0, 50), 5, frames=frames, clip_cfg=cfg)]
 
-    def test_all_channels_width(self):
-        assert assemble_nonvisual(self._window(), ("bbox", "center", "pose", "speed")).shape == (15, 47)
+    def _assert_matches_the_oracle(self, pairs, spec, dtype):
+        nonvis, _ = stack_windows(spec, [w for w, _ in pairs], dtype=dtype)
+        expected = np.stack([
+            assemble_nonvisual(window_channels(t, t.event_frame - w.time_to_event, 16), spec.channels) for w, t in pairs
+        ]).astype(dtype)
+        assert nonvis.dtype == dtype and nonvis.shape == expected.shape and nonvis.flags.c_contiguous
+        assert nonvis.tobytes() == expected.tobytes()
 
-    def test_bbox_only_width(self):
-        assert assemble_nonvisual(self._window(), ("bbox",)).shape == (15, 4)
+    def _spec(self, channels):
+        return ModelSpec(channels=channels, nonvisual_encoder=EncoderConfig(1, 1, 8))
 
-    def test_empty_channels(self):
-        with pytest.raises(ConfigError):
-            assemble_nonvisual(self._window(), ())
+    def test_all_channels_width(self, pairs):
+        nonvis, _ = stack_windows(self._spec(("bbox", "center", "pose", "speed")), [pairs[0][0]])
+        assert nonvis.shape == (1, 15, 47)
 
-    def test_fixed_column_order(self):
-        w = self._window()
-        out = assemble_nonvisual(w, ("speed", "bbox"))  # order is canonical, not call order
-        assert np.array_equal(out[:, :4], w.bbox_delta)
-        assert np.array_equal(out[:, 4:], w.speed)
+    def test_bbox_only_width(self, pairs):
+        nonvis, _ = stack_windows(self._spec(("bbox",)), [pairs[0][0]])
+        assert nonvis.shape == (1, 15, 4)
 
-    def test_misaligned_channel(self):
-        w = self._window()
-        w.pose = w.pose[:-1]
+    def test_empty_channels(self, pairs):
+        spec = ModelSpec(local_context=named_model_spec("ours1").local_context)
+        nonvis, clips = stack_windows(spec, [w for w, _ in pairs[:2]])
+        assert nonvis is None and list(clips) == ["local_context"]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", NAMED_CONFIGS)
+    def test_named_configs_match_the_oracle(self, pairs, name, dtype):
+        self._assert_matches_the_oracle(pairs, named_model_spec(name), dtype)
+
+    @pytest.mark.parametrize("channels", [("speed", "bbox"), ("pose", "center"), ("speed", "pose", "center", "bbox")], ids="+".join)
+    def test_channel_order_is_canonical(self, pairs, channels):
+        """Columns come in the order bbox, center, pose, speed, not the spec's."""
+        self._assert_matches_the_oracle(pairs, self._spec(channels), np.float32)
+
+    def test_misaligned_channel(self, pairs):
+        w = pairs[0][0]
         with pytest.raises(IntegrityError):
-            # alignment is enforced at construction; rebuilt windows cannot
-            # disagree, so emulate via direct construction
-            ObservationWindow(w.bbox_delta, w.center_delta, w.pose, w.speed, 0, 30)
+            ObservationWindow(w.nonvisual[:, :-1], w.label, w.time_to_event)
 
 
 class TestResample:
@@ -548,8 +580,7 @@ class TestResample:
         wins = []
         for i in range(n_pos + n_neg):
             w = ObservationWindow(
-                base.bbox_delta.copy(), base.center_delta.copy(), base.pose.copy(), base.speed.copy(),
-                label=1 if i < n_pos else 0, time_to_event=30, pedestrian_id=f"w{i}",
+                base.nonvisual.copy(), label=1 if i < n_pos else 0, time_to_event=30, pedestrian_id=f"w{i}"
             )
             wins.append(w)
         return wins

@@ -192,12 +192,12 @@ class TestSyntheticGenerator:
         tracks, _ = generate_synthetic(1, 30, "separable_motion")
         windows = [w for t in tracks for w in extract_windows(t, 16, (30, 60), 15)]
         assert windows
-        assert all(motion_rule_oracle(w.bbox_delta) == w.label for w in windows)
+        assert all(motion_rule_oracle(w.nonvisual) == w.label for w in windows)
 
     def test_random_rule_label_independent_of_motion(self):
         tracks, _ = generate_synthetic(2, 120, "random")
         windows = [w for t in tracks for w in extract_windows(t, 16, (30, 60), 15)]
-        scores = [float(motion_rule_oracle(w.bbox_delta)) for w in windows]
+        scores = [float(motion_rule_oracle(w.nonvisual)) for w in windows]
         labels = [w.label for w in windows]
         report = evaluate(np.array(scores), labels)
         assert 0.35 <= report.auc <= 0.65
@@ -206,7 +206,7 @@ class TestSyntheticGenerator:
         tracks, frames = generate_synthetic(4, 40, "separable_visual")
         # motion rule is uninformative
         windows = [w for t in tracks for w in extract_windows(t, 16, (30, 60), 15)]
-        hits = np.mean([motion_rule_oracle(w.bbox_delta) == w.label for w in windows])
+        hits = np.mean([motion_rule_oracle(w.nonvisual) == w.label for w in windows])
         assert 0.3 <= hits <= 0.7
         # pedestrian pixels encode the label
         for t in tracks[:10]:
