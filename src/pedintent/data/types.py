@@ -138,7 +138,7 @@ class PedestrianTrack:
         return len(self.frames)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservationWindow:
     """One training/evaluation sample.
 
@@ -146,6 +146,8 @@ class ObservationWindow:
     frames: row j holds frame j+1's bbox and center minus frame 0's, then
     frame j+1's pose and speed one-hot (`CHANNEL_COLUMNS` names the
     columns). The reference frame 0 has no row; clips keep all T+1 frames.
+    Fields cannot be reassigned (`dataclasses.replace` builds a checked
+    copy), so every window has passed the checks below.
     """
 
     nonvisual: np.ndarray  # (T, 47) float32: bbox delta, center delta, pose, speed one-hot

@@ -17,8 +17,8 @@ import numpy as np
 
 from ..data.types import CHANNEL_WIDTHS, NONVISUAL_CHANNELS, VISUAL_INPUTS, ObservationWindow, nonvisual_columns
 from ..errors import CheckpointError, ConfigError, InputError
-from ..tensor import Tensor, add, layer_norm, load_checkpoint, save_checkpoint, tensor_slice
-from .common import add_affine, add_param, affine, glorot_uniform
+from ..tensor import Tensor, add, layer_norm, load_checkpoint, matmul, save_checkpoint, tensor_slice
+from .common import add_affine, add_param, glorot_uniform
 from .embeddings import TubeletConfig, feature_tokenize, positional_encoding
 from .encoder import EncoderConfig, causal_mask, encode, init_encoder_params
 from .fusion import FusionConfig, fuse, head, init_fusion_params
@@ -234,7 +234,7 @@ def _branch_outputs(model: Model, nonvis, clips: dict, training: bool, rng) -> l
         if spec.use_feature_tokenizer:
             tokens = feature_tokenize(x, params["nonvisual.tok.w"], params["nonvisual.tok.b"], params["nonvisual.tok.cls"])
         else:
-            tokens = affine(x, params, "nonvisual.proj")
+            tokens = matmul(x, params["nonvisual.proj.w"], params["nonvisual.proj.b"])
         tokens = layer_norm(tokens, params["nonvisual.emb_ln.gamma"], params["nonvisual.emb_ln.beta"])
         pe = positional_encoding(tokens.shape[-2], spec.d_model, dtype=tokens.data.dtype)
         tokens = add(tokens, Tensor(pe, dtype=tokens.data.dtype))
@@ -274,7 +274,7 @@ def stack_windows(model_spec: ModelSpec, windows: Sequence[ObservationWindow], d
         missing = [i for i, w in enumerate(windows) if w.clip(name) is None]
         if missing:
             raise InputError(f"model enables visual input {name!r} but window {missing[0]} provides none")
-        clips[name] = np.stack([w.clip(name) for w in windows]).astype(dtype)
+        clips[name] = np.stack([w.clip(name) for w in windows]).astype(dtype, copy=False)
     return nonvis, clips
 
 

@@ -27,10 +27,3 @@ def add_param(params: dict, name: str, values: np.ndarray) -> Tensor:
 def add_affine(params: dict, prefix: str, rng: np.random.Generator, fan_in: int, fan_out: int):
     add_param(params, f"{prefix}.w", glorot_uniform(rng, (fan_in, fan_out), fan_in, fan_out))
     add_param(params, f"{prefix}.b", np.zeros(fan_out, dtype=np.float32))
-
-
-def affine(x: Tensor, params: dict, name: str) -> Tensor:
-    """x W + b over x's last axis, with the parameters `add_affine` made
-    under `name`. The operator methods call tensor.core's `matmul` and
-    `add` by module name, where bench/tracer.py counts every op call."""
-    return x @ params[f"{name}.w"] + params[f"{name}.b"]

@@ -62,7 +62,7 @@ def tubelet_embed(clip: Tensor, cfg: TubeletConfig, weight: Tensor, bias: Tensor
     perm = tuple(range(base)) + tuple(base + i for i in (0, 2, 4, 1, 3, 5, 6))
     x = transpose(x, perm)
     x = reshape(x, lead + (ts * hs * ws, cfg.flat_size))
-    return add(matmul(x, weight), bias)
+    return matmul(x, weight, bias)
 
 
 def feature_tokenize(features: Tensor, weight: Tensor, bias: Tensor, cls: Tensor) -> Tensor:

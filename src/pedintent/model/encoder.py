@@ -6,12 +6,23 @@ boolean with True = may attend; masked attention weights are exactly zero.
 The key projection has no bias: q . b_k adds one constant to a whole
 softmax row, so it changes no output, and its exact gradient is zero.
 
-Attention runs through the tiled `attention` op, which works in tiles of
-whole (batch, head) slices (or row bands of one slice when a slice alone
-is too large), so a long sequence never holds its full (..., n_heads, S, S)
-weights, and returns only the attended values; its backward rebuilds each
-tile's weights from the forward's row max and exp-sum. `attention_weights`
-computes the weights on request, for inspection.
+Every projection is one biased `matmul`. q, k and v come from one packed
+product of x by the (d, 3d) concatenation [wq s, wk, wv] plus the bias
+[bq s, 0, bv], with the 1/sqrt(dh) scale s folded into the query weights
+and bias; parameters stay stored per projection, so checkpoints keep their
+names and shapes. Folding the scale gives the bits of scaling the query
+projection afterwards only when s is a power of two (dh = 4, 16, 64, ...),
+since only then is each scaled product and sum exact; every named config
+has dh = 16. Otherwise it differs by rounding.
+
+Attention runs through the tiled `attention` op, which takes the packed
+projection, splits the heads itself, and works in tiles of whole (batch,
+head) slices (or row bands of one slice when a slice alone is too large),
+so a long sequence never holds its full (..., n_heads, S, S) weights, and
+returns only the attended values, which one `transpose` and `reshape`
+merge; its backward rebuilds each tile's weights from the forward's row
+max and exp-sum. `attention_weights` computes the weights on request, for
+inspection.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from ..tensor import (
     Tensor,
     add,
     attention,
+    concat_along_axis,
     dropout,
     gelu,
     layer_norm,
@@ -35,7 +47,7 @@ from ..tensor import (
     softmax,
     transpose,
 )
-from .common import add_affine, add_param, affine, glorot_uniform
+from .common import add_affine, add_param, glorot_uniform
 
 
 @dataclass(frozen=True)
@@ -80,14 +92,6 @@ def init_encoder_params(params: dict, prefix: str, cfg: EncoderConfig, rng: np.r
         add_affine(params, f"{lp}.ffn.w2", rng, dff, d)
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    lead, (s, d) = x.shape[:-2], x.shape[-2:]
-    x = reshape(x, lead + (s, n_heads, d // n_heads))
-    base = len(lead)
-    perm = tuple(range(base)) + (base + 1, base, base + 2)
-    return transpose(x, perm)
-
-
 def _merge_heads(x: Tensor) -> Tensor:
     lead, (h, s, dh) = x.shape[:-3], x.shape[-3:]
     base = len(lead)
@@ -96,13 +100,15 @@ def _merge_heads(x: Tensor) -> Tensor:
     return reshape(x, lead + (s, h * dh))
 
 
-def _heads(x: Tensor, params: dict, prefix: str, n_heads: int) -> tuple[Tensor, Tensor, Tensor]:
-    """Split-head projections q, k, v; q carries the 1/sqrt(dh) scale."""
-    dh = x.shape[-1] // n_heads
-    q = mul(_split_heads(affine(x, params, f"{prefix}attn.wq"), n_heads), 1.0 / np.sqrt(dh))
-    k = _split_heads(matmul(x, params[f"{prefix}attn.wk.w"]), n_heads)
-    v = _split_heads(affine(x, params, f"{prefix}attn.wv"), n_heads)
-    return q, k, v
+def _qkv(x: Tensor, params: dict, prefix: str, n_heads: int) -> Tensor:
+    """The packed (..., S, 3 d) q/k/v projection of x, one biased matmul:
+    weight [wq s, wk, wv] and bias [bq s, 0, bv], s = 1/sqrt(dh)."""
+    s = 1.0 / np.sqrt(x.shape[-1] // n_heads)
+    p = f"{prefix}attn."
+    bq = params[f"{p}wq.b"]
+    w = concat_along_axis([mul(params[f"{p}wq.w"], s), params[f"{p}wk.w"], params[f"{p}wv.w"]], axis=-1)
+    b = concat_along_axis([mul(bq, s), Tensor(np.zeros_like(bq.data)), params[f"{p}wv.b"]], axis=-1)
+    return matmul(x, w, b)
 
 
 def multi_head_attention(
@@ -114,8 +120,8 @@ def multi_head_attention(
 ) -> Tensor:
     """Scaled dot-product attention over the trailing (S, d_model) axes,
     returning the output projection."""
-    ctx = _merge_heads(attention(*_heads(x, params, prefix, n_heads), mask=mask))
-    return affine(ctx, params, f"{prefix}attn.wo")
+    ctx = _merge_heads(attention(_qkv(x, params, prefix, n_heads), n_heads, mask=mask))
+    return matmul(ctx, params[f"{prefix}attn.wo.w"], params[f"{prefix}attn.wo.b"])
 
 
 def attention_weights(
@@ -127,8 +133,10 @@ def attention_weights(
 ) -> np.ndarray:
     """Detached attention weights of `multi_head_attention`, shape
     (..., n_heads, S, S); each row over allowed positions sums to 1."""
-    q, k, _ = _heads(x, params, prefix, n_heads)
-    return softmax(Tensor(np.matmul(q.data, np.swapaxes(k.data, -1, -2))), axis=-1, mask=mask).data
+    qkv = _qkv(x, params, prefix, n_heads).data
+    parts = qkv.reshape(qkv.shape[:-1] + (3, n_heads, -1))  # (..., S, 3, n_heads, dh)
+    q, k = np.swapaxes(np.moveaxis(parts, -3, 0)[:2], -2, -3)  # each (..., n_heads, S, dh)
+    return softmax(Tensor(np.matmul(q, np.swapaxes(k, -1, -2))), axis=-1, mask=mask).data
 
 
 def encoder_layer(
@@ -151,8 +159,9 @@ def encoder_layer(
     )
     attn_out = dropout(attn_out, cfg.dropout_rate, rng, training)
     h = add(x, attn_out)
-    ff = affine(layer_norm(h, params[f"{prefix}ln2.gamma"], params[f"{prefix}ln2.beta"]), params, f"{prefix}ffn.w1")
-    ff = affine(gelu(ff), params, f"{prefix}ffn.w2")
+    ff = layer_norm(h, params[f"{prefix}ln2.gamma"], params[f"{prefix}ln2.beta"])
+    ff = matmul(ff, params[f"{prefix}ffn.w1.w"], params[f"{prefix}ffn.w1.b"])
+    ff = matmul(gelu(ff), params[f"{prefix}ffn.w2.w"], params[f"{prefix}ffn.w2.b"])
     ff = dropout(ff, cfg.dropout_rate, rng, training)
     return add(h, ff)
 

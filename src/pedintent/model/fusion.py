@@ -28,7 +28,7 @@ from ..tensor import (
     tanh,
     tensor_slice,
 )
-from .common import add_affine, add_param, affine, glorot_uniform
+from .common import add_affine, add_param, glorot_uniform
 from .encoder import EncoderConfig, encode, init_encoder_params
 
 STRATEGIES = ("concat_ffn", "gap", "transformer", "recurrent")
@@ -106,7 +106,8 @@ def fuse(
     if cfg.strategy == "concat_ffn":
         pooled = [mean_over_axis(b, axis=-2) for b in branches]
         x = pooled[0] if len(pooled) == 1 else concat_along_axis(pooled, axis=-1)
-        return affine(relu(affine(x, params, "fusion.ffn.w1")), params, "fusion.ffn.w2")
+        hidden = relu(matmul(x, params["fusion.ffn.w1.w"], params["fusion.ffn.w1.b"]))
+        return matmul(hidden, params["fusion.ffn.w2.w"], params["fusion.ffn.w2.b"])
     tokens = branches[0] if len(branches) == 1 else concat_along_axis(branches, axis=-2)
     if cfg.strategy == "gap":
         return mean_over_axis(tokens, axis=-2)

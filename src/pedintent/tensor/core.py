@@ -19,25 +19,30 @@ attention's score tiles, which `attention` checks first.
 `matmul` multiplies a (..., k) operand by a (k, m) or (k,) weight, the one
 product the model makes: a's leading axes are the rows of one GEMM,
 forward and both gradients alike, so its outputs can differ from
-per-slice products by rounding. `add` and `mul` broadcast as numpy does,
-and backward sums each gradient back to its operand's shape. Backward
-rules compute no gradient for an operand that tracks none (`matmul`,
-`add`, `mul`): the clip pixels of a tubelet embedding, a constant
-positional encoding or loss weights.
+per-slice products by rounding. It adds an optional bias in place, so a
+projection is one op and the tape holds no copy of its bare product; the
+bits are those of a separate `add`. `add` and `mul` broadcast as numpy
+does, and backward sums each gradient back to its operand's shape.
+Backward rules compute no gradient for an operand that tracks none
+(`matmul`, `add`, `mul`): the clip pixels of a tubelet embedding, a
+constant positional encoding or loss weights.
 
-`attention` is the one fused op: softmax(q k^T) v over split heads, computed
-in cache-sized tiles so that at most one tile of attention weights exists
-at a time (Rabe & Staats, arXiv:2112.05682), each written over its own
-scores. Its closed-form backward rebuilds a tile's weights from the
-forward's row max and exp-sum instead of storing them (Dao et al.,
-arXiv:2205.14135), and leaves them unnormalised, dividing the much smaller
-output gradient by the exp-sum instead (Dao, arXiv:2307.08691). A tile is a
-group of whole (batch, head) slices, or a band of query rows of one slice
-whose weights alone exceed the budget, so every pass over a tile reuses
-data that is still in cache. The op checks each forward tile's scores,
-masked entries included, in one O(S^2) `isfinite` pass before its softmax,
-and backward checks none: a non-finite gradient shows in `backward`'s
-check of the leaves.
+`attention` is the one fused op: softmax(q k^T) v over the heads of one
+packed q/k/v projection, which it splits itself, computed in cache-sized
+tiles so that at most one tile of attention weights exists at a time
+(Rabe & Staats, arXiv:2112.05682), each written over its own scores. In
+the same spirit it keeps nothing that backward can rebuild cheaply: not
+the weights, and not the per-head q/k/v copies, which backward splits
+again from the packed input. Its closed-form backward rebuilds a tile's
+weights from the forward's row max and exp-sum instead of storing them
+(Dao et al., arXiv:2205.14135), and leaves them unnormalised, dividing the
+much smaller output gradient by the exp-sum instead (Dao,
+arXiv:2307.08691). A tile is a group of whole (batch, head) slices, or a
+band of query rows of one slice whose weights alone exceed the budget, so
+every pass over a tile reuses data that is still in cache. The op checks
+each forward tile's scores, masked entries included, in one O(S^2)
+`isfinite` pass before its softmax, and backward checks none: a
+non-finite gradient shows in `backward`'s check of the leaves.
 
 `gelu` computes a float32 erf as a rational function (Eigen's and XLA's
 float32 form) in numpy passes over cache-sized chunks, about four times as
@@ -242,13 +247,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # binary ops
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product of a (..., k) operand by a weight of shape (k, m) or (k,).
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Product of a (..., k) operand by a weight of shape (k, m) or (k,),
+    plus an optional bias.
 
     a's leading axes are the rows of one (rows, k) matrix, so forward and
     both gradients are one GEMM each. A 1-D weight is a (k, 1) column whose
-    axis the output drops, as in numpy. Backward computes no gradient for
-    an operand that does not track one.
+    axis the output drops, as in numpy. The bias is added in place, so a
+    projection is one op holding no copy of its bare product; it may widen
+    neither the product's shape nor its dtype (DimensionError,
+    ContractError). Outputs and gradients are the bits of
+    `add(matmul(a, b), bias)`, the bias's gradient summed back to its
+    shape. Backward computes no gradient for an operand that does not
+    track one.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 1 or b.ndim not in (1, 2):
@@ -260,14 +271,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     n, k = math.prod(ad.shape[:-1]), ad.shape[-1]  # a contiguous a reshapes to (n, k) as a view
     rows = ad.reshape(n, k)
     out = np.matmul(rows, w).reshape(ad.shape[:-1] + bd.shape[1:])
+    inputs = (a, b)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if np.result_type(out, bias.data) != out.dtype:
+            raise ContractError(f"matmul bias dtype {bias.data.dtype} would widen the product's {out.dtype}")
+        try:
+            out += bias.data
+        except ValueError as e:
+            raise DimensionError(f"bias {bias.shape} does not broadcast to the product {out.shape}") from e
+        inputs = (a, b, bias)
 
     def backward(g):
         g2 = g.reshape(n, w.shape[1])
         ga = np.matmul(g2, w.T).reshape(ad.shape) if a.requires_grad else None
         gb = np.matmul(rows.T, g2).reshape(bd.shape) if b.requires_grad else None
-        return ga, gb
+        if bias is None:
+            return ga, gb
+        return ga, gb, _unbroadcast(g, bias.shape) if bias.requires_grad else None
 
-    return _result(out, (a, b), backward)
+    return _result(out, inputs, backward)
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -668,63 +691,84 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     return _result(masked(x.data), (x,), lambda g: (masked(g),))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
-    """softmax(q k^T) v over split heads of shape (..., S, dh).
+def _split_heads(qkv: np.ndarray, n_heads: int) -> np.ndarray:
+    """Per-head q, k and v of a packed (..., S, 3 d) array as one contiguous
+    (3, n, S, dh) copy: n = prod(...) * n_heads slices, dh = d / n_heads."""
+    s, dh = qkv.shape[-2], qkv.shape[-1] // (3 * n_heads)
+    parts = qkv.reshape(-1, s, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    return np.ascontiguousarray(parts).reshape(3, -1, s, dh)
 
-    Scaling is the caller's: fold it into q. q, k and v share one dtype.
-    The leading axes are flattened into n (batch, head) slices, and the
-    work runs in tiles whose S x S weights take at most
-    ATTENTION_BLOCK_BYTES: a tile is a group of whole slices or, when one
-    slice's weights exceed the budget, a band of rows (at least one) of one
-    slice. A tile's scores go to a scratch buffer and on to the `softmax`
-    op unchecked, which writes the weights over them (`out=`) and each
-    row's max `top` and exp-sum `total` into two (n, S, 1) arrays.
 
-    Backward rebuilds each tile's unnormalised weights e = exp(q k^T - top)
-    by one augmented product, [q, -top] . [k, 1]^T, and an in-place exp;
-    with p = e / total, dv = e^T (g / total) and ds = p * (g v^T - <g,
-    out>) = e * ([g / total, -<g, out> / total] . [v, 1]^T). The product
-    sums q k^T - top in another order than the forward's q k^T, then
-    - top, so e / total is the forward's weights up to rounding, and the
-    gradients match a backward from those weights to within rounding.
+def _pack_heads(heads: np.ndarray, n_heads: int, shape: tuple) -> np.ndarray:
+    """Inverse of `_split_heads`: (3, n, S, dh) back to packed `shape`."""
+    _, n, s, dh = heads.shape
+    parts = heads.reshape(3, n // n_heads, n_heads, s, dh).transpose(1, 3, 0, 2, 4)
+    return np.ascontiguousarray(parts).reshape(shape)
+
+
+def attention(qkv: Tensor, n_heads: int, mask=None) -> Tensor:
+    """softmax(q k^T) v over the heads of one packed projection.
+
+    qkv is (..., S, 3 d): the columns hold q, then k, then v, each d =
+    n_heads * dh wide with head h in columns h dh .. (h + 1) dh. The op
+    splits the heads itself and returns (..., n_heads, S, dh). Scaling is
+    the caller's: fold it into the q columns. The (...) and head axes are
+    flattened into n (batch, head) slices, and the work runs in tiles whose
+    S x S weights take at most ATTENTION_BLOCK_BYTES: a tile is a group of
+    whole slices or, when one slice's weights exceed the budget, a band of
+    rows (at least one) of one slice. A tile's scores go to a scratch
+    buffer and on to the `softmax` op unchecked, which writes the weights
+    over them (`out=`) and each row's max `top` and exp-sum `total` into
+    two (n, S, 1) arrays.
+
+    Memory: the per-head q, k and v are one contiguous copy that lives only
+    while the forward runs; between forward and backward the op holds its
+    output and the row statistics, and backward splits the packed input
+    again. Backward rebuilds each tile's unnormalised weights e = exp(q k^T
+    - top) by one augmented product, [q, -top] . [k, 1]^T, and an in-place
+    exp; with p = e / total, dv = e^T (g / total) and ds = p * (g v^T -
+    <g, out>) = e * ([g / total, -<g, out> / total] . [v, 1]^T). The
+    product sums q k^T - top in another order than the forward's q k^T,
+    then - top, so e / total is the forward's weights up to rounding, and
+    the gradients match a backward from those weights to within rounding.
+    The q, k and v gradients are packed back into one (..., S, 3 d) array.
 
     Who checks what: the forward checks every score of each tile, masked
     entries included, in one `isfinite` pass before its softmax, so a NaN,
     +inf or -inf score raises NumericalError. Backward checks nothing
     itself; a non-finite gradient raises NumericalError in `backward`'s
     check of the leaves. Masked weights (`mask`, boolean, broadcastable to
-    (..., S, S)) are exactly 0, and a fully masked row raises
+    (..., n_heads, S, S)) are exactly 0, and a fully masked row raises
     DegenerateMaskError. A mask with leading axes is indexed per tile, so
-    at most a tile of it is ever copied. No slices (n = 0) give an empty output and zero
-    gradients; S = 0 raises DimensionError.
+    at most a tile of it is ever copied. No slices (n = 0) give an empty
+    output and zero gradients; S = 0, a rank below 2, n_heads < 1 or a
+    last axis that is not a multiple of 3 n_heads raise DimensionError.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
-        raise DimensionError(f"attention needs equal (..., S, dh) q/k/v shapes, got {q.shape}, {k.shape}, {v.shape}")
-    if not q.data.dtype == k.data.dtype == v.data.dtype:
-        raise ContractError(f"attention needs one q/k/v dtype, got {q.data.dtype}, {k.data.dtype}, {v.data.dtype}")
-    lead, (s, dh) = q.shape[:-2], q.shape[-2:]
+    qkv = _as_tensor(qkv)
+    if qkv.ndim < 2 or n_heads < 1 or qkv.shape[-1] % (3 * n_heads):
+        raise DimensionError(f"attention needs a packed (..., S, 3 x {n_heads} x dh) input, got shape {qkv.shape}")
+    lead, (s, width) = qkv.shape[:-2] + (n_heads,), qkv.shape[-2:]
+    dh = width // (3 * n_heads)
     if s == 0:
-        raise DimensionError(f"attention needs at least one token, got shape {q.shape}")
+        raise DimensionError(f"attention needs at least one token, got shape {qkv.shape}")
+    dtype = qkv.data.dtype
     n = math.prod(lead)
     if n == 0:
-        return _record(np.zeros_like(q.data), (q, k, v), lambda g: tuple(np.zeros_like(t.data) for t in (q, k, v)))
-    qd, kd, vd = (t.data.reshape(n, s, dh) for t in (q, k, v))
+        return _record(np.zeros(lead + (s, dh), dtype), (qkv,), lambda g: (np.zeros_like(qkv.data),))
     m = None if mask is None else (mask.data if isinstance(mask, Tensor) else np.asarray(mask))
     if m is not None and m.ndim > 2:
         m = np.broadcast_to(m, lead + m.shape[-2:])  # a view: no copy
         where = np.unravel_index(np.arange(n), lead)  # slice -> its index into m's leading axes
-    slice_bytes = s * s * qd.itemsize
+    slice_bytes = s * s * dtype.itemsize
     if slice_bytes <= ATTENTION_BLOCK_BYTES:
         step = ATTENTION_BLOCK_BYTES // slice_bytes
         tiles = [(i, min(i + step, n), 0, s) for i in range(0, n, step)]
     else:
-        rows = max(1, ATTENTION_BLOCK_BYTES // (s * qd.itemsize))
+        rows = max(1, ATTENTION_BLOCK_BYTES // (s * dtype.itemsize))
         tiles = [(i, i + 1, r, min(r + rows, s)) for i in range(n) for r in range(0, s, rows)]
-    kt = np.swapaxes(kd, -1, -2)
 
     def scratch() -> np.ndarray:
-        return np.empty(max((i1 - i0) * (r1 - r0) for i0, i1, r0, r1 in tiles) * s, dtype=qd.dtype)
+        return np.empty(max((i1 - i0) * (r1 - r0) for i0, i1, r0, r1 in tiles) * s, dtype=dtype)
 
     def block(buf: np.ndarray, i0: int, i1: int, r0: int, r1: int) -> np.ndarray:
         return buf[: (i1 - i0) * (r1 - r0) * s].reshape(i1 - i0, r1 - r0, s)
@@ -736,31 +780,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
         rows = slice(r0, r1) if m.shape[-2] == s else slice(None)
         return m[rows] if m.ndim == 2 else m[tuple(w[i0:i1] for w in where) + (rows,)]
 
-    def scores(tile: tuple, buf: np.ndarray) -> np.ndarray:
+    top, total = np.empty((n, s, 1), dtype=dtype), np.empty((n, s, 1), dtype=dtype)
+    out = np.empty((n, s, dh), dtype=dtype)
+    qd, kd, vd = _split_heads(qkv.data, n_heads)
+    buf = scratch()
+    for tile in tiles:
         i0, i1, r0, r1 = tile
-        return np.matmul(qd[i0:i1, r0:r1], kt[i0:i1], out=block(buf, *tile))
-
-    def weights(tile: tuple, buf: np.ndarray) -> np.ndarray:
-        i0, i1, r0, r1 = tile
-        z = scores(tile, buf)
+        z = np.matmul(qd[i0:i1, r0:r1], np.swapaxes(kd[i0:i1], -1, -2), out=block(buf, *tile))
         if not np.all(np.isfinite(z)):
             raise NumericalError("attention scores hold non-finite values")
         stats = top[i0:i1, r0:r1], total[i0:i1, r0:r1]
-        return softmax(_record(z, (), None), axis=-1, mask=tile_mask(*tile), stats=stats, out=z).data
-
-    buf = scratch()
-    top, total = np.empty((n, s, 1), dtype=qd.dtype), np.empty((n, s, 1), dtype=qd.dtype)
-    out = np.empty_like(qd)
-    for tile in tiles:
-        i0, i1, r0, r1 = tile
-        np.matmul(weights(tile, buf), vd[i0:i1], out=out[i0:i1, r0:r1])
+        softmax(_record(z, (), None), axis=-1, mask=tile_mask(*tile), stats=stats, out=z)
+        np.matmul(z, vd[i0:i1], out=out[i0:i1, r0:r1])
+    del qd, kd, vd, buf
 
     def backward(g):
+        qd, kd, vd = _split_heads(qkv.data, n_heads)
         g = g.reshape(n, s, dh)
-        dq = np.empty_like(qd)
-        dk = np.zeros_like(kd)
-        dv = np.zeros_like(vd)
-        ones = np.ones((max(i1 - i0 for i0, i1, _, _ in tiles), s, 1), dtype=qd.dtype)
+        grads = np.zeros((3, n, s, dh), dtype=dtype)
+        dq, dk, dv = grads
+        ones = np.ones((max(i1 - i0 for i0, i1, _, _ in tiles), s, 1), dtype=dtype)
         ebuf = scratch()  # a tile's unnormalised weights e, p = e / total
         dbuf = scratch()  # a tile's ds
         for tile in tiles:
@@ -788,9 +827,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
             ds *= e
             np.matmul(ds, kd[i0:i1], out=dq[i0:i1, r0:r1])
             dk[i0:i1] += np.matmul(np.swapaxes(ds, -1, -2), qd[i0:i1, r0:r1])
-        return dq.reshape(q.shape), dk.reshape(q.shape), dv.reshape(q.shape)
+        del qd, kd, vd, ebuf, dbuf
+        return (_pack_heads(grads, n_heads, qkv.shape),)
 
-    return _result(out.reshape(q.shape), (q, k, v), backward)
+    return _result(out.reshape(lead + (s, dh)), (qkv,), backward)
 
 
 # Every op with a backward rule, by name: the one list of ops. Tests

@@ -1,11 +1,13 @@
-"""Reference implementations that tests compare the package against, and
-the op names a tape recorded."""
+"""Reference implementations that tests compare the package against, the
+op names a tape recorded, and the packing of per-head q, k and v into the
+input of `attention`."""
 
 import numpy as np
 
 from pedintent.data import CHANNEL_WIDTHS, NONVISUAL_CHANNELS, SPEED_CATEGORIES
 from pedintent.errors import ConfigError, ContractError, IntegrityError
 from pedintent.metrics import _validate
+from pedintent.tensor import Tensor, add, attention, concat_along_axis, matmul, mul, reshape, transpose
 
 
 def auc_oracle(scores, labels) -> float:
@@ -65,3 +67,54 @@ def assemble_nonvisual(arrays: dict, channels) -> np.ndarray:
             raise IntegrityError(f"channel {name} has shape {arr.shape}, expected {(t, CHANNEL_WIDTHS[name])}")
         parts.append(arr)
     return np.hstack(parts).astype(np.float32)
+
+
+def _head_axis_perm(ndim: int) -> tuple:
+    """Swap the two axes before the last: (..., a, b, c) -> (..., b, a, c)."""
+    return tuple(range(ndim - 3)) + (ndim - 2, ndim - 3, ndim - 1)
+
+
+def _merge_heads(x: Tensor) -> Tensor:
+    """(..., H, S, dh) -> (..., S, H dh), head h in columns h dh .. (h + 1) dh."""
+    lead, (h, s, dh) = x.shape[:-3], x.shape[-3:]
+    return reshape(transpose(x, _head_axis_perm(x.ndim)), lead + (s, h * dh))
+
+
+def _split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """(..., S, H dh) -> (..., H, S, dh): the inverse of `_merge_heads`."""
+    lead, (s, d) = x.shape[:-2], x.shape[-2:]
+    return transpose(reshape(x, lead + (s, n_heads, d // n_heads)), _head_axis_perm(x.ndim + 1))
+
+
+def pack_heads(q, k, v) -> Tensor:
+    """Per-head q, k and v of one shape (..., H, S, dh) as the packed
+    (..., S, 3 H dh) input of `attention`, by tensor ops, so gradients
+    reach q, k and v."""
+    return concat_along_axis([_merge_heads(t) for t in (q, k, v)], axis=-1)
+
+
+def attend(q, k, v, mask=None) -> Tensor:
+    """`attention` of per-head q, k and v of one shape (..., H, S, dh),
+    through `pack_heads`. Returns (..., H, S, dh). A rank-2 (S, dh) shape
+    or an empty head axis counts as one head and keeps q's shape."""
+    q, k, v = (t if isinstance(t, Tensor) else Tensor(t) for t in (q, k, v))
+    if q.ndim < 3 or q.shape[-3] == 0:
+        one = q.shape[:-2] + (1,) + q.shape[-2:]
+        return reshape(attend(*(reshape(t, one) for t in (q, k, v)), mask=mask), q.shape)
+    return attention(pack_heads(q, k, v), q.shape[-3], mask=mask)
+
+
+def unpacked_attention_sublayer(x, params: dict, prefix: str, n_heads: int, mask=None, key_bias: bool = False) -> Tensor:
+    """The multi-head attention sublayer as it stood before q, k and v came
+    from one packed product, frozen: three projections, each split into
+    heads, q scaled by 1/sqrt(dh) after its bias, then attention and the
+    output projection, each bias its own `add`. With `key_bias`, k also
+    gets a zero bias added, as every layer once had."""
+    p = f"{prefix}attn."
+    q = mul(_split_heads(add(matmul(x, params[f"{p}wq.w"]), params[f"{p}wq.b"]), n_heads), 1.0 / np.sqrt(x.shape[-1] // n_heads))
+    k = matmul(x, params[f"{p}wk.w"])
+    if key_bias:
+        k = add(k, Tensor(np.zeros(k.shape[-1], k.data.dtype)))
+    v = add(matmul(x, params[f"{p}wv.w"]), params[f"{p}wv.b"])
+    ctx = _merge_heads(attend(q, _split_heads(k, n_heads), _split_heads(v, n_heads), mask=mask))
+    return add(matmul(ctx, params[f"{p}wo.w"]), params[f"{p}wo.b"])

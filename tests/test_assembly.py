@@ -21,7 +21,9 @@ from pedintent.model import (
 )
 from pedintent.model import encoder
 from pedintent.model.verify import check_model_gradients
-from pedintent.tensor import Tensor, add, matmul, save_checkpoint
+from pedintent.tensor import save_checkpoint
+
+from oracles import unpacked_attention_sublayer
 
 
 @pytest.fixture(scope="module")
@@ -137,22 +139,18 @@ class TestBuild:
 
     def test_zero_key_bias_changes_no_probability(self, windows, monkeypatch):
         """A fresh float32 build scores bit-identically to the same build
-        with a zero key bias added back, as every layer once had."""
-        heads = encoder._heads
+        run through the frozen unpacked attention sublayer with a zero key
+        bias added back, as every layer once had: the packed q/k/v product
+        with the scale folded into the query weights changes no bit."""
 
-        def heads_with_key_bias(x, params, prefix, n_heads):
-            q, _, v = heads(x, params, prefix, n_heads)
-            k = add(matmul(x, params[f"{prefix}attn.wk.w"]), params[f"{prefix}attn.wk.b"])
-            return q, encoder._split_heads(k, n_heads), v
+        def unpacked_with_key_bias(x, params, prefix, n_heads, mask=None):
+            return unpacked_attention_sublayer(x, params, prefix, n_heads, mask=mask, key_bias=True)
 
         for name in NAMED_CONFIGS:
             model = build(named_model_spec(name))
             expected = forward_batch(model, windows[:8]).data
-            for key, w in list(model.params.items()):
-                if key.endswith("attn.wk.w"):
-                    model.params[key[: -len(".w")] + ".b"] = Tensor(np.zeros(w.shape[1], np.float32))
             with monkeypatch.context() as patch:
-                patch.setattr(encoder, "_heads", heads_with_key_bias)
+                patch.setattr(encoder, "multi_head_attention", unpacked_with_key_bias)
                 got = forward_batch(model, windows[:8]).data
             assert got.tobytes() == expected.tobytes(), name
 

@@ -89,6 +89,17 @@ class TestTypes:
         with pytest.raises(IntegrityError):
             dataclasses.replace(track, speed=("stopped", "warp", "stopped"))
 
+    def test_window_fields_cannot_be_reassigned(self):
+        """An assignment that would skip the window's checks raises; a
+        checked copy by `dataclasses.replace` refuses the same array."""
+        w = extract_window_at(make_track(n=16), 15, 15)
+        bad = np.zeros((15, 5), np.float32)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.nonvisual = bad
+        with pytest.raises(IntegrityError, match="non-visual"):
+            dataclasses.replace(w, nonvisual=bad)
+        assert stack_windows(named_model_spec("ours2_nonvisual"), [w])[0].shape == (1,) + w.nonvisual.shape
+
     def test_track_monotone_frames(self):
         with pytest.raises(IntegrityError):
             dataclasses.replace(make_track(n=3), frames=np.array([0, 2, 2]))

@@ -1,7 +1,11 @@
 """Attention, encoder layers, causal masking."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from oracles import unpacked_attention_sublayer
 
 from pedintent.errors import ContractError, DegenerateMaskError
 from pedintent.model import (
@@ -13,7 +17,7 @@ from pedintent.model import (
     init_encoder_params,
     multi_head_attention,
 )
-from pedintent.tensor import Tape, Tensor, backward, check_gradients, tensor_sum
+from pedintent.tensor import Tape, Tensor, backward, check_gradients, mul, tensor_sum
 
 
 def make_params(cfg, seed=0, dtype=np.float32):
@@ -109,6 +113,57 @@ class TestEncoderLayer:
         x = Tensor(np.zeros((2, 16), np.float32))
         with pytest.raises(ContractError):
             encoder_layer(x, params, "enc.L0.", CFG, training=True)
+
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_packed_sublayer_matches_the_unpacked_oracle(self, dtype, masked):
+        """One packed q/k/v product with the scale folded into the query
+        weights gives the bytes of the frozen unpacked sublayer (dh = 16, a
+        power-of-two scale); every parameter's and the input's gradient is
+        within 1e-6 of the oracle's largest |gradient|, since the input's
+        gradient is one product over 3 d columns instead of three summed."""
+        cfg = EncoderConfig(n_layers=1, n_heads=4, d_model=64)
+        rng = np.random.default_rng(31)
+        x_data, c_data = rng.normal(size=(2, 3, 9, 64)).astype(dtype)
+        # non-zero biases, so that folding the scale into bq shows
+        biases = {key: rng.normal(size=p.shape).astype(dtype) for key, p in make_params(cfg).items() if key.endswith(".b")}
+        mask = causal_mask(9) if masked else None
+        runs = []
+        for sublayer in (multi_head_attention, unpacked_attention_sublayer):
+            params = make_params(cfg, seed=32, dtype=dtype)
+            for key, values in biases.items():
+                params[key].data = values.copy()
+            x = Tensor(x_data, requires_grad=True)
+            with Tape():
+                out = sublayer(x, params, "enc.L0.", cfg.n_heads, mask=mask)
+                backward(tensor_sum(mul(out, Tensor(c_data))))
+            grads = {key: p.grad for key, p in params.items() if ".attn." in key}
+            runs.append((out.data, {**grads, "x": x.grad}))
+        (got, got_grads), (expected, expected_grads) = runs
+        assert got.dtype == dtype and got.tobytes() == expected.tobytes()
+        assert got_grads.keys() == expected_grads.keys()
+        for key, e in expected_grads.items():
+            assert np.max(np.abs(got_grads[key] - e)) <= 1e-6 * np.max(np.abs(e)), key
+
+    def test_training_layer_holds_under_29_inputs_after_its_forward(self):
+        """A training-mode float32 layer on a (8, 100, 64) input holds at
+        most 29 times the input's bytes when its forward ends: the packed
+        q/k/v product, one biased product per projection and the attention
+        op's own heads keep no bare product or per-head copy alive."""
+        cfg = EncoderConfig(n_layers=1, n_heads=4, d_model=64, dropout_rate=0.1)
+        params = make_params(cfg, seed=33)
+        x = Tensor(np.random.default_rng(34).normal(size=(8, 100, 64)).astype(np.float32), requires_grad=True)
+        rng = np.random.default_rng(35)
+        with Tape():
+            tracemalloc.start()
+            try:
+                out = encoder_layer(x, params, "enc.L0.", cfg, training=True, rng=rng)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            backward(tensor_sum(out))
+        assert held <= 29 * x.data.nbytes, f"held {held / x.data.nbytes:.1f} inputs"
 
 
 class TestEncode:

@@ -14,6 +14,7 @@ import pytest
 
 import pedintent.tensor as tensor_pkg
 import pedintent.tensor.core as core
+from oracles import attend, pack_heads
 from pedintent.errors import (
     CheckpointError,
     ContractError,
@@ -144,6 +145,62 @@ class TestMatmul:
         ga, gb = rule(np.ones_like(out.data))
         assert (ga is None, gb is None) == (tracked == "b", tracked == "a")
         assert len(calls) == products
+
+    @pytest.mark.parametrize("wrt", ["a", "b", "bias"])
+    @pytest.mark.parametrize(
+        "a_shape, b_shape, bias_shape",
+        [((3, 4, 5), (5, 2), (2,)), ((3, 4, 5), (5,), ())],
+        ids=["2d-weight", "1d-weight"],
+    )
+    def test_bias_gradients_match_finite_differences(self, wrt, a_shape, b_shape, bias_shape):
+        """Float64 gradients of a biased product with respect to each of
+        its three operands, the other two constants: a 2-D weight with an
+        (m,) bias and a 1-D weight with a 0-d bias (the head's shapes)."""
+        r = _rng(63)
+        args = {"a": t64(r.normal(size=a_shape)), "b": t64(r.normal(size=b_shape)), "bias": t64(r.normal(size=bias_shape))}
+        c = t64(r.normal(size=a_shape[:-1] + b_shape[1:]))
+
+        def f(x):
+            return tensor_sum(mul(matmul(**{**args, wrt: x}), c))
+
+        report = check_gradients(f, args[wrt], eps=1e-5)
+        assert report.max_rel_err < 1e-5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "a_shape, b_shape, bias_shape",
+        [((32, 9, 64), (64, 192), (192,)), ((3, 4, 5), (5, 2), (4, 1)), ((3, 4, 5), (5,), ()), ((5,), (5,), ())],
+    )
+    def test_bias_gives_the_bits_of_a_separate_add(self, dtype, a_shape, b_shape, bias_shape):
+        """Output and all three gradients are the bits of add(matmul(a, b),
+        bias), a broadcast bias included."""
+        r = _rng(64)
+        arrays = [r.normal(size=shape).astype(dtype) for shape in (a_shape, b_shape, bias_shape)]
+        c = Tensor(r.normal(size=a_shape[:-1] + b_shape[1:]).astype(dtype))
+        runs = []
+        for fused in (True, False):
+            a, b, bias = (Tensor(x, requires_grad=True) for x in arrays)
+            with Tape():
+                out = matmul(a, b, bias) if fused else add(matmul(a, b), bias)
+                backward(tensor_sum(mul(out, c)))
+            runs.append([out.data, a.grad, b.grad, bias.grad])
+        for got, expected in zip(*runs):
+            assert got.dtype == expected.dtype == dtype
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    def test_bias_errors(self):
+        """A bias that would widen the product's shape is a DimensionError,
+        one that would widen its dtype a ContractError; a float32 bias on a
+        float64 product is added as `add` would."""
+        a, b = Tensor(np.ones((2, 3), np.float32)), Tensor(np.ones((3, 4), np.float32))
+        with pytest.raises(DimensionError, match=r"\(2, 4\)"):
+            matmul(a, b, Tensor(np.ones((3, 1, 4), np.float32)))
+        with pytest.raises(DimensionError):
+            matmul(a, b, Tensor(np.ones(3, np.float32)))
+        with pytest.raises(ContractError, match="dtype"):
+            matmul(a, b, Tensor(np.ones(4), dtype=np.float64))
+        a64, bias = Tensor(np.ones((2, 3))), Tensor(np.full(4, 0.1, np.float32))
+        assert matmul(a64, b, bias).data.tobytes() == add(matmul(a64, b), bias).data.tobytes()
 
 
 class TestSoftmax:
@@ -413,7 +470,7 @@ class TestBackward:
 
         def step():
             with Tape():
-                backward(tensor_sum(attention(x, mul(x, 0.5), x)))
+                backward(tensor_sum(attend(x, mul(x, 0.5), x)))
 
         gc.collect()
         gc.disable()
@@ -489,7 +546,7 @@ def _op_cases(dtype=np.float64):
         "reshape": ((3, 4), lambda x: tensor_sum(mul(reshape(x, (2, 6)), reshape(x, (2, 6))))),
         "broadcast_to": ((4,), lambda x: tensor_sum(mul(broadcast_to(x, (3, 4)), mul_const[0]))),
         "dropout": ((3, 4), frozen_dropout),
-        "attention": ((3, 2, 5, 3), lambda x: tensor_sum(mul(attention(x[0], x[1], x[2]), att_const))),
+        "attention": ((3, 2, 5, 3), lambda x: tensor_sum(mul(attend(x[0], x[1], x[2]), att_const))),
     }
 
 
@@ -645,7 +702,7 @@ class TestAttention:
         m = _masks(self.S)[mask]
         c = t64(_rng(32).normal(size=(2, self.S, 3)))
         x = Tensor(_rng(33).normal(size=(3, 2, self.S, 3)), dtype=np.float64)
-        report = check_gradients(lambda t: tensor_sum(mul(attention(t[0], t[1], t[2], mask=m), c)), x, eps=1e-5)
+        report = check_gradients(lambda t: tensor_sum(mul(attend(t[0], t[1], t[2], mask=m), c)), x, eps=1e-5)
         assert report.max_rel_err < 1e-5, f"{blocks}/{mask}: {report.max_rel_err}"
 
     def test_fully_masked_row_in_a_later_block(self, monkeypatch):
@@ -654,7 +711,7 @@ class TestAttention:
         m[4] = False
         x = Tensor(np.ones((2, self.S, 3)))
         with pytest.raises(DegenerateMaskError):
-            attention(x, x, x, mask=m)
+            attend(x, x, x, mask=m)
 
     def _spike(self, monkeypatch, value):
         """The q row and the key-2 row whose score is `value`."""
@@ -693,16 +750,16 @@ class TestAttention:
         q, k, v = (Tensor(a, requires_grad=tracked) for a in (q, k, v))
         with np.errstate(over="ignore"), Tape():
             with pytest.raises(NumericalError):
-                attention(q, k, v, mask=m)
+                attend(q, k, v, mask=m)
         others = [r for r in range(self.S) if r != row]
-        assert np.all(np.isfinite(attention(*(Tensor(t.data[:, others]) for t in (q, k, v))).data))
+        assert np.all(np.isfinite(attend(*(Tensor(t.data[:, others]) for t in (q, k, v))).data))
 
     def test_masked_weights_exactly_zero_in_every_block(self, monkeypatch):
         monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", 3 * self.S * 4)
         m = _masks(self.S)["random"]
         q, k = (Tensor(a.astype(np.float32)) for a in _rng(37).normal(size=(2, 2, self.S, self.S)))
         v = Tensor(np.broadcast_to(np.eye(self.S, dtype=np.float32), (2, self.S, self.S)))
-        w = attention(q, k, v, mask=m).data  # v = I: the output is the weights
+        w = attend(q, k, v, mask=m).data  # v = I: the output is the weights
         assert np.all(w[:, ~m] == 0.0) and np.all(w[:, m] > 0.0)
         assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -714,7 +771,7 @@ class TestAttention:
         m = _masks(12)[mask]
         q, k, v = (Tensor(a.astype(np.float32)) for a in _rng(35).normal(size=(3, 2, 2, 12, 8)))
         scale = 1.0 / np.sqrt(8)
-        fused = attention(mul(q, scale), k, v, mask=m).data
+        fused = attend(mul(q, scale), k, v, mask=m).data
         composed = _composed_attention(q, k, v, mask=m, scale=scale).data
         assert fused.dtype == np.float32
         assert np.max(np.abs(fused - composed)) < 1e-6
@@ -731,7 +788,7 @@ class TestAttention:
         m = self._lead_masks()[mask]
         c = t64(_rng(39).normal(size=(2, 2, self.S, 3)))
         x = Tensor(_rng(40).normal(size=(3, 2, 2, self.S, 3)), dtype=np.float64)
-        report = check_gradients(lambda t: tensor_sum(mul(attention(t[0], t[1], t[2], mask=m), c)), x, eps=1e-5)
+        report = check_gradients(lambda t: tensor_sum(mul(attend(t[0], t[1], t[2], mask=m), c)), x, eps=1e-5)
         assert report.max_rel_err < 1e-5, f"{layout}/{mask}: {report.max_rel_err}"
 
     @pytest.mark.parametrize("layout", ["slices", "rows"])
@@ -740,7 +797,7 @@ class TestAttention:
         monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", self.TILE_ELEMENTS[layout] * 4)
         m = self._lead_masks()[mask]
         q, k, v = (Tensor(a.astype(np.float32)) for a in _rng(41).normal(size=(3, 2, 2, self.S, 3)))
-        fused = attention(q, k, v, mask=m).data
+        fused = attend(q, k, v, mask=m).data
         composed = _composed_attention(q, k, v, mask=m).data
         assert np.max(np.abs(fused - composed)) < 1e-6
 
@@ -759,22 +816,12 @@ class TestAttention:
 
         monkeypatch.setattr(core, "softmax", recording)
         x = Tensor(np.ones((2, 2, self.S, 3), dtype=dtype))
-        assert attention(x, x, x).data.dtype == dtype
+        assert attend(x, x, x).data.dtype == dtype
         assert shapes == {
             "single": [(4, 7, 7)],
             "slices": [(3, 7, 7), (1, 7, 7)],
             "rows": [(1, 3, 7), (1, 3, 7), (1, 1, 7)] * 4,
         }[layout]
-
-    @pytest.mark.parametrize("blocks", ["single", "multi"])
-    def test_mixed_dtypes_rejected(self, monkeypatch, blocks):
-        if blocks == "multi":
-            monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", 3 * self.S * 4)
-        f32 = Tensor(np.ones((2, self.S, 3), dtype=np.float32))
-        f64 = Tensor(np.ones((2, self.S, 3)), dtype=np.float64)
-        for q, k, v in ((f32, f64, f64), (f64, f32, f64), (f64, f64, f32)):
-            with pytest.raises(ContractError, match="dtype"):
-                attention(q, k, v)
 
     def test_fully_masked_row_in_a_later_slice_tile(self, monkeypatch):
         monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", self.S * self.S * 8)  # one slice per tile
@@ -782,9 +829,9 @@ class TestAttention:
         m[1, 0, 4] = False  # row 4 of slices 2 and 3
         x = np.ones((2, 2, self.S, 3))
         with pytest.raises(DegenerateMaskError):
-            attention(Tensor(x), Tensor(x), Tensor(x), mask=m)
+            attend(Tensor(x), Tensor(x), Tensor(x), mask=m)
         first = Tensor(x[:1])
-        assert np.allclose(attention(first, first, first, mask=m[:1]).data, 1.0)
+        assert np.allclose(attend(first, first, first, mask=m[:1]).data, 1.0)
 
     @pytest.mark.parametrize("value", ["+inf", "-inf", "nan"])
     @pytest.mark.parametrize("tracked", [False, True])
@@ -797,26 +844,53 @@ class TestAttention:
         tq, tk, tv = (Tensor(a, requires_grad=tracked) for a in (q, k, v))
         with np.errstate(over="ignore"), Tape():
             with pytest.raises(NumericalError):
-                attention(tq, tk, tv)
-        assert np.all(np.isfinite(attention(*(Tensor(a[0]) for a in (q, k, v))).data))
+                attend(tq, tk, tv)
+        assert np.all(np.isfinite(attend(*(Tensor(a[0]) for a in (q, k, v))).data))
+
+    @pytest.mark.parametrize("mask", ["none", "causal", "lead"])
+    @pytest.mark.parametrize("layout", ["single", "rows"])
+    def test_packed_gradients_match_finite_differences(self, monkeypatch, mask, layout):
+        """Float64 gradients with respect to a packed (2, S, 3 x 2 x 3)
+        input of two heads, taken from its own columns, under no mask, a
+        causal mask and a per-batch (2, 1, S, S) mask, in one tile and in
+        row tiles."""
+        if layout == "rows":
+            monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", self.TILE_ELEMENTS["rows"] * 8)
+        m = self._lead_masks()[mask]
+        c = t64(_rng(50).normal(size=(2, 2, self.S, 3)))
+        x = Tensor(_rng(51).normal(size=(2, self.S, 18)), dtype=np.float64)
+        report = check_gradients(lambda t: tensor_sum(mul(attention(t, 2, mask=m), c)), x, eps=1e-5)
+        assert report.max_rel_err < 1e-5, f"{layout}/{mask}: {report.max_rel_err}"
+
+    def test_packed_columns_are_q_then_k_then_v_by_head(self):
+        """Head h of q, k and v is columns h dh .. (h + 1) dh of the q, k and
+        v thirds of the packed input: the op gives the bits of per-head
+        calls on those columns."""
+        x = _rng(52).normal(size=(2, self.S, 18)).astype(np.float32)
+        out = attention(Tensor(x), 2).data
+        assert out.shape == (2, 2, self.S, 3)
+        for h in range(2):
+            cols = np.concatenate([np.arange(part * 6 + h * 3, part * 6 + h * 3 + 3) for part in range(3)])
+            one = attention(Tensor(np.ascontiguousarray(x[..., cols])), 1).data
+            assert one[:, 0].tobytes() == out[:, h].tobytes()
 
     def test_shape_errors(self):
-        x = Tensor(np.ones((2, 4, 3)))
-        with pytest.raises(DimensionError):
-            attention(x, Tensor(np.ones((2, 5, 3))), x)
-        with pytest.raises(DimensionError):
-            attention(Tensor(np.ones(3)), Tensor(np.ones(3)), Tensor(np.ones(3)))
+        """A packed input of rank below 2, a last axis that is not a
+        multiple of 3 n_heads, or no heads, is refused."""
+        for shape, n_heads in (((9,), 1), ((2, 4, 9), 2), ((2, 4, 10), 1), ((2, 4, 12), 0)):
+            with pytest.raises(DimensionError, match="packed"):
+                attention(Tensor(np.ones(shape)), n_heads)
 
     def test_no_tokens_is_a_dimension_error(self):
         x = Tensor(np.ones((2, 0, 3)))
         with pytest.raises(DimensionError):
-            attention(x, x, x)
+            attend(x, x, x)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_empty_batch_gives_empty_output_and_zero_gradients(self, dtype):
         q, k, v = (Tensor(np.ones((0, 4, 3), dtype=dtype), requires_grad=True) for _ in range(3))
         with Tape():
-            out = attention(q, k, v)
+            out = attend(q, k, v)
             backward(tensor_sum(out))
         assert out.shape == (0, 4, 3) and out.data.dtype == dtype
         assert all(t.grad.shape == (0, 4, 3) and t.grad.dtype == dtype for t in (q, k, v))
@@ -831,7 +905,7 @@ class TestAttention:
         q, k, v = (a.astype(np.float32) for a in _rng(43).normal(size=(3, 2, 2, self.S, 3)))
         q[1, 0, 5], k[1, 0, 2] = [1e19, 0, 0], [0, 1e19, 0]
         q, k, v = Tensor(q), Tensor(k), Tensor(v)
-        fused = attention(q, k, v).data
+        fused = attend(q, k, v).data
         assert np.max(np.abs(fused - _composed_attention(q, k, v).data)) < 1e-6
 
     @pytest.mark.parametrize("layout", ["slices", "rows"])
@@ -849,7 +923,7 @@ class TestAttention:
         monkeypatch.setattr(core, "softmax", recording)
         x = Tensor(_rng(44).normal(size=(2, 2, self.S, 3)), dtype=np.float64, requires_grad=True)
         with Tape():
-            out = attention(x, x, x)
+            out = attend(x, x, x)
             forward_calls = len(calls)
             backward(tensor_sum(out))
         assert forward_calls == {"slices": 2, "rows": 12}[layout]
@@ -944,7 +1018,7 @@ def test_attention_bit_identical_to_the_frozen_oracle(monkeypatch, dtype, layout
     q, k, v, c = (a.astype(dtype) for a in _rng(47).normal(size=(4, 2, 2, s, 3)))
     tq, tk, tv = (Tensor(a, requires_grad=True) for a in (q, k, v))
     with Tape():
-        out = attention(tq, tk, tv, mask=m)
+        out = attend(tq, tk, tv, mask=m)
         backward(tensor_sum(mul(out, Tensor(c))))
     expected = _frozen_attention(q, k, v, m, c)
     got = (out.data, tq.grad, tk.grad, tv.grad)
@@ -964,12 +1038,12 @@ def test_attention_memory_of_a_long_masked_sequence():
     q, k, v, c = (Tensor((rng.normal(size=(32, 4, 706, 16)) * 0.25).astype(np.float32)) for _ in range(4))
     m = rng.random((32, 1, 706, 706)) > 0.5
     m[..., 0] = True
-    for t in (q, k, v):
-        t.requires_grad = True
+    qkv = Tensor(pack_heads(q, k, v).data, requires_grad=True)
+    del q, k, v
     tracemalloc.start()
     try:
         with Tape():
-            backward(tensor_sum(mul(attention(q, k, v, mask=m), c)))
+            backward(tensor_sum(mul(attention(qkv, 4, mask=m), c)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -981,18 +1055,37 @@ def test_one_tile_attention_holds_no_weights_until_backward():
     holds less than its 6.0 MiB of weights between forward and backward:
     only the output and the row statistics (about 1 MiB)."""
     rng = _rng(48)
-    q, k, v = (Tensor(rng.normal(size=(32, 4, 111, 16)).astype(np.float32), requires_grad=True) for _ in range(3))
+    q, k, v = (Tensor(rng.normal(size=(32, 4, 111, 16)).astype(np.float32)) for _ in range(3))
+    qkv = Tensor(pack_heads(q, k, v).data, requires_grad=True)
     weight_bytes = 32 * 4 * 111 * 111 * 4
     assert weight_bytes <= core.ATTENTION_BLOCK_BYTES  # one tile
     with Tape():
         tracemalloc.start()
         try:
-            out = attention(q, k, v)
+            out = attention(qkv, 4)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         backward(tensor_sum(out))
     assert held < weight_bytes, f"held {held / 2**20:.2f} MiB"
+
+
+def test_packed_attention_holds_only_its_output_and_row_stats():
+    """Between forward and backward a one-tile float32 (32, 111, 3 x 64)
+    call holds its (32, 4, 111, 16) output and its two (128, 111, 1) row
+    statistics, and no per-head q, k or v copy (0.9 MiB each)."""
+    qkv = Tensor(_rng(53).normal(size=(32, 111, 192)).astype(np.float32), requires_grad=True)
+    with Tape():
+        tracemalloc.start()
+        try:
+            out = attention(qkv, 4)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        backward(tensor_sum(out))
+    stats = 2 * 32 * 4 * 111 * 4
+    assert held < out.data.nbytes + stats + (64 << 10), f"held {held / 2**20:.2f} MiB"
+    assert qkv.grad.shape == qkv.shape
 
 
 def test_attention_forward_frees_each_tiles_weights(monkeypatch):
@@ -1001,10 +1094,10 @@ def test_attention_forward_frees_each_tiles_weights(monkeypatch):
     tile allocates weights of its own."""
     tile = 2 * 256 * 256 * 8
     monkeypatch.setattr(core, "ATTENTION_BLOCK_BYTES", tile)
-    q, k, v = (Tensor(a) for a in _rng(49).normal(size=(3, 8, 256, 2)))
+    qkv = pack_heads(*(Tensor(a) for a in _rng(49).normal(size=(3, 8, 256, 2))))
     tracemalloc.start()
     try:
-        attention(q, k, v)
+        attention(qkv, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -149,3 +149,28 @@ def test_compare_probs_trained_parameters():
     }
     with pytest.raises(ValueError, match="different configs"):
         compare_probs.same_parameters(parent, {"ours1 seed 0": "aa"})
+
+
+def test_compare_probs_report_states_the_post_step_difference():
+    """Each config's line gives the largest difference before and after the
+    training step and whether the parameters are identical; the overall
+    line gives both maxima with their keys. Sides that score different
+    configs after the step are refused."""
+    compare_probs = _load("compare_probs")
+    parent = {
+        "probabilities": {"ours1 seed 0": [0.25, 0.5], "ours3 seed 3": [0.75]},
+        "trained_probabilities": {"ours1 seed 0": [0.25, 0.5], "ours3 seed 3": [0.75]},
+        "digests": {"ours1 seed 0": "aa", "ours3 seed 3": "bb"},
+    }
+    change = {
+        "probabilities": {"ours1 seed 0": [0.25, 0.5], "ours3 seed 3": [0.75]},
+        "trained_probabilities": {"ours1 seed 0": [0.25, 0.5 + 2**-20], "ours3 seed 3": [0.75 - 2**-23]},
+        "digests": {"ours1 seed 0": "ab", "ours3 seed 3": "bb"},
+    }
+    assert compare_probs.report(parent, change) == [
+        f"ours1 seed 0: max |parent - change| 0, after one step {2**-20:.3g}, trained parameters different",
+        f"ours3 seed 3: max |parent - change| 0, after one step {2**-23:.3g}, trained parameters identical",
+        f"overall: 0 (ours1 seed 0); after one step {2**-20:.3g} (ours1 seed 0); trained parameters identical for 1 of 2",
+    ]
+    with pytest.raises(ValueError, match="different configs"):
+        compare_probs.report(parent, {**change, "trained_probabilities": {"ours1 seed 0": [0.25, 0.5]}})

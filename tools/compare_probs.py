@@ -1,14 +1,16 @@
 """Largest difference between a parent checkout's float32 eval
-probabilities and this tree's, and whether one training step gives the
-same parameters.
+probabilities and this tree's, before and after one training step, and
+whether that step gives the same parameters.
 
 Builds every named config fresh at seeds 0 and 3 in each tree, scores the
 same fixed synthetic windows (all three clips) in eval mode, then runs one
 `training.fit_step` on those windows in training mode (dropout on, its
-generator seeded with the config seed). For each config and seed it prints
-the maximum absolute difference of the probabilities and whether the
-sha256 of the updated parameters equals the parent's, then the overall
-maximum and the count of identical parameter sets:
+generator seeded with the config seed) and scores them again in eval mode.
+For each config and seed it prints the maximum absolute difference of the
+probabilities before and after the step and whether the sha256 of the
+updated parameters equals the parent's, then the overall maxima and the
+count of identical parameter sets. Trained parameters that differ only by
+rounding show as "different"; the post-step difference says by how much:
 
     git clone -q . ../parent && git -C ../parent checkout -q <parent-sha>
     python3 tools/compare_probs.py --parent ../parent
@@ -44,10 +46,11 @@ def parameter_digest(params: dict) -> str:
     return h.hexdigest()
 
 
-def results() -> tuple[dict[str, list[float]], dict[str, str]]:
-    """"<config> seed <s>" -> float32 eval probabilities on the fixed
-    windows, and -> the parameter digest after one seeded training step on
-    them, from the pedintent package on the import path."""
+def results() -> dict[str, dict]:
+    """"probabilities": "<config> seed <s>" -> float32 eval probabilities
+    on the fixed windows; "trained_probabilities": the same after one
+    seeded training step on them; "digests": the parameter digest after
+    that step. From the pedintent package on the import path."""
     import numpy as np
 
     from pedintent.data import ClipConfig, extract_windows, generate_synthetic
@@ -60,7 +63,7 @@ def results() -> tuple[dict[str, list[float]], dict[str, str]]:
     )
     windows = [w for t in tracks for w in extract_windows(t, 8, (30, 60), 15, frames=frames, clip_cfg=cfg)]
     labels = np.array([w.label for w in windows])
-    probs, digests = {}, {}
+    probs, trained, digests = {}, {}, {}
     for name in NAMED_CONFIGS:
         for seed in SEEDS:
             key = f"{name} seed {seed}"
@@ -74,8 +77,9 @@ def results() -> tuple[dict[str, list[float]], dict[str, str]]:
                 class_weights(labels),
                 state,
             )
+            trained[key] = forward_batch(model, windows).data.tolist()
             digests[key] = parameter_digest(model.params)
-    return probs, digests
+    return {"probabilities": probs, "trained_probabilities": trained, "digests": digests}
 
 
 def max_abs_differences(parent: dict[str, list[float]], change: dict[str, list[float]]) -> dict[str, float]:
@@ -100,6 +104,26 @@ def same_parameters(parent: dict[str, str], change: dict[str, str]) -> dict[str,
     return {key: digest == change[key] for key, digest in parent.items()}
 
 
+def report(parent: dict, change: dict) -> list[str]:
+    """The printed lines for two trees' `results`: one per config and seed,
+    then the overall line. Raises ValueError when the trees score or train
+    different configs or window counts."""
+    before = max_abs_differences(parent["probabilities"], change["probabilities"])
+    after = max_abs_differences(parent["trained_probabilities"], change["trained_probabilities"])
+    same = same_parameters(parent["digests"], change["digests"])
+    lines = [
+        f"{key}: max |parent - change| {d:.3g}, after one step {after[key]:.3g}, "
+        f"trained parameters {'identical' if same[key] else 'different'}"
+        for key, d in before.items()
+    ]
+    worst, worst_after = max(before, key=before.get), max(after, key=after.get)
+    lines.append(
+        f"overall: {before[worst]:.3g} ({worst}); after one step {after[worst_after]:.3g} ({worst_after}); "
+        f"trained parameters identical for {sum(same.values())} of {len(same)}"
+    )
+    return lines
+
+
 def _dump_of(root: Path) -> dict:
     """The probabilities and parameter digests a child process computes
     from `root`'s src/."""
@@ -122,21 +146,15 @@ def main(argv=None) -> int:
     if args.dump:
         import pedintent
 
-        probs, digests = results()
-        print(json.dumps({"module": pedintent.__file__, "probabilities": probs, "digests": digests}))
+        print(json.dumps({"module": pedintent.__file__, **results()}))
         return 0
     parent, change = _dump_of(args.parent.resolve()), _dump_of(ROOT)
     try:
-        diffs = max_abs_differences(parent["probabilities"], change["probabilities"])
-        same = same_parameters(parent["digests"], change["digests"])
+        lines = report(parent, change)
     except ValueError as e:
         print(e, file=sys.stderr)
         return 1
-    for key, d in diffs.items():
-        trained = "identical" if same[key] else "different"
-        print(f"{key}: max |parent - change| {d:.3g}, trained parameters {trained}")
-    worst = max(diffs, key=diffs.get)
-    print(f"overall: {diffs[worst]:.3g} ({worst}); trained parameters identical for {sum(same.values())} of {len(same)}")
+    print("\n".join(lines))
     return 0
 
 
