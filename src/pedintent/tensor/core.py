@@ -694,9 +694,9 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
 def _split_heads(qkv: np.ndarray, n_heads: int) -> np.ndarray:
     """Per-head q, k and v of a packed (..., S, 3 d) array as one contiguous
     (3, n, S, dh) copy: n = prod(...) * n_heads slices, dh = d / n_heads."""
-    s, dh = qkv.shape[-2], qkv.shape[-1] // (3 * n_heads)
-    parts = qkv.reshape(-1, s, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
-    return np.ascontiguousarray(parts).reshape(3, -1, s, dh)
+    batch, s, dh = math.prod(qkv.shape[:-2]), qkv.shape[-2], qkv.shape[-1] // (3 * n_heads)
+    parts = qkv.reshape(batch, s, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    return np.ascontiguousarray(parts).reshape(3, batch * n_heads, s, dh)
 
 
 def _pack_heads(heads: np.ndarray, n_heads: int, shape: tuple) -> np.ndarray:

@@ -876,10 +876,12 @@ class TestAttention:
 
     def test_shape_errors(self):
         """A packed input of rank below 2, a last axis that is not a
-        multiple of 3 n_heads, or no heads, is refused."""
+        multiple of 3 n_heads, or no heads, is refused; a zero-width one
+        gives zero-width heads."""
         for shape, n_heads in (((9,), 1), ((2, 4, 9), 2), ((2, 4, 10), 1), ((2, 4, 12), 0)):
             with pytest.raises(DimensionError, match="packed"):
                 attention(Tensor(np.ones(shape)), n_heads)
+        assert attention(Tensor(np.ones((2, 4, 0))), 2).shape == (2, 2, 4, 0)
 
     def test_no_tokens_is_a_dimension_error(self):
         x = Tensor(np.ones((2, 0, 3)))
