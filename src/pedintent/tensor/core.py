@@ -1,12 +1,24 @@
 """Dense float tensors with define-by-run reverse-mode differentiation.
 
 A `Tape` records every operation whose inputs track gradients; `backward`
-replays it in reverse to populate leaf gradients, releasing each entry (and
-the activations only it holds) as it goes, so a replayed tape holds no
-reference cycle and one backward runs per tape. Tensors are float32 by
-default; building them from float64 arrays keeps float64, which is how the
-gradient checker runs the whole graph at 64-bit. Ops compute in their
-inputs' dtype: constants take that dtype, never a float64 scalar's.
+replays it in reverse to populate leaf gradients, releasing each entry as
+it goes; one backward runs per tape. Tensors are float32 by default: a
+Python number or list becomes float32, while a float64 array or numpy
+scalar keeps float64, which is how the gradient checker runs the whole
+graph at 64-bit. Ops compute in their inputs' dtype: constants take that
+dtype, never a float64 scalar's.
+
+Memory: a tape entry keeps, per input, only its node id, whether it
+tracks gradients and its shape, plus the op's backward rule. A rule's
+closure keeps flags, shapes and the arrays that rule reads, never a Tensor,
+as autograd saves only what each derivative formula declares (Paszke et
+al., arXiv:1912.01703). An activation therefore lives only while a rule
+reads it: `matmul` keeps a's rows for the weight's gradient and the
+weight for a's, `mul` each operand for the other's gradient, `add` only
+shapes, and a recorded `gelu` one derivative array in place of x and its
+cdf. Neither a tape nor its outputs form a reference cycle, replayed or
+not, so the forward of a step that raises partway is freed by reference
+counting.
 
 Values are finite: `Tensor()` checks its data, and an op producing NaN or
 Inf raises NumericalError. Most ops check their whole output (`_result`).
@@ -90,6 +102,9 @@ class Tape:
 
     Use as a context manager around a forward pass that will be
     differentiated. Nesting replaces the active tape for the inner block.
+    The tape holds the gradient-tracking leaves it has seen and, per op,
+    a `_TapeEntry`: no intermediate Tensor, so an activation lives only
+    as long as a backward rule reads it.
     """
 
     def __init__(self):
@@ -118,10 +133,15 @@ class Tape:
             if t.requires_grad:
                 self._register_leaf(t)
         self._produced.add(output.node_id)
-        self.entries.append(_TapeEntry(tuple(inputs), output.node_id, backward))
+        slots = tuple((t.node_id, t.requires_grad, t.shape) for t in inputs)
+        self.entries.append(_TapeEntry(slots, output.node_id, backward))
 
 
 class _TapeEntry:
+    """One recorded op: `inputs` holds `(node_id, requires_grad, shape)`
+    per input, `out_id` the output's node id and `backward` the rule
+    mapping the output's gradient to one gradient (or None) per input."""
+
     __slots__ = ("inputs", "out_id", "backward")
 
     def __init__(self, inputs, out_id, backward):
@@ -135,7 +155,9 @@ class Tensor:
 
     `data` is row-major float32/float64; `grad` is populated by `backward`
     for gradient-tracking leaves. Values must be finite: any op producing
-    NaN/Inf raises NumericalError.
+    NaN/Inf raises NumericalError. Without `dtype`, a float32 or float64
+    array or numpy scalar keeps its dtype, and anything else (a Python
+    number or list, an integer array) becomes float32.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node_id", "tape")
@@ -144,7 +166,7 @@ class Tensor:
         arr = np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        elif arr.dtype not in (np.float32, np.float64) or not isinstance(data, (np.ndarray, np.generic)):
             arr = arr.astype(np.float32)
         if not np.all(np.isfinite(arr)):
             raise NumericalError("tensor values must be finite")
@@ -281,14 +303,18 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         except ValueError as e:
             raise DimensionError(f"bias {bias.shape} does not broadcast to the product {out.shape}") from e
         inputs = (a, b, bias)
+    a_grad, b_grad, a_shape, b_shape, m = a.requires_grad, b.requires_grad, ad.shape, bd.shape, w.shape[1]
+    bias_grad, bias_shape = (False, None) if bias is None else (bias.requires_grad, bias.shape)
+    # a's gradient reads only the weight, the weight's only a's rows
+    w, rows = (w if a_grad else None), (rows if b_grad else None)
 
     def backward(g):
-        g2 = g.reshape(n, w.shape[1])
-        ga = np.matmul(g2, w.T).reshape(ad.shape) if a.requires_grad else None
-        gb = np.matmul(rows.T, g2).reshape(bd.shape) if b.requires_grad else None
-        if bias is None:
+        g2 = g.reshape(n, m)
+        ga = np.matmul(g2, w.T).reshape(a_shape) if a_grad else None
+        gb = np.matmul(rows.T, g2).reshape(b_shape) if b_grad else None
+        if bias_shape is None:
             return ga, gb
-        return ga, gb, _unbroadcast(g, bias.shape) if bias.requires_grad else None
+        return ga, gb, _unbroadcast(g, bias_shape) if bias_grad else None
 
     return _result(out, inputs, backward)
 
@@ -305,12 +331,12 @@ def add(a: Tensor, b) -> Tensor:
         out = a.data + b.data
     except ValueError as e:
         raise DimensionError(f"shapes {a.shape} and {b.shape} do not broadcast") from e
-    a_shape, b_shape = a.shape, b.shape
+    a_grad, b_grad, a_shape, b_shape = a.requires_grad, b.requires_grad, a.shape, b.shape
 
     def backward(g):
         return (
-            _unbroadcast(g, a_shape) if a.requires_grad else None,
-            _unbroadcast(g, b_shape) if b.requires_grad else None,
+            _unbroadcast(g, a_shape) if a_grad else None,
+            _unbroadcast(g, b_shape) if b_grad else None,
         )
 
     return _result(out, (a, b), backward)
@@ -329,11 +355,14 @@ def mul(a: Tensor, b) -> Tensor:
         out = ad * bd
     except ValueError as e:
         raise DimensionError(f"shapes {a.shape} and {b.shape} do not broadcast") from e
+    a_grad, b_grad, a_shape, b_shape = a.requires_grad, b.requires_grad, ad.shape, bd.shape
+    # each operand's gradient reads only the other operand
+    ad, bd = (ad if b_grad else None), (bd if a_grad else None)
 
     def backward(g):
         return (
-            _unbroadcast(g * bd, ad.shape) if a.requires_grad else None,
-            _unbroadcast(g * ad, bd.shape) if b.requires_grad else None,
+            _unbroadcast(g * bd, a_shape) if a_grad else None,
+            _unbroadcast(g * ad, b_shape) if b_grad else None,
         )
 
     return _result(out, (a, b), backward)
@@ -403,6 +432,24 @@ def _gelu32(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out.reshape(xd.shape), cdf.reshape(xd.shape)
 
 
+def _gelu_derivative(xd: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """gelu's derivative cdf + x * pdf, pdf = exp(-x^2 / 2) / sqrt(2 pi),
+    written over a contiguous `cdf` in in-place passes over chunks."""
+    dt = xd.dtype.type
+    xs, cs = xd.reshape(-1), cdf.reshape(-1)
+    scratch = np.empty(min(xs.size, GELU_CHUNK), dtype=xd.dtype)
+    for part in _chunks(xs.size):
+        xc = xs[part]
+        d = scratch[: xc.size]
+        np.multiply(xc, dt(-0.5), out=d)
+        d *= xc
+        np.exp(d, out=d)
+        d /= dt(math.sqrt(2.0 * math.pi))
+        d *= xc
+        cs[part] += d
+    return cs.reshape(xd.shape)  # a 0-d cdf (scipy's erf gives a scalar) reshapes to a copy
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact erf form: 0.5 * x * (1 + erf(x / sqrt(2))), in x's dtype.
 
@@ -410,8 +457,11 @@ def gelu(x: Tensor) -> Tensor:
     Float32 takes the rational erf above (Eigen's and XLA's float32 form):
     GELU then errs by at most 2.6e-7 * max(1, |x|) against float64, 1.4e-6
     at |x| near 5.6, where the clamp sets in. A finite x gives a finite
-    output, which is not checked again. Forward and backward run in-place
-    passes over chunks of GELU_CHUNK elements.
+    output, which is not checked again. The forward runs in-place passes
+    over chunks of GELU_CHUNK elements. When the output is recorded, the
+    forward also writes the local derivative cdf + x * pdf over cdf, and
+    the rule keeps that one array, not x and cdf, so backward is one
+    product; an untracked call computes no derivative.
     """
     x = _as_tensor(x)
     xd = x.data
@@ -423,23 +473,10 @@ def gelu(x: Tensor) -> Tensor:
         cdf += dt(1.0)
         cdf *= dt(0.5)
         out = xd * cdf
-
-    def backward(g):
-        # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi)
-        xs, cs, gs = xd.reshape(-1), cdf.reshape(-1), g.reshape(-1)
-        dx = np.empty_like(xs)
-        for part in _chunks(xs.size):
-            d, xc = dx[part], xs[part]
-            np.multiply(xc, dt(-0.5), out=d)
-            d *= xc
-            np.exp(d, out=d)
-            d /= dt(math.sqrt(2.0 * math.pi))
-            d *= xc
-            d += cs[part]
-            d *= gs[part]
-        return (dx.reshape(xd.shape),)
-
-    return _record(out, (x,), backward)
+    if not (x.requires_grad and _active_tape() is not None):
+        return _record(out, (x,), None)
+    deriv = _gelu_derivative(xd, cdf)
+    return _record(out, (x,), lambda g: (deriv * g,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -751,10 +788,10 @@ def attention(qkv: Tensor, n_heads: int, mask=None) -> Tensor:
     dh = width // (3 * n_heads)
     if s == 0:
         raise DimensionError(f"attention needs at least one token, got shape {qkv.shape}")
-    dtype = qkv.data.dtype
+    packed, shape, dtype = qkv.data, qkv.shape, qkv.data.dtype
     n = math.prod(lead)
     if n == 0:
-        return _record(np.zeros(lead + (s, dh), dtype), (qkv,), lambda g: (np.zeros_like(qkv.data),))
+        return _record(np.zeros(lead + (s, dh), dtype), (qkv,), lambda g: (np.zeros(shape, dtype),))
     m = None if mask is None else (mask.data if isinstance(mask, Tensor) else np.asarray(mask))
     if m is not None and m.ndim > 2:
         m = np.broadcast_to(m, lead + m.shape[-2:])  # a view: no copy
@@ -782,7 +819,7 @@ def attention(qkv: Tensor, n_heads: int, mask=None) -> Tensor:
 
     top, total = np.empty((n, s, 1), dtype=dtype), np.empty((n, s, 1), dtype=dtype)
     out = np.empty((n, s, dh), dtype=dtype)
-    qd, kd, vd = _split_heads(qkv.data, n_heads)
+    qd, kd, vd = _split_heads(packed, n_heads)
     buf = scratch()
     for tile in tiles:
         i0, i1, r0, r1 = tile
@@ -795,7 +832,7 @@ def attention(qkv: Tensor, n_heads: int, mask=None) -> Tensor:
     del qd, kd, vd, buf
 
     def backward(g):
-        qd, kd, vd = _split_heads(qkv.data, n_heads)
+        qd, kd, vd = _split_heads(packed, n_heads)
         g = g.reshape(n, s, dh)
         grads = np.zeros((3, n, s, dh), dtype=dtype)
         dq, dk, dv = grads
@@ -828,7 +865,7 @@ def attention(qkv: Tensor, n_heads: int, mask=None) -> Tensor:
             np.matmul(ds, kd[i0:i1], out=dq[i0:i1, r0:r1])
             dk[i0:i1] += np.matmul(np.swapaxes(ds, -1, -2), qd[i0:i1, r0:r1])
         del qd, kd, vd, ebuf, dbuf
-        return (_pack_heads(grads, n_heads, qkv.shape),)
+        return (_pack_heads(grads, n_heads, shape),)
 
     return _result(out.reshape(lead + (s, dh)), (qkv,), backward)
 
@@ -870,8 +907,10 @@ def backward(loss: Tensor):
     Populates `.grad` on every gradient-tracking leaf seen by the tape;
     leaves the loss does not depend on get exact zeros. Gradients are
     assigned (not accumulated across calls); run one backward per tape.
-    The tape's entries are detached and dropped as they are replayed, so
-    each activation is freed once the backward rules needing it have run.
+    Each entry's rule maps its output's gradient to its inputs', which are
+    summed by node id into those of the inputs that track gradients. The
+    entries are dropped as they are replayed, so each activation is freed
+    once the last rule reading it has run.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ContractError("backward requires a scalar loss tensor")
@@ -887,13 +926,13 @@ def backward(loss: Tensor):
         g = grads.pop(entry.out_id, None)
         if g is None:
             continue
-        for t, gi in zip(entry.inputs, entry.backward(g)):
-            if gi is None or not t.requires_grad:
+        for (node, tracked, shape), gi in zip(entry.inputs, entry.backward(g)):
+            if gi is None or not tracked:
                 continue
-            if gi.shape != t.shape:
-                gi = gi.reshape(t.shape)
-            acc = grads.get(t.node_id)
-            grads[t.node_id] = gi if acc is None else acc + gi
+            if gi.shape != shape:
+                gi = gi.reshape(shape)
+            acc = grads.get(node)
+            grads[node] = gi if acc is None else acc + gi
     for leaf in tape.leaves:
         g = grads.get(leaf.node_id)
         leaf.grad = np.zeros_like(leaf.data) if g is None else np.asarray(g, dtype=leaf.data.dtype)

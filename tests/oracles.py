@@ -2,7 +2,12 @@
 op names a tape recorded, and the packing of per-head q, k and v into the
 input of `attention`."""
 
+import math
+
 import numpy as np
+from scipy.special import erf
+
+import pedintent.tensor.core as core
 
 from pedintent.data import CHANNEL_WIDTHS, NONVISUAL_CHANNELS, SPEED_CATEGORIES
 from pedintent.errors import ConfigError, ContractError, IntegrityError
@@ -118,3 +123,30 @@ def unpacked_attention_sublayer(x, params: dict, prefix: str, n_heads: int, mask
     v = add(matmul(x, params[f"{p}wv.w"]), params[f"{p}wv.b"])
     ctx = _merge_heads(attend(q, _split_heads(k, n_heads), _split_heads(v, n_heads), mask=mask))
     return add(matmul(ctx, params[f"{p}wo.w"]), params[f"{p}wo.b"])
+
+
+def gelu_input_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The input gradient of `gelu` as its backward rule stood when the
+    tape kept x and cdf, frozen: g * (cdf + x * pdf), pdf = exp(-x^2 / 2)
+    / sqrt(2 pi), by in-place passes over chunks, with cdf from the
+    forward's erf (the rational one in float32, scipy's in float64)."""
+    dt = x.dtype.type
+    if x.dtype == np.float32:
+        cdf = core._gelu32(x)[1]
+    else:
+        cdf = erf(x / dt(math.sqrt(2.0)))
+        cdf += dt(1.0)
+        cdf *= dt(0.5)
+    xs, cs, gs = x.reshape(-1), cdf.reshape(-1), g.reshape(-1)
+    dx = np.empty_like(xs)
+    for i in range(0, xs.size, core.GELU_CHUNK):
+        part = slice(i, i + core.GELU_CHUNK)
+        d, xc = dx[part], xs[part]
+        np.multiply(xc, dt(-0.5), out=d)
+        d *= xc
+        np.exp(d, out=d)
+        d /= dt(math.sqrt(2.0 * math.pi))
+        d *= xc
+        d += cs[part]
+        d *= gs[part]
+    return dx.reshape(x.shape)

@@ -14,7 +14,7 @@ import pytest
 
 import pedintent.tensor as tensor_pkg
 import pedintent.tensor.core as core
-from oracles import attend, pack_heads
+from oracles import attend, gelu_input_grad, pack_heads, recorded_ops
 from pedintent.errors import (
     CheckpointError,
     ContractError,
@@ -57,6 +57,18 @@ from pedintent.tensor import (
 
 def t64(arr):
     return Tensor(np.asarray(arr, dtype=np.float64))
+
+
+class TestConstruction:
+    def test_python_numbers_become_float32_and_float_arrays_keep_their_dtype(self):
+        assert Tensor([[2.0, 4.0]]).data.dtype == np.float32
+        assert Tensor(3.0).data.dtype == np.float32
+        assert Tensor(3).data.dtype == np.float32
+        assert Tensor(np.arange(3)).data.dtype == np.float32
+        assert Tensor(np.array([2.0, 4.0])).data.dtype == np.float64
+        assert Tensor(np.float64(3.0)).data.dtype == np.float64
+        assert Tensor(np.array([2.0], dtype=np.float32)).data.dtype == np.float32
+        assert Tensor([2.0, 4.0], dtype=np.float64).data.dtype == np.float64
 
 
 class TestMatmul:
@@ -600,6 +612,51 @@ def test_op_keeps_float32(op, monkeypatch):
     assert seen and set(seen) == {np.dtype(np.float32)}, f"{op}: {set(seen)}"
 
 
+def _cell_values(fn) -> list:
+    """The values of a function's bound closure cells (a cell whose
+    variable was never assigned, such as a branch's, holds none)."""
+    values = []
+    for cell in fn.__closure__ or ():
+        try:
+            values.append(cell.cell_contents)
+        except ValueError:
+            pass
+    return values
+
+
+def _tensor_reachable(obj, seen: set) -> bool:
+    """Whether a Tensor is reachable from `obj` through tuples, lists and
+    the closure cells of functions."""
+    if id(obj) in seen:
+        return False
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        return True
+    if isinstance(obj, (tuple, list)):
+        return any(_tensor_reachable(o, seen) for o in obj)
+    if inspect.isfunction(obj):
+        return any(_tensor_reachable(v, seen) for v in _cell_values(obj))
+    return False
+
+
+@pytest.mark.parametrize("op", sorted(REGISTERED_OPS))
+def test_tape_entries_and_rules_hold_no_tensor(op):
+    """No entry a case records keeps a Tensor, in its inputs or in its
+    backward rule's closure (nor in a function that closure holds): a rule
+    keeps flags, shapes and the arrays it reads, so an intermediate lives
+    only as long as a rule reads its data."""
+    shape, fn = _CASES[op]
+    x = Tensor(_rng(11).normal(size=shape), requires_grad=True)
+    with Tape() as tape:
+        loss = fn(x)
+    assert REGISTERED_OPS[op].__name__ in recorded_ops(tape)
+    for entry in tape.entries:
+        assert not _tensor_reachable(entry.inputs, set()), f"{op}: an entry's inputs hold a Tensor"
+        assert not _tensor_reachable(entry.backward, set()), f"{op}: {entry.backward.__qualname__} holds a Tensor"
+    backward(loss)
+    assert x.grad.shape == x.shape
+
+
 def _gelu_value_and_grad(x, c):
     """gelu(x) and the gradient of sum(gelu(x) * c) with respect to x."""
     t = Tensor(x, requires_grad=True)
@@ -637,6 +694,40 @@ def test_gelu_chunks_give_the_bits_of_slices(size):
     if parts:
         assert out.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
         assert grad.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (3, 4), (3 * core.GELU_CHUNK + 7,)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_gradient_has_the_bits_of_the_rule_that_kept_x_and_cdf(dtype, shape):
+    """The derivative a recorded gelu keeps from its forward gives the
+    input gradient bit for bit as the frozen rule that read x and cdf."""
+    x, c = (np.asarray(a, dtype=dtype) for a in _rng(56).normal(size=(2,) + shape) * 3)
+    _, grad = _gelu_value_and_grad(x, c)
+    assert grad.dtype == dtype
+    assert grad.tobytes() == gelu_input_grad(x, c).tobytes()
+
+
+def test_only_a_recorded_gelu_computes_its_derivative(monkeypatch):
+    """Eval, an untracked input on a tape and a tracked input off a tape
+    compute no derivative; a recorded call computes one, with the same
+    output bits."""
+    calls = []
+    derivative = core._gelu_derivative
+
+    def counting(xd, cdf):
+        calls.append(xd.shape)
+        return derivative(xd, cdf)
+
+    monkeypatch.setattr(core, "_gelu_derivative", counting)
+    x = _rng(57).normal(size=(4, 5)).astype(np.float32)
+    plain = gelu(Tensor(x)).data
+    gelu(Tensor(x, requires_grad=True))
+    with Tape():
+        gelu(Tensor(x))
+        assert calls == []
+        recorded = gelu(Tensor(x, requires_grad=True)).data
+    assert calls == [(4, 5)]
+    assert recorded.tobytes() == plain.tobytes()
 
 
 def test_gelu_of_a_0d_input():
