@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -118,6 +119,8 @@ class DataConfig:
             setattr(self, key, tuple(size))
         if self.split_seed < 0:
             raise ConfigError(f"data.split_seed must be >= 0, got {self.split_seed}")
+        if not 1.0 <= self.clip_ratio < math.inf:
+            raise ConfigError(f"data.clip_ratio must be a finite number >= 1, got {self.clip_ratio}")
 
 
 @dataclass

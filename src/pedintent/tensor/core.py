@@ -22,11 +22,16 @@ counting.
 
 Values are finite: `Tensor()` checks its data, and an op producing NaN or
 Inf raises NumericalError. Most ops check their whole output (`_result`).
-`gelu` wraps its output unchecked (`_record`): a finite x gives a finite
-x * cdf. `softmax` checks only each slice's max over its allowed entries
-(NaN and +inf show there) and wraps its output, which a finite input keeps
-in [0, 1], unchecked; every input it gets is a finite Tensor except
-attention's score tiles, which `attention` checks first.
+An op that cannot turn finite inputs into non-finite outputs wraps its
+output unchecked (`_record`), since every input is a finite Tensor:
+`reshape`, `transpose`, `concat_along_axis`, `tensor_slice` and
+`broadcast_to` only move or copy values, and a finite x gives `gelu` a
+finite x * cdf. Ops that can overflow keep the check: `dropout`'s scale
+and `mean_over_axis`'s sum can exceed the largest float. `softmax` checks
+only each slice's max over its allowed entries (NaN and +inf show there)
+and wraps its output, which a finite input keeps in [0, 1], unchecked;
+every input it gets is a finite Tensor except attention's score tiles,
+which `attention` checks first.
 
 `matmul` multiplies a (..., k) operand by a (k, m) or (k,) weight, the one
 product the model makes: a's leading axes are the rows of one GEMM,
@@ -644,7 +649,7 @@ def concat_along_axis(tensors: Sequence[Tensor], axis: int) -> Tensor:
     def backward(g):
         return tuple(_ascontig(p) for p in np.split(g, offsets, axis=ax))
 
-    return _result(out, tensors, backward)
+    return _record(out, tensors, backward)
 
 
 def _is_basic_index(item) -> bool:
@@ -672,7 +677,7 @@ def tensor_slice(x: Tensor, key) -> Tensor:
         full[key] = g
         return (full,)
 
-    return _result(out, (x,), backward)
+    return _record(out, (x,), backward)
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
@@ -681,7 +686,7 @@ def transpose(x: Tensor, axes=None) -> Tensor:
         axes = tuple(reversed(range(x.ndim)))
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    return _result(
+    return _record(
         _ascontig(np.transpose(x.data, axes)),
         (x,),
         lambda g: (_ascontig(np.transpose(g, inverse)),),
@@ -695,7 +700,7 @@ def reshape(x: Tensor, shape) -> Tensor:
         out = x.data.reshape(shape)
     except ValueError as e:
         raise DimensionError(str(e)) from e
-    return _result(_ascontig(out), (x,), lambda g: (_ascontig(g.reshape(old)),))
+    return _record(_ascontig(out), (x,), lambda g: (_ascontig(g.reshape(old)),))
 
 
 def broadcast_to(x: Tensor, shape) -> Tensor:
@@ -705,7 +710,7 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
         out = np.broadcast_to(x.data, shape).copy()
     except ValueError as e:
         raise DimensionError(str(e)) from e
-    return _result(out, (x,), lambda g: (_unbroadcast(g, old),))
+    return _record(out, (x,), lambda g: (_unbroadcast(g, old),))
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -45,8 +46,8 @@ class TrainConfig:
             raise ConfigError("plateau_factor must be in (0, 1)")
         if self.plateau_patience < 1 or self.early_stop_patience < 1:
             raise ConfigError("patiences must be >= 1")
-        if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 0 or self.seed < 0:
-            raise ConfigError("lr must be > 0, batch_size >= 1, max_epochs >= 0, seed >= 0")
+        if not 0.0 < self.lr < math.inf or self.batch_size < 1 or self.max_epochs < 0 or self.seed < 0:
+            raise ConfigError("lr must be finite and > 0, batch_size >= 1, max_epochs >= 0, seed >= 0")
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Reference implementations that tests compare the package against, the
-op names a tape recorded, and the packing of per-head q, k and v into the
-input of `attention`."""
+op names a tape recorded, the packing of per-head q, k and v into the
+input of `attention`, and the crop kernel as it stood before it gathered
+columns along flat pixel rows."""
 
 import math
 
@@ -10,7 +11,8 @@ from scipy.special import erf
 import pedintent.tensor.core as core
 
 from pedintent.data import CHANNEL_WIDTHS, NONVISUAL_CHANNELS, SPEED_CATEGORIES
-from pedintent.errors import ConfigError, ContractError, IntegrityError
+from pedintent.data.preprocess import is_crop_size
+from pedintent.errors import ConfigError, ContractError, DimensionError, IntegrityError
 from pedintent.metrics import _validate
 from pedintent.tensor import Tensor, add, attention, concat_along_axis, matmul, mul, reshape, transpose
 
@@ -150,3 +152,47 @@ def gelu_input_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
         d += cs[part]
         d *= gs[part]
     return dx.reshape(x.shape)
+
+
+# The crop kernel of `pedintent.data.preprocess` as it stood when it took
+# 12-byte pixels along the column axis and blended (2, out_h, 2, out_w, C)
+# corners, frozen: the current kernel must give the same bytes. Tests swap
+# these in for the module functions of the same names.
+
+
+def _frozen_axis_plan(n: int, out: int) -> tuple[np.ndarray, np.ndarray]:
+    pos = np.linspace(0.0, n - 1.0, out) if out > 1 else np.zeros(1)
+    lower = np.floor(pos).astype(np.int64)
+    return np.concatenate([lower, np.minimum(lower + 1, n - 1)]), (pos - lower).astype(np.float32)
+
+
+def frozen_corners(image: np.ndarray, out_h: int, out_w: int):
+    if image.ndim != 3 or 0 in image.shape[:2] or not (is_crop_size(out_h) and is_crop_size(out_w)):
+        raise DimensionError(f"cannot resize an image of shape {image.shape} to ({out_h!r}, {out_w!r})")
+    ys, fy = _frozen_axis_plan(image.shape[0], out_h)
+    xs, fx = _frozen_axis_plan(image.shape[1], out_w)
+    corners = image.take(ys, axis=0).take(xs, axis=1).reshape(2, out_h, 2, out_w, image.shape[2])
+    return corners, fy, fx
+
+
+def frozen_lerp(corners: np.ndarray, fy: np.ndarray, fx: np.ndarray) -> np.ndarray:
+    left = corners[:, :, 0]
+    rows = corners[:, :, 1] - left
+    rows *= fx[:, None]
+    rows += left
+    out = rows[1] - rows[0]
+    out *= fy[:, None, None]
+    out += rows[0]
+    return out
+
+
+def frozen_pixel_box(x_tl, y_tl, x_br, y_br) -> tuple[int, int, int, int]:
+    return int(np.floor(x_tl)), int(np.floor(y_tl)), int(np.ceil(x_br)), int(np.ceil(y_br))
+
+
+def frozen_resize(image, out_h: int, out_w: int) -> np.ndarray:
+    """`bilinear_resize` by the frozen kernel."""
+    return frozen_lerp(*frozen_corners(np.asarray(image, dtype=np.float32), out_h, out_w))
+
+
+FROZEN_CROP_KERNEL = {"_corners": frozen_corners, "_lerp": frozen_lerp, "_pixel_box": frozen_pixel_box}

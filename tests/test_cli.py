@@ -501,6 +501,11 @@ class TestUsage:
             ({"model": {"preset": "ours6_bboxes"}, "data": {"local_size": [16.0, 16]}}, "data.local_size"),
             ({"model": {"preset": "ours6_bboxes"}, "data": {"global_size": [16]}}, "data.global_size"),
             ({"model": {"preset": "ours6_bboxes"}, "data": {"global_size": [16, True]}}, "data.global_size"),
+            ({"model": {"preset": "ours3"}, "data": {"clip_ratio": float("nan")}}, "data.clip_ratio"),
+            ({"model": {"preset": "ours3"}, "data": {"clip_ratio": float("inf")}}, "data.clip_ratio"),
+            ({"model": {"preset": "ours3"}, "data": {"clip_ratio": 0.5}}, "data.clip_ratio"),
+            ({"model": {"preset": "ours6_bboxes"}, "train": {"lr": float("nan")}}, "lr must be finite"),
+            ({"model": {"preset": "ours6_bboxes"}, "train": {"lr": float("inf")}}, "lr must be finite"),
             (
                 {
                     "model": {
@@ -527,6 +532,11 @@ class TestUsage:
             "local-size-float",
             "global-size-one-int",
             "global-size-bool",
+            "clip-ratio-nan",
+            "clip-ratio-infinity",
+            "clip-ratio-below-1",
+            "lr-nan",
+            "lr-infinity",
             "no-tubelet",
             "array",
         ],

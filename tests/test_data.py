@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assemble_nonvisual, window_channels
+from oracles import FROZEN_CROP_KERNEL, assemble_nonvisual, frozen_resize, window_channels
 from pedintent.data import (
     CHANNEL_COLUMNS,
     VISUAL_INPUTS,
@@ -34,7 +34,8 @@ from pedintent.errors import (
     IntegrityError,
     WindowError,
 )
-from pedintent.data.preprocess import _axis_plan
+from pedintent.data import preprocess
+from pedintent.data.preprocess import _axis_plan, _column_plan
 from pedintent.model import NAMED_CONFIGS, EncoderConfig, ModelSpec, named_model_spec
 from pedintent.model.assembly import stack_windows
 
@@ -230,6 +231,18 @@ class TestResize:
             with pytest.raises(ValueError):
                 arr[0] = 1
 
+    def test_column_plans_are_cached_read_only(self):
+        assert _column_plan.cache_info().maxsize is not None
+        index, frac = _column_plan(7, 3, 5)
+        assert _column_plan(7, 3, 5)[0] is index
+        assert index.dtype == np.int64 and index.shape == (30,) and frac.dtype == np.float32 and frac.shape == (15,)
+        columns, fractions = _axis_plan(7, 5)
+        assert index.tolist() == [3 * x + ch for x in columns.tolist() for ch in range(3)]
+        assert frac.tobytes() == np.repeat(fractions, 3).tobytes()
+        for arr in (index, frac):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
 
 def reference_crop(pixels, bbox, ratio, size):
     """Loop-based oracle for the enlarged, zero-padded, resized crop."""
@@ -246,6 +259,13 @@ def reference_crop(pixels, bbox, ratio, size):
 
 
 class TestCrops:
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("build", [build_local_context, build_local_surround])
+    def test_non_finite_ratio_raises(self, build, ratio):
+        frame = make_frame(np.zeros((16, 16, 3)))
+        with pytest.raises(ConfigError, match="finite"):
+            build(frame, BoundingBox(4.0, 2.0, 12.0, 10.0), ratio, (8, 8))
+
     def test_ratio_one_is_exact_bbox(self):
         rng = np.random.default_rng(1)
         pixels = rng.integers(0, 255, size=(16, 16, 3)).astype(np.uint8)
@@ -452,6 +472,73 @@ class TestCropsMatchTheOracle:
             ratio = float(rng.choice([1.0, rng.uniform(1.0, 3.0)]))
             size = tuple(int(n) for n in rng.integers(1, 10, 2))
             _assert_crops_match(pixels, BoundingBox(x, y, x + bw, y + bh), ratio, size)
+
+
+def _same_bytes(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCropKernelMatchesTheFrozenKernel:
+    """The resize gathers along flat pixel rows and blends flat rows; the
+    frozen kernel took 12-byte pixels and blended over a channel axis. Both
+    must give the same bytes."""
+
+    @pytest.fixture
+    def frozen(self, monkeypatch):
+        """Runs a function with the frozen kernel in place of the module's."""
+
+        def run(fn, *args):
+            with monkeypatch.context() as m:
+                for name, impl in FROZEN_CROP_KERNEL.items():
+                    m.setattr(preprocess, name, impl)
+                return fn(*args)
+
+        return run
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize(
+        "in_hw, out_hw",
+        [((1, 1), (5, 4)), ((1, 9), (3, 7)), ((8, 1), (1, 6)), ((5, 7), (1, 9)), ((40, 96), (32, 32)), ((24, 11), (32, 32)), ((70, 9), (8, 5))],
+    )
+    def test_resize_edge_shapes(self, channels, in_hw, out_hw):
+        img = np.random.default_rng(21).random(in_hw + (channels,)).astype(np.float32)
+        assert _same_bytes(bilinear_resize(img, *out_hw), frozen_resize(img, *out_hw))
+
+    def test_resize_random_shapes(self):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            h, w, oh, ow = (int(n) for n in rng.integers(1, 40, 4))
+            img = rng.normal(size=(h, w, int(rng.choice([1, 3])))) * 100
+            assert _same_bytes(bilinear_resize(img, oh, ow), frozen_resize(img, oh, ow)), (img.shape, oh, ow)
+
+    def test_build_functions(self, frozen):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            h, w = (int(n) for n in rng.integers(1, 48, 2))
+            frame = make_frame(rng.integers(0, 256, size=(h, w, 3)))
+            box = [rng.uniform(0, w + 2), rng.uniform(0, h + 2), rng.uniform(0.5, 20), rng.uniform(0.5, 30)]
+            if rng.random() < 0.25:  # whole-pixel boxes put edges exactly on the grid
+                box = [float(np.round(v)) for v in box]
+            x, y, bw, bh = box
+            bbox = BoundingBox(x, y, x + bw, y + bh)
+            ratio = float(rng.choice([1.0, rng.uniform(1.0, 3.0)]))
+            size = tuple(int(n) for n in rng.choice([1, 2, 7, 32], 2))
+            cases = [(build_local_context, frame, bbox, ratio, size), (build_local_surround, frame, bbox, ratio, size)]
+            for fn, *args in cases + [(build_global_context, frame, size)]:
+                assert _outcome(fn, *args) == _outcome(frozen, fn, *args), fn.__name__
+
+    def test_benchmark_frames(self, frozen):
+        """40x96 frames cropped to 32x32, as the benchmark's workloads read them."""
+        tracks, frames = generate_synthetic(7, 3, "random")
+        cfg = ClipConfig(inputs=VISUAL_INPUTS)
+        for track in tracks:
+            got = extract_windows(track, 16, (30, 60), 15, frames=frames, clip_cfg=cfg)
+            want = frozen(extract_windows, track, 16, (30, 60), 15, frames, cfg)
+            assert got and len(got) == len(want)
+            for a, b in zip(got, want):
+                for name in VISUAL_INPUTS:
+                    assert getattr(a, name).shape == (16, 32, 32, 3), name
+                    assert _same_bytes(getattr(a, name), getattr(b, name)), name
 
 
 class TestExtractWindows:

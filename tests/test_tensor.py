@@ -439,6 +439,34 @@ class TestElementwise:
         with pytest.raises(NumericalError):
             Tensor([np.nan])
 
+    def test_structural_ops_skip_the_finite_check(self, monkeypatch):
+        """Ops that only move values of finite Tensors wrap their output
+        unchecked, and still return numpy's bytes."""
+
+        def checked(*args):
+            raise AssertionError("structural op checked its output")
+
+        monkeypatch.setattr(core, "_result", checked)
+        a = np.arange(24, dtype=np.float32).reshape(2, 3, 4) - 7.5
+        b = np.full((2, 1, 4), 2.0, np.float32)
+        cases = [
+            (reshape(Tensor(a), (4, 6)), a.reshape(4, 6)),
+            (transpose(Tensor(a), (2, 0, 1)), np.transpose(a, (2, 0, 1))),
+            (concat_along_axis([Tensor(a), Tensor(b)], axis=1), np.concatenate([a, b], axis=1)),
+            (tensor_slice(Tensor(a), (slice(None), 1, slice(1, 3))), a[:, 1, 1:3]),
+            (broadcast_to(Tensor(b), (2, 5, 4)), np.broadcast_to(b, (2, 5, 4))),
+        ]
+        for out, expected in cases:
+            assert out.data.dtype == expected.dtype and out.shape == expected.shape
+            assert out.data.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_overflow_still_raises(self):
+        big = np.finfo(np.float32).max
+        with np.errstate(over="ignore"), pytest.raises(NumericalError):
+            matmul(Tensor(np.full((1, 2), big, np.float32)), Tensor(np.full((2, 1), 2.0, np.float32)))
+        with np.errstate(over="ignore"), pytest.raises(NumericalError):
+            mean_over_axis(Tensor(np.full((2, 3), big, np.float32)), 0)
+
 
 class TestBackward:
     def test_sum_of_squares(self):
