@@ -135,6 +135,9 @@ _JSON_TYPES = {
     "Optional[int]": (int, type(None)),
     "Optional[str]": (str, type(None)),
 }
+# Annotations whose accepted types include int, which a JSON true/false
+# (a Python bool) would pass.
+_NUMBERS = ("int", "float", "Optional[int]")
 
 
 def config_from_dict(cls, obj, where: str, **parsers):
@@ -150,8 +153,10 @@ def config_from_dict(cls, obj, where: str, **parsers):
         name = f"{where}.{key}" if where else key
         if key not in types:
             raise ConfigError(f"unknown config key {name!r}")
-        if not isinstance(value, _JSON_TYPES.get(types[key], object)):
-            raise ConfigError(f"{name} must be {types[key]}, got {type(value).__name__}")
+        annotation = types[key]
+        number_as_bool = isinstance(value, bool) and annotation in _NUMBERS
+        if number_as_bool or not isinstance(value, _JSON_TYPES.get(annotation, object)):
+            raise ConfigError(f"{name} must be {annotation}, got {type(value).__name__}")
         kwargs[key] = parsers[key](value, name) if key in parsers else value
     try:
         return cls(**kwargs)

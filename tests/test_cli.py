@@ -506,6 +506,9 @@ class TestUsage:
             ({"model": {"preset": "ours3"}, "data": {"clip_ratio": 0.5}}, "data.clip_ratio"),
             ({"model": {"preset": "ours6_bboxes"}, "train": {"lr": float("nan")}}, "lr must be finite"),
             ({"model": {"preset": "ours6_bboxes"}, "train": {"lr": float("inf")}}, "lr must be finite"),
+            ({"model": {"preset": "ours6_bboxes"}, "train": {"lr": True}}, "train.lr"),
+            ({"model": {"preset": "ours6_bboxes"}, "train": {"batch_size": True}}, "train.batch_size"),
+            ({"model": {"preset": "ours3"}, "data": {"clip_ratio": True}}, "data.clip_ratio"),
             (
                 {
                     "model": {
@@ -537,6 +540,9 @@ class TestUsage:
             "clip-ratio-below-1",
             "lr-nan",
             "lr-infinity",
+            "lr-bool",
+            "batch-size-bool",
+            "clip-ratio-bool",
             "no-tubelet",
             "array",
         ],

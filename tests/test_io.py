@@ -2,13 +2,21 @@
 scenario generator."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pedintent
+
 from pedintent.data import (
     FrameStore,
+    PedestrianTrack,
     extract_windows,
     generate_synthetic,
     load_annotations,
@@ -118,6 +126,135 @@ class TestAnnotations:
         twin_path = tmp_path / "b.jsonl"
         save_annotations(twin_path, loaded)
         assert path.read_bytes() == twin_path.read_bytes()
+
+
+def assert_same_tracks(a, b):
+    """The two track lists hold the same tracks in the same order, every
+    column byte for byte."""
+    assert [t.pedestrian_id for t in a] == [t.pedestrian_id for t in b]
+    for x, y in zip(a, b):
+        assert (x.event_frame, x.label, x.speed) == (y.event_frame, y.label, y.speed)
+        for name in ("frames", "bbox", "center", "pose"):
+            assert getattr(x, name).dtype == getattr(y, name).dtype
+            assert getattr(x, name).tobytes() == getattr(y, name).tobytes(), name
+
+
+_GOOD = json.loads(record())
+_BIG = 2**64 + 1
+
+
+def _line(**fields):
+    return json.dumps({**_GOOD, "frame": 1, **fields})
+
+
+class TestLoaderParity:
+    """Lines that orjson refuses are parsed again by `json`, so they fail
+    with the same class and message as with `json` alone; the one
+    difference left is an integer beyond 64 bits, which orjson reads as a
+    double."""
+
+    @pytest.mark.parametrize(
+        "line, error, message",
+        [
+            (_line(pose=[0.0] * 35 + [math.nan]), ParseError, "line 2: pose values must be finite"),
+            (_line(bbox=[math.nan, 2.0, 3.0, 4.0]), ParseError, "line 2: bbox values must be finite"),
+            (_line(bbox=[1.0, 2.0, math.inf, 4.0]), ParseError, "line 2: bbox values must be finite"),
+            (_line(pose=[math.inf] + [0.0] * 35), ParseError, "line 2: pose values must be finite"),
+            (_line(pose=[-math.inf] + [0.0] * 35), ParseError, "line 2: pose values must be finite"),
+            (_line(bbox=[-math.inf, 2.0, 3.0, 4.0]), ParseError, "line 2: bbox values must be finite"),
+            (_line(center=[math.inf, 3.0]).replace("Infinity", "1e400"), ParseError, "line 2: center values must be finite"),
+            (_line(frame=_BIG), ParseError, None),
+            ("[1, 2]", ParseError, "line 2: record must be a JSON object"),
+            ("{not json", ParseError, "line 2: invalid JSON (Expecting property name enclosed in double quotes)"),
+        ],
+        ids=[
+            "nan-pose",
+            "nan-bbox",
+            "infinity-bbox",
+            "infinity-pose",
+            "minus-infinity-pose",
+            "minus-infinity-bbox",
+            "1e400-center",
+            "frame-beyond-64-bits",
+            "array",
+            "not-json",
+        ],
+    )
+    def test_error_matches_json_loader(self, tmp_path, line, error, message):
+        path = tmp_path / "a.jsonl"
+        write_lines(path, [record(), line])
+        with pytest.raises(error) as info:
+            load_annotations(path)
+        if message is None:  # the json loader failed later, in the track's frame check
+            assert str(info.value).startswith("line 2:") and "frame" in str(info.value)
+        else:
+            assert str(info.value) == message
+
+    def test_lone_surrogate_pid_loads(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_lines(path, [record(), _line(pid="\ud800")])
+        assert [t.pedestrian_id for t in load_annotations(path)] == ["p1", "\ud800"]
+
+    def test_crlf_and_blank_lines_load_as_lf(self, tmp_path):
+        lines = [record(), "", record(frame=1), "   ", "\t", record(pid="b", frame=3, label=0, event=9), ""]
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        lf.write_bytes("\n".join(lines).encode("utf-8"))
+        crlf.write_bytes("\r\n".join(lines).encode("utf-8"))
+        assert_same_tracks(load_annotations(crlf), load_annotations(lf))
+        bad = lines[:4] + [_line(frame=2, pose=[math.nan] * 36)] + lines[4:]
+        crlf.write_bytes("\r\n".join(bad).encode("utf-8"))
+        with pytest.raises(ParseError, match=r"^line 5: pose values must be finite$"):
+            load_annotations(crlf)
+
+    def test_integers_beyond_64_bits(self, tmp_path):
+        """The documented difference: in a number column such an integer
+        becomes its nearest double (`json` kept a Python int, and a row of
+        nothing but integers was refused as object values), and in
+        `event_frame` it is refused as a non-integer (`json` kept it)."""
+        path = tmp_path / "a.jsonl"
+        write_lines(path, [record(), _line(pose=[0] * 35 + [_BIG])])
+        pose = load_annotations(path)[0].pose
+        assert pose[1].tolist() == [0.0] * 35 + [float(_BIG)]
+        write_lines(path, [_line(event_frame=_BIG)])
+        with pytest.raises(ParseError, match=r"^line 1: fields 'frame'/'event_frame' must be integers$"):
+            load_annotations(path)
+
+    def test_long_line_is_parsed_by_json(self, tmp_path):
+        """A line longer than orjson is given keeps json's reading: an
+        integer row beyond 64 bits is refused."""
+        path = tmp_path / "a.jsonl"
+        write_lines(path, [_line(pid="p" * 5000, pose=[0] * 35 + [_BIG])])
+        with pytest.raises(ParseError, match=r"^line 1: pose must hold 36 numbers per frame, got object values"):
+            load_annotations(path)
+
+    def test_deeply_nested_line_is_a_parse_error(self, tmp_path):
+        """orjson would overflow its stack on the million-deep line, so it is
+        loaded in a child process, where a crash cannot take the tests down."""
+        path = tmp_path / "a.jsonl"
+        write_lines(path, ['{"a": ' + "[" * 1500 + "NaN" + "]" * 1500 + "}"])
+        with pytest.raises(ParseError, match=r"^line 1: invalid JSON \(nested too deeply\)$"):
+            load_annotations(path)
+        path.write_text("[" * 1_000_000 + "]" * 1_000_000 + "\n", encoding="utf-8")
+        code = "import sys\nfrom pedintent.data import load_annotations\ntry:\n    load_annotations(sys.argv[1])\nexcept Exception as e:\n    print(e)"
+        env = {**os.environ, "PYTHONPATH": str(Path(pedintent.__file__).parent.parent)}
+        proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout.strip()) == (0, "line 1: invalid JSON (nested too deeply)"), proc.stderr
+
+    def test_float_columns_round_trip_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(0)
+        n = 64
+        pose = rng.integers(0, 2**64, size=(n, 36), dtype=np.uint64).view(np.float64)
+        pose[~np.isfinite(pose)] = 1.5
+        tiny = np.finfo(np.float64).smallest_subnormal
+        specials = [0.0, -0.0, tiny, -tiny, 3 * tiny, 1e308, -1e308, np.finfo(np.float64).max, -7.0, 2.0**60, 12345.0]
+        pose[0, : len(specials)] = specials
+        corners = np.sort(rng.random((n, 2, 2)) * rng.choice([1e-300, 1.0, 1e6], size=(n, 1, 1)), axis=1)
+        bbox = corners.reshape(n, 4)  # x_tl, y_tl, x_br, y_br with tl <= br
+        center = rng.random((n, 2)) * 1e3
+        track = PedestrianTrack("p", np.arange(n), bbox, center, pose, ["stopped"] * n, 90, 1)
+        path = tmp_path / "a.jsonl"
+        save_annotations(path, [track])
+        assert_same_tracks(load_annotations(path), [track])
 
 
 class TestFrameStore:
