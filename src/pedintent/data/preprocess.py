@@ -267,7 +267,9 @@ def extract_windows(
 
     Each window observes the raw frames [event - tte - obs_len + 1,
     event - tte]; windows needing frames the track does not contain are
-    skipped. Returns an empty list (not an error) for short tracks.
+    skipped. Returns an empty list (not an error) for short tracks. Only
+    the tte values whose window ends on a frame the track holds are
+    visited, so the work is bounded by the track, not by the range.
     """
     if obs_len < 2:
         raise ConfigError("obs_len must be >= 2")
@@ -279,7 +281,14 @@ def extract_windows(
     if clip_cfg is not None and clip_cfg.inputs and frames is None:
         raise ConfigError("clip construction requires a frame source")
 
-    ends = (track.event_frame - tte for tte in range(lo, hi + 1, stride))
+    if len(track) < obs_len:
+        return []
+    # A window ends on one of the track's frames from its obs_len-th on, so
+    # only the aligned tte values between these two can yield one.
+    first = max(lo, track.event_frame - int(track.frames[-1]))
+    last = min(hi, track.event_frame - int(track.frames[obs_len - 1]))
+    first = lo + -(-(first - lo) // stride) * stride
+    ends = (track.event_frame - tte for tte in range(first, last + 1, stride))
     windows = (_build_window(track, end, obs_len, frames, clip_cfg) for end in ends)
     return [w for w in windows if w is not None]
 

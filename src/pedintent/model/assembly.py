@@ -9,6 +9,7 @@ seeds give bit-identical checkpoints.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Sequence
@@ -231,7 +232,7 @@ def build(spec: ModelSpec, dtype=np.float32) -> Model:
     return Model(spec, params)
 
 
-def _branch_outputs(model: Model, nonvis, clips: dict, training: bool, rng) -> list:
+def _branch_outputs(model: Model, nonvis, clips: Mapping, training: bool, rng) -> list:
     spec, params = model.spec, model.params
     branches = []
     if spec.channels:
@@ -252,39 +253,78 @@ def _branch_outputs(model: Model, nonvis, clips: dict, training: bool, rng) -> l
         clip = clips.get(name)
         if clip is None:
             raise InputError(f"model enables visual input {name!r} but the window provides none")
-        clip_t = clip if isinstance(clip, Tensor) else Tensor(clip)
-        branches.append(vivit_forward(clip_t, cfg, params, f"{name}.", training=training, rng=rng))
+        clip = clip if isinstance(clip, Tensor) else Tensor(clip)
+        branches.append(vivit_forward(clip, cfg, params, f"{name}.", training=training, rng=rng))
+        del clip  # a clip stacked by the read above dies with its branch
     return branches
 
 
-def forward_arrays(model: Model, nonvis, clips: dict, training: bool = False, rng=None) -> Tensor:
+def forward_arrays(model: Model, nonvis, clips: Mapping, training: bool = False, rng=None) -> Tensor:
     """Probability tensor for pre-stacked inputs: nonvis (..., T, F) and
-    clips name -> (..., T+1, H, W, 3)."""
+    clips name -> (..., T+1, H, W, 3). The caller owns the arrays; the
+    forward reads each clip once, when its branch starts."""
     branches = _branch_outputs(model, nonvis, clips, training, rng)
     fused = fuse(branches, model.spec.fusion, model.params, training=training, rng=rng)
     return head(fused, model.params["head.w"], model.params["head.b"])
 
 
-def stack_windows(model_spec: ModelSpec, windows: Sequence[ObservationWindow], dtype=np.float32):
+def stack_windows(
+    model_spec: ModelSpec,
+    windows: Sequence[ObservationWindow],
+    dtype=np.float32,
+    inputs: Optional[Collection[str]] = None,
+):
     """Batch windows into model inputs: nonvis (B, T, F) holds the spec's
     channel columns of each window's `nonvisual` array, in
-    `NONVISUAL_CHANNELS` order, and clips name -> (B, T+1, H, W, 3); a
-    visual input the spec enables and a window lacks raises InputError."""
-    nonvis = None
-    if model_spec.channels:
-        columns = nonvisual_columns(model_spec.channels)
-        nonvis = np.stack([w.nonvisual for w in windows]).take(columns, axis=-1).astype(dtype, copy=False)
-    clips = {}
+    `NONVISUAL_CHANNELS` order, and clips name -> (B, T+1, H, W, 3).
+
+    `inputs` names what to stack, "nonvisual" and visual input names; None
+    stacks every input the spec enables. An input left out comes back as
+    None (nonvis) or absent (clips), so a caller can stack one clip at a
+    time and drop it before stacking the next. Every returned array is a
+    new one that the caller owns. A visual input the spec enables and a
+    window lacks raises InputError, whether or not this call stacks it."""
     for name in model_spec.visual_inputs:
         missing = [i for i, w in enumerate(windows) if w.clip(name) is None]
         if missing:
             raise InputError(f"model enables visual input {name!r} but window {missing[0]} provides none")
-        clips[name] = np.stack([w.clip(name) for w in windows]).astype(dtype, copy=False)
+    nonvis = None
+    if model_spec.channels and (inputs is None or "nonvisual" in inputs):
+        columns = nonvisual_columns(model_spec.channels)
+        nonvis = np.stack([w.nonvisual for w in windows]).take(columns, axis=-1).astype(dtype, copy=False)
+    clips = {
+        name: np.stack([w.clip(name) for w in windows]).astype(dtype, copy=False)
+        for name in model_spec.visual_inputs
+        if inputs is None or name in inputs
+    }
     return nonvis, clips
 
 
+class _ClipsOnRead(Mapping):
+    """Visual input name -> the batch's clips of that input, stacked by
+    `stack_windows` at each read; the reader owns what it reads."""
+
+    def __init__(self, spec: ModelSpec, windows: Sequence[ObservationWindow], dtype):
+        self.spec, self.windows, self.dtype = spec, windows, dtype
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return stack_windows(self.spec, self.windows, self.dtype, inputs=(name,))[1][name]
+
+    def __iter__(self):
+        return iter(self.spec.visual_inputs)
+
+    def __len__(self) -> int:
+        return len(self.spec.visual_inputs)
+
+
 def forward_batch(model: Model, windows: Sequence[ObservationWindow], training: bool = False, rng=None) -> Tensor:
-    nonvis, clips = stack_windows(model.spec, windows, dtype=model.dtype)
+    """Probability tensor for a batch of windows. The non-visual array is
+    stacked once, and each clip input only when its branch reads it, so at
+    most one stacked clip is alive during a forward and none once its
+    branch has returned. A window lacking an enabled visual input raises
+    InputError before any branch runs."""
+    nonvis, _ = stack_windows(model.spec, windows, dtype=model.dtype, inputs=("nonvisual",))
+    clips = _ClipsOnRead(model.spec, windows, model.dtype)
     return forward_arrays(model, nonvis, clips, training=training, rng=rng)
 
 

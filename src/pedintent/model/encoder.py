@@ -150,18 +150,19 @@ def encoder_layer(
 ) -> Tensor:
     if training and cfg.dropout_rate > 0 and rng is None:
         raise ContractError("training-mode encoder needs an rng for dropout")
-    attn_out = multi_head_attention(
+    # `h` and `ff` are rebound at each op, so a temporary dies once the next
+    # op has read it.
+    h = multi_head_attention(
         layer_norm(x, params[f"{prefix}ln1.gamma"], params[f"{prefix}ln1.beta"]),
         params,
         prefix,
         cfg.n_heads,
         mask=mask,
     )
-    attn_out = dropout(attn_out, cfg.dropout_rate, rng, training)
-    h = add(x, attn_out)
+    h = add(x, dropout(h, cfg.dropout_rate, rng, training))
     ff = layer_norm(h, params[f"{prefix}ln2.gamma"], params[f"{prefix}ln2.beta"])
-    ff = matmul(ff, params[f"{prefix}ffn.w1.w"], params[f"{prefix}ffn.w1.b"])
-    ff = matmul(gelu(ff), params[f"{prefix}ffn.w2.w"], params[f"{prefix}ffn.w2.b"])
+    ff = gelu(matmul(ff, params[f"{prefix}ffn.w1.w"], params[f"{prefix}ffn.w1.b"]))
+    ff = matmul(ff, params[f"{prefix}ffn.w2.w"], params[f"{prefix}ffn.w2.b"])
     ff = dropout(ff, cfg.dropout_rate, rng, training)
     return add(h, ff)
 

@@ -102,15 +102,19 @@ def weighted_bce(labels, probs: Tensor, weights: Optional[dict] = None) -> Tenso
 
 
 def adam_step(params: dict, grads: dict, state: TrainState, lr: float):
-    """Bias-corrected Adam update in place; aborts on non-finite gradients."""
+    """Bias-corrected Adam update in place. Every gradient is checked
+    before anything changes, so a non-finite one raises with the
+    parameters, moments and step count as they were."""
+    for name in params:
+        g = grads.get(name)
+        if g is not None and not np.all(np.isfinite(g)):
+            raise NumericalError(f"non-finite gradient for parameter {name!r} at step {state.step + 1}")
     state.step += 1
     t = state.step
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for parameter {name!r} at step {t}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)

@@ -1,6 +1,8 @@
 """Model construction from specs, named configurations, forward contracts."""
 
+import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -14,14 +16,17 @@ from pedintent.model import (
     ModelSpec,
     build,
     forward,
+    forward_arrays,
     forward_batch,
     load_model,
     named_model_spec,
     save_model,
 )
-from pedintent.model import encoder
+from pedintent.model import assembly, encoder
+from pedintent.model.assembly import stack_windows
 from pedintent.model.verify import check_model_gradients
-from pedintent.tensor import save_checkpoint
+from pedintent.model.vivit import vivit_forward
+from pedintent.tensor import Tape, backward, save_checkpoint, tensor_sum
 
 from oracles import unpacked_attention_sublayer
 
@@ -219,6 +224,75 @@ class TestForward:
         t = 4
         truncated = _branch_outputs(model, nonvis[:, :t], {k: v for k, v in clips.items()}, False, None)[0].data
         assert np.allclose(full[:, :t], truncated, atol=1e-6)
+
+
+class TestStackPerBranch:
+    """forward_batch stacks each clip input when its branch reads it and
+    keeps no stacked clip once that branch has returned."""
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_earlier_clips_dead_when_a_branch_starts(self, windows, monkeypatch, training):
+        model = build(named_model_spec("ours3"))
+        stacked = {}  # visual input name -> weakrefs to the arrays stack_windows returned
+        alive_at_stack = []  # per stack_windows call: the inputs whose stacked clips are alive
+        alive_at_start = []  # per branch: (its input, the inputs whose stacked clips are alive)
+
+        def alive():
+            return [name for name, refs in stacked.items() if any(r() is not None for r in refs)]
+
+        def recording_stack(*args, **kwargs):
+            alive_at_stack.append(alive())
+            nonvis, clips = stack_windows(*args, **kwargs)
+            for name, clip in clips.items():
+                stacked.setdefault(name, []).append(weakref.ref(clip))
+            return nonvis, clips
+
+        def recording_vivit(clip, cfg, params, prefix, **kwargs):
+            alive_at_start.append((prefix.rstrip("."), alive()))
+            return vivit_forward(clip, cfg, params, prefix, **kwargs)
+
+        monkeypatch.setattr(assembly, "stack_windows", recording_stack)
+        monkeypatch.setattr(assembly, "vivit_forward", recording_vivit)
+        with Tape():
+            probs = forward_batch(model, windows[:4], training=training, rng=np.random.default_rng(0))
+            if training:
+                backward(tensor_sum(probs))
+            assert all(r() is None for refs in stacked.values() for r in refs)
+        assert alive_at_start == [(name, [name]) for name in model.spec.visual_inputs]
+        assert alive_at_stack == [[]] * (1 + len(model.spec.visual_inputs))
+        assert {name: len(refs) for name, refs in stacked.items()} == {name: 1 for name in model.spec.visual_inputs}
+
+    @pytest.mark.parametrize("config", ["ours3", "ours4_factorised", "ours9_causal"])
+    def test_same_bits_as_forward_arrays(self, windows, config):
+        """Eval and training probabilities and every parameter gradient."""
+        model = build(named_model_spec(config))
+        batch = windows[:4]
+
+        def batched(**kwargs):
+            return forward_batch(model, batch, **kwargs)
+
+        def prestacked(**kwargs):
+            return forward_arrays(model, *stack_windows(model.spec, batch), **kwargs)
+
+        results = []
+        for run in (batched, prestacked):
+            with Tape():
+                probs = run(training=True, rng=np.random.default_rng(5))
+                backward(tensor_sum(probs))
+            grads = {name: p.grad.tobytes() for name, p in model.params.items()}
+            results.append((run().data.tobytes(), probs.data.tobytes(), grads))
+        assert results[0] == results[1]
+
+    def test_missing_input_raises_before_any_branch(self, windows, monkeypatch):
+        model = build(named_model_spec("ours3"))
+        branches = []
+        for fn in ("encode", "vivit_forward"):
+            original = getattr(assembly, fn)
+            monkeypatch.setattr(assembly, fn, lambda *a, _f=original, _n=fn, **k: branches.append(_n) or _f(*a, **k))
+        batch = [windows[0], dataclasses.replace(windows[1], global_context=None)]
+        with pytest.raises(InputError, match=r"^model enables visual input 'global_context' but window 1 provides none$"):
+            forward_batch(model, batch)
+        assert branches == []
 
 
 class TestPersistence:

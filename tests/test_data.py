@@ -2,6 +2,7 @@
 channel stacking, rebalancing."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -587,6 +588,21 @@ class TestExtractWindows:
             for w in wins:  # each kept window holds the rows of its own frames
                 end = track.event_frame - w.time_to_event
                 assert w.nonvisual[:, CHANNEL_COLUMNS["pose"].start].tolist() == list(range(end - 14, end + 1))
+
+    def test_huge_tte_bound_costs_no_more_than_the_track(self):
+        """The tte values visited are bounded by the frames the track holds:
+        an upper bound of 1e9 gives the windows of a tight bound, in their
+        order and alignment, without looping over the range."""
+        track = drop_frames(make_track(n=101), (60,))
+        for lo, stride in ((0, 1), (3, 7), (30, 15)):
+            tight = extract_windows(track, 16, (lo, 200), stride)
+            start = time.perf_counter()
+            huge = extract_windows(track, 16, (lo, 10**9), stride)
+            assert time.perf_counter() - start < 1.0
+            assert tight
+            assert [(w.time_to_event, w.nonvisual.tobytes()) for w in huge] == [
+                (w.time_to_event, w.nonvisual.tobytes()) for w in tight
+            ]
 
     def test_bad_params(self):
         track = make_track()

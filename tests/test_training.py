@@ -119,6 +119,18 @@ class TestAdam:
         with pytest.raises(NumericalError, match="'w'"):
             adam_step(params, {"w": np.array([np.nan], np.float32)}, fresh_state(), 1e-3)
 
+    def test_nan_in_last_gradient_changes_nothing(self):
+        params = {name: Tensor(np.array([1.0, -2.0], np.float32), requires_grad=True) for name in ("a", "b", "c")}
+        state = fresh_state()
+        adam_step(params, {name: np.array([0.5, -1.0], np.float32) for name in params}, state, 1e-3)
+        before = {name: (p.data.tobytes(), state.m[name].tobytes(), state.v[name].tobytes()) for name, p in params.items()}
+        grads = {"a": np.ones(2, np.float32), "b": np.ones(2, np.float32), "c": np.array([1.0, np.nan], np.float32)}
+        with pytest.raises(NumericalError, match="'c' at step 2"):
+            adam_step(params, grads, state, 1e-3)
+        after = {name: (p.data.tobytes(), state.m[name].tobytes(), state.v[name].tobytes()) for name, p in params.items()}
+        assert after == before
+        assert state.step == 1
+
     def test_deterministic_trajectory(self):
         rng = np.random.default_rng(1)
         grads = [rng.normal(size=3).astype(np.float32) for _ in range(5)]
