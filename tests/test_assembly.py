@@ -287,8 +287,7 @@ class TestStackPerBranch:
         model = build(named_model_spec("ours3"))
         branches = []
         for fn in ("encode", "vivit_forward"):
-            original = getattr(assembly, fn)
-            monkeypatch.setattr(assembly, fn, lambda *a, _f=original, _n=fn, **k: branches.append(_n) or _f(*a, **k))
+            monkeypatch.setattr(assembly, fn, lambda *args, _fn=fn, **kwargs: branches.append(_fn))
         batch = [windows[0], dataclasses.replace(windows[1], global_context=None)]
         with pytest.raises(InputError, match=r"^model enables visual input 'global_context' but window 1 provides none$"):
             forward_batch(model, batch)
