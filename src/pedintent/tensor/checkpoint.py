@@ -7,10 +7,15 @@ float32 payload. Round-trips are bit-exact for float32 data.
 
 Header keys: "model" (the spec) and "data" (its window settings) in a
 `save_model` file; "members" and "member_sha256" in an ensemble head.
+`save_checkpoint` adds "payload_sha256", the hex sha256 of every byte after
+the header (entry count and entries), and `load_checkpoint` checks it before
+it parses any entry, so a changed byte is an error rather than another
+model. A header without the key, as older files have, still loads.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -24,6 +29,7 @@ from ..errors import CheckpointError
 from .core import Tensor
 
 MAGIC = b"ITN2"
+PAYLOAD_KEY = "payload_sha256"
 
 
 def write_atomic(path, data: bytes):
@@ -48,9 +54,9 @@ def write_atomic(path, data: bytes):
 
 
 def save_checkpoint(path, params: Mapping[str, "Tensor | np.ndarray"], meta: Optional[dict] = None):
-    """Write the JSON object `meta` and the named tensors, in mapping order."""
-    header = json.dumps(meta or {}).encode("utf-8")
-    blobs = [MAGIC, struct.pack("<I", len(header)), header, struct.pack("<I", len(params))]
+    """Write the JSON object `meta` with the payload's digest and the named
+    tensors, in mapping order."""
+    blobs = [struct.pack("<I", len(params))]
     for name, value in params.items():
         arr = value.data if isinstance(value, Tensor) else np.asarray(value)
         # asarray, not ascontiguousarray: the latter promotes rank 0 to rank 1
@@ -65,12 +71,16 @@ def save_checkpoint(path, params: Mapping[str, "Tensor | np.ndarray"], meta: Opt
         blobs.append(struct.pack("<B", arr.ndim))
         blobs.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         blobs.append(arr.tobytes())
-    write_atomic(path, b"".join(blobs))
+    digest = hashlib.sha256()
+    for blob in blobs:
+        digest.update(blob)
+    header = json.dumps({**(meta or {}), PAYLOAD_KEY: digest.hexdigest()}).encode("utf-8")
+    write_atomic(path, b"".join([MAGIC, struct.pack("<I", len(header)), header, *blobs]))
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint back into (header object, name -> float32 array),
-    preserving entry order."""
+    """Read a checkpoint back into (header object without its payload
+    digest, name -> float32 array), preserving entry order."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != MAGIC:
@@ -99,6 +109,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointError(f"checkpoint header is not JSON in {path}: {e}") from e
     if not isinstance(meta, dict):
         raise CheckpointError(f"checkpoint header is not a JSON object in {path}")
+    if PAYLOAD_KEY in meta and meta.pop(PAYLOAD_KEY) != hashlib.sha256(view[pos:]).hexdigest():
+        raise CheckpointError(f"checkpoint payload does not match its {PAYLOAD_KEY} in {path}: the file is corrupt")
     (count,) = struct.unpack("<I", take(4))
     out: dict[str, np.ndarray] = {}
     for _ in range(count):

@@ -685,11 +685,10 @@ def transpose(x: Tensor, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(x.ndim)))
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
     return _record(
         _ascontig(np.transpose(x.data, axes)),
         (x,),
-        lambda g: (_ascontig(np.transpose(g, inverse)),),
+        lambda g: (_ascontig(np.transpose(g, np.argsort(axes))),),
     )
 
 

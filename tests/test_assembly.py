@@ -1,6 +1,7 @@
 """Model construction from specs, named configurations, forward contracts."""
 
 import dataclasses
+import hashlib
 import json
 import weakref
 
@@ -306,19 +307,25 @@ class TestPersistence:
         assert forward(loaded, windows[0]) == forward(model, windows[0])
 
     def test_one_file_holds_spec_and_weights(self, tmp_path):
-        """The checkpoint is ITN2, the spec as its header, then the weight
-        entries exactly as a checkpoint without a header stores them."""
+        """The checkpoint is ITN2, the spec and the payload digest as its
+        header, then the weight entries exactly as a checkpoint without a
+        spec stores them."""
+
+        def split(raw):
+            n = int.from_bytes(raw[4:8], "little")
+            return json.loads(raw[8 : 8 + n].decode("utf-8")), raw[8 + n :]
+
         for name in NAMED_CONFIGS:
             model = build(named_model_spec(name, seed=4))
             path, bare = tmp_path / "m.itn", tmp_path / "bare.itn"
             save_model(model, path)
             save_checkpoint(bare, model.params)
             raw = path.read_bytes()
-            n = int.from_bytes(raw[4:8], "little")
             assert raw[:4] == b"ITN2"
-            header = json.loads(raw[8 : 8 + n].decode("utf-8"))
-            assert list(header) == ["model"] and ModelSpec.from_dict(header["model"]) == model.spec
-            assert raw[8 + n :] == bare.read_bytes()[len(b"ITN2{}") + 4 :]
+            header, payload = split(raw)
+            assert list(header) == ["model", "payload_sha256"] and ModelSpec.from_dict(header["model"]) == model.spec
+            assert header["payload_sha256"] == hashlib.sha256(payload).hexdigest()
+            assert split(bare.read_bytes()) == ({"payload_sha256": header["payload_sha256"]}, payload)
             assert sorted(p.name for p in tmp_path.iterdir()) == ["bare.itn", "m.itn"], name
 
     def test_data_round_trip(self, tmp_path):

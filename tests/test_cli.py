@@ -349,6 +349,16 @@ class TestCheckpointData:
         err = capsys.readouterr().err.strip()
         assert err.startswith("data error:") and key in err and len(err.splitlines()) == 1
 
+    def test_changed_payload_byte_exit_2(self, trained, dataset, tmp_path, capsys):
+        """A checkpoint whose last weight byte changed is a data error, not
+        another model."""
+        raw = bytearray((trained / "checkpoint.itn").read_bytes())
+        raw[-1] ^= 0x01
+        (tmp_path / "m.itn").write_bytes(bytes(raw))
+        assert main(["eval", "--checkpoint", str(tmp_path / "m.itn"), "--data", str(dataset), "--out", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("data error:") and "payload_sha256" in err and len(err.splitlines()) == 1
+
     def _fed_clips(self, monkeypatch):
         shapes = []
 

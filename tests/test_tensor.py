@@ -2,6 +2,7 @@
 checkpoint format."""
 
 import gc
+import hashlib
 import inspect
 import json
 import os
@@ -1297,6 +1298,21 @@ class TestDropout:
             dropout(Tensor(np.ones(2)), 1.0, np.random.default_rng(0), training=True)
 
 
+def _split_header(raw: bytes) -> tuple[dict, bytes]:
+    """A checkpoint's header object and the bytes after it."""
+    n = int.from_bytes(raw[4:8], "little")
+    return json.loads(raw[8 : 8 + n].decode("utf-8")), raw[8 + n :]
+
+
+def _drop_digest(path):
+    """Rewrite a checkpoint as it was written before headers held the
+    payload digest."""
+    header, payload = _split_header(path.read_bytes())
+    del header["payload_sha256"]
+    text = json.dumps(header).encode("utf-8")
+    path.write_bytes(b"ITN2" + struct.pack("<I", len(text)) + text + payload)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = _rng(9)
@@ -1324,9 +1340,8 @@ class TestCheckpoint:
         save_checkpoint(path, {"ab": Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))}, {"k": [1, "x"]})
         raw = path.read_bytes()
         assert raw[:4] == b"ITN2"
-        n = int.from_bytes(raw[4:8], "little")
-        assert json.loads(raw[8 : 8 + n].decode("utf-8")) == {"k": [1, "x"]}
-        body = raw[8 + n :]
+        header, body = _split_header(raw)
+        assert header == {"k": [1, "x"], "payload_sha256": hashlib.sha256(body).hexdigest()}
         assert int.from_bytes(body[0:4], "little") == 1
         assert int.from_bytes(body[4:6], "little") == 2  # name length
         assert body[6:8] == b"ab"
@@ -1343,25 +1358,41 @@ class TestCheckpoint:
                 load_checkpoint(path)
 
     def test_no_meta_is_an_empty_header(self, tmp_path):
+        """The header holds only the payload digest, and loads as {}."""
         path = tmp_path / "m.itn"
         save_checkpoint(path, {})
-        assert path.read_bytes() == b"ITN2" + struct.pack("<I", 2) + b"{}" + struct.pack("<I", 0)
+        payload = struct.pack("<I", 0)
+        header = json.dumps({"payload_sha256": hashlib.sha256(payload).hexdigest()}).encode("utf-8")
+        assert path.read_bytes() == b"ITN2" + struct.pack("<I", len(header)) + header + payload
         assert load_checkpoint(path) == ({}, {})
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "m.itn"
         save_checkpoint(path, {"w": Tensor(np.ones(5, dtype=np.float32))}, {"model": {}})
         raw = path.read_bytes()
-        for cut in (len(raw) - 3, 12, 6):  # in the payload, the header, the header length
+        for cut in (12, 6):  # in the header, the header length
             path.write_bytes(raw[:cut])
-            with pytest.raises(CheckpointError, match="truncated"):
+            with pytest.raises(CheckpointError, match="^truncated checkpoint"):
                 load_checkpoint(path)
+        path.write_bytes(raw[:-3])  # in the payload, which no longer matches its digest
+        with pytest.raises(CheckpointError, match="^checkpoint payload does not match its payload_sha256"):
+            load_checkpoint(path)
+        path.write_bytes(raw)
+        _drop_digest(path)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(CheckpointError, match="^truncated checkpoint"):
+            load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "m.itn"
         save_checkpoint(path, {"w": Tensor(np.ones(5, dtype=np.float32))})
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(CheckpointError, match="trailing"):
+        with pytest.raises(CheckpointError, match="^checkpoint payload does not match its payload_sha256"):
+            load_checkpoint(path)
+        save_checkpoint(path, {"w": Tensor(np.ones(5, dtype=np.float32))})
+        _drop_digest(path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="^trailing bytes"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("header", [b"{not json", b"[1, 2]", b"3", b"\xff\xfe"], ids=["invalid", "array", "number", "not-utf8"])
@@ -1374,11 +1405,34 @@ class TestCheckpoint:
     def test_entry_name_not_utf8(self, tmp_path):
         path = tmp_path / "m.itn"
         save_checkpoint(path, {"w": Tensor(np.ones(5, dtype=np.float32))})
+        _drop_digest(path)  # with its digest, the changed byte fails that check first
         raw = bytearray(path.read_bytes())
         raw[len(b"ITN2") + 4 + len(b"{}") + 4 + 2] = 0xFF  # the name's first byte
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="UTF-8"):
+        with pytest.raises(CheckpointError, match="^checkpoint text is not UTF-8"):
             load_checkpoint(path)
+
+    def test_changed_payload_byte_is_an_error(self, tmp_path):
+        """One flipped bit anywhere after the header, in the entry count, a
+        name, a rank, a dimension or a weight, fails the digest check."""
+        path = tmp_path / "m.itn"
+        save_checkpoint(path, {"w": Tensor(np.ones((2, 3), dtype=np.float32))}, {"model": {}})
+        raw = path.read_bytes()
+        start = len(raw) - len(_split_header(raw)[1])
+        for offset in (0, 6, 7, 8, 12, len(raw) - start - 1):  # count, name, rank, dims, last weight
+            changed = bytearray(raw)
+            changed[start + offset] ^= 0x01
+            path.write_bytes(bytes(changed))
+            with pytest.raises(CheckpointError, match="^checkpoint payload does not match its payload_sha256"):
+                load_checkpoint(path)
+
+    def test_header_without_digest_still_loads(self, tmp_path):
+        path = tmp_path / "m.itn"
+        params = {"w": Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))}
+        save_checkpoint(path, params, {"model": {"seed": 1}})
+        _drop_digest(path)
+        meta, loaded = load_checkpoint(path)
+        assert meta == {"model": {"seed": 1}} and np.array_equal(loaded["w"], params["w"].data)
 
     def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "m.itn"

@@ -1,5 +1,6 @@
-"""tools/: the pair summary of bench_pairs.py and the probability and
-trained-parameter comparisons of compare_probs.py on fixed numbers."""
+"""tools/: the pair summary of bench_pairs.py, the process reaping of
+bench_collect.py and the probability and trained-parameter comparisons of
+compare_probs.py on fixed numbers."""
 
 import importlib.util
 import json
@@ -102,15 +103,48 @@ def test_exit_status_is_one_when_the_change_fails_more_runs(monkeypatch, tmp_pat
     def fake_run(workload, seed, root):
         calls.append((workload, seed, root))
         correct = root == tmp_path or seed != 2
-        return {}, {"correct": correct, "metrics": {name: {"value": 1.0} for name in names}}
+        usage = {"minflt": 4000 * seed if root == tmp_path else seed, "maxrss_mib": 100.0 + seed}
+        return {}, {"correct": correct, "metrics": {name: {"value": 1.0} for name in names}}, usage
 
     monkeypatch.setattr(bench_pairs, "run", fake_run)
     argv = ["--parent", str(tmp_path), "--workload", "train_ft", "--seeds", "1", "2"]
     assert bench_pairs.main(argv) == 1
     assert [c[2] == tmp_path for c in calls] == [True, False, False, True]  # sides swap each pair
-    assert "incorrect runs: parent 0, change 1, of 2 each" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == [
+        "minor page faults per run, median: parent 6000 change 2",
+        "peak RSS MiB per run, median: parent 101.5 change 101.5",
+        "incorrect runs: parent 0, change 1, of 2 each",
+    ]
     with pytest.raises(SystemExit):
         bench_pairs.main(argv + ["--seconds", "5"])
+
+
+def test_run_reaps_the_benchmark_process_for_its_own_usage(tmp_path):
+    """run() reports the faults and peak memory of the process it started,
+    as read when that process is reaped: at least what the process read of
+    itself just before it exited, and no more than a few MiB above it."""
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json, resource\n"
+        "block = b'x' * (48 << 20)  # writes every page\n"
+        "use = resource.getrusage(resource.RUSAGE_SELF)\n"
+        "print(json.dumps({'report': {'minflt': use.ru_minflt, 'maxrss_kib': use.ru_maxrss}}))\n"
+        "print(json.dumps({'correct': True}))\n",
+        encoding="utf-8",
+    )
+    report, result, usage = _load("bench_collect").run("w", 1, tmp_path)
+    assert result == {"correct": True}
+    assert report["minflt"] <= usage["minflt"] < report["minflt"] + 1000
+    assert report["maxrss_kib"] / 1024 <= usage["maxrss_mib"] < report["maxrss_kib"] / 1024 + 8
+    assert usage["maxrss_mib"] >= 48
+
+
+def test_run_raises_with_the_stderr_of_a_failed_run(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text("import sys\nsys.exit('no source here')\n", encoding="utf-8")
+    with pytest.raises(RuntimeError, match="exited 1:\nno source here"):
+        _load("bench_collect").run("w", 1, tmp_path)
 
 
 def test_compare_probs_maxima():

@@ -2,8 +2,9 @@
 
 Runs `bench/run.py --trace 0` as a subprocess once for each workload and
 seed, in that order, and writes the median and quartiles over seeds of
-every end-to-end metric of each workload, with every run's result and the
-machine block of the report line:
+every end-to-end metric of each workload, with every run's result, its
+minor page faults (`minflt`) and peak resident memory (`maxrss_mib`), and
+the machine block of the report line:
 
     python3 tools/bench_collect.py --out BENCH_7.json
 
@@ -20,9 +21,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,15 +33,23 @@ SEEDS = (1, 2, 3)
 SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 
 
-def run(workload: str, seed: int, root: Path = ROOT) -> tuple[dict, dict]:
+def run(workload: str, seed: int, root: Path = ROOT) -> tuple[dict, dict, dict]:
     """The report and result lines of one benchmark run of BENCHMARK.json's
-    length in the checkout `root`."""
+    length in the checkout `root`, and the run's own resource use: its minor
+    page faults and its peak resident memory in MiB, as `wait4` reports
+    them when it reaps the process."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or len(lines) < 2:
-        raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr.strip()}")
-    return json.loads(lines[-2])["report"], json.loads(lines[-1])
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(cmd, cwd=root, stdout=out, stderr=err)
+        _, status, rusage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait for it again
+        out.seek(0)
+        err.seek(0)
+        lines = out.read().decode().strip().splitlines()
+        if proc.returncode != 0 or len(lines) < 2:
+            raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{err.read().decode().strip()}")
+    usage = {"minflt": rusage.ru_minflt, "maxrss_mib": rusage.ru_maxrss / 1024}  # Linux counts KiB
+    return json.loads(lines[-2])["report"], json.loads(lines[-1]), usage
 
 
 def summarize(values: list) -> dict:
@@ -61,9 +72,9 @@ def collect() -> dict:
     for workload in (w["name"] for w in declared["workloads"]):
         runs = []
         for seed in SEEDS:
-            report, result = run(workload, seed)
+            report, result, usage = run(workload, seed)
             out["machine"] = out["machine"] or report["machine"]
-            runs.append({"seed": seed, **result})
+            runs.append({"seed": seed, **result, **usage})
         out["workloads"][workload] = {
             "metrics": {
                 m["name"]: {"unit": m["unit"], **summarize([r["metrics"][m["name"]]["value"] for r in runs])}

@@ -19,14 +19,17 @@ median: "unresolved" when the parent's interquartile range exceeds the
 bound and the two sides' runs overlap, else "within bound" when the
 change's median is worse than the parent's by no more than the bound, else
 "beyond bound". The metrics, their directions and bounds and the run
-length are read from this tree's BENCHMARK.json. The exit status is 1
-when the change has more incorrect runs than the parent.
+length are read from this tree's BENCHMARK.json. After the metrics come
+each side's medians of the runs' minor page faults and peak resident
+memory, as figures without a verdict. The exit status is 1 when the change
+has more incorrect runs than the parent.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -34,6 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_collect import ROOT, run, summarize  # noqa: E402
 
 SIDES = ("parent", "change")
+USAGE = {"minflt": ("minor page faults", ".0f"), "maxrss_mib": ("peak RSS MiB", ".1f")}
 
 
 def incorrect_runs(pairs: list[dict]) -> dict[str, int]:
@@ -97,9 +101,10 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            _, result = run(args.workload, seed, sides[side])
+            _, result, usage = run(args.workload, seed, sides[side])
             pair[side] = {name: result["metrics"][name]["value"] for name in better}
             pair[f"{side}_correct"] = result["correct"]
+            pair[f"{side}_usage"] = usage
         pairs.append(pair)
         print(json.dumps(pair), flush=True)
     for name, s in summarize_pairs(pairs, better, bounds).items():
@@ -111,6 +116,9 @@ def main(argv=None) -> int:
             f" parent IQR {s['parent_iqr']:.4g} gap>IQR {s['gap_exceeds_iqr']} claim {s['claim_holds']}"
             f" verdict {s['verdict']}"
         )
+    for key, (label, fmt) in USAGE.items():
+        medians = {side: statistics.median(p[f"{side}_usage"][key] for p in pairs) for side in SIDES}
+        print(f"{label} per run, median: parent {medians['parent']:{fmt}} change {medians['change']:{fmt}}")
     failed = incorrect_runs(pairs)
     print(f"incorrect runs: parent {failed['parent']}, change {failed['change']}, of {len(pairs)} each")
     return 1 if failed["change"] > failed["parent"] else 0
