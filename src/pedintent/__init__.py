@@ -6,9 +6,9 @@ dynamic threshold reaches on 64-bit, so arrays up to that size come from
 the heap rather than from a fresh `mmap`; `M_TRIM_THRESHOLD` is set to -1,
 "never trim", so freed heap is reused rather than handed back to the
 kernel. Without them, every score_clips pass of 27 windows (extraction
-and `predict_scores`) faulted in about 3,900 pages it had just given
-back, and every train_ft call 15,000-20,000; with them, a repeated pass
-or call faults about none. Both go in together: any `mallopt` call turns
+and `predict_scores`) faulted in 2,700-3,700 pages it had just given back,
+and every train_ft call 14,000-20,000; with them, a repeated pass or call
+faults about none. Both go in together: any `mallopt` call turns
 off glibc's dynamic threshold, and trimming off alone faulted more, not
 less. The cost: a process holds its peak heap until it exits, while the
 traced peak of its arrays is unchanged. Off glibc, or where `mallopt` is
