@@ -15,20 +15,26 @@ global frame; smaller sizes are accepted for desk-scale runs.
 Each visual input of a window is rendered by one `build_*` call per frame,
 each frame fetched once per window; the benchmark's per-frame crop figures
 count those calls, so a batched crop of a clip's frames would change them.
-A crop touches only its padded patch: the local surround paints its grey
-box onto the patch, never onto a copy of the frame.
+A crop touches only its uint8 patch: a local crop copies its box out of
+the frame, zero-padded where the box leaves it, and the local surround
+paints its grey box onto that patch, never onto the frame.
 
-The resize samples at plans (corner indices and fractions) that depend
-only on the input and output sizes, so they are computed once and cached:
-a row plan per axis length, and a column plan over the flattened W*C axis
-of each pixel row, whose indices name every channel of a sampled column
-and whose fractions repeat per channel. It gathers the four corners with
-two `take` calls, the columns first: every crop the benchmark makes has
-fewer input rows than the 2*out_h sampled ones (rows first would be
-cheaper for much taller frames). It blends the corners over flat
-(out_w*C)-long rows, so each elementwise pass runs one contiguous loop
-instead of copying 12-byte pixels and broadcasting fractions over a
-3-long channel axis.
+One resample kernel renders every crop, from the uint8 patch or frame. Its
+plans (corner indices and fractions) depend only on the input and output
+sizes, so they are computed once and cached: a row plan per axis length,
+holding the distinct rows the 2*out_h samples read and each sample's place
+among them, and a column plan over the flattened W*C axis of each pixel
+row, whose indices name every channel of a sampled column and whose
+fractions repeat per channel. The kernel gathers the distinct rows (when
+they are fewer than the image's), then their sampled columns, and scales
+only those uint8 samples to float32. It blends the two columns of each
+distinct row, gathers the blended rows as a top and a bottom plane, each
+one contiguous block, and blends the planes. Every pass runs over flat
+(out_w*C)-long rows, one contiguous loop each; a tall frame costs at most
+2*out_h rows, whatever its height. Each output value goes through the
+float32 operations the float kernel applies to a patch scaled first, in
+the same order: p / 255 has the same float32 bits whether it is divided in
+float64 or float32, for every uint8 p.
 """
 
 from __future__ import annotations
@@ -59,7 +65,6 @@ from .types import (
 )
 
 GREY_MASK_VALUE = 128  # pre-normalization grey used to hide the pedestrian
-_GREY = np.float32(GREY_MASK_VALUE / 255.0)  # the same bits as a scaled grey pixel
 
 
 _ONE_HOT = np.eye(len(SPEED_CATEGORIES))
@@ -98,42 +103,61 @@ def _column_plan(w: int, c: int, out: int) -> tuple[np.ndarray, np.ndarray]:
     return flat, frac
 
 
+@functools.lru_cache(maxsize=1024)
+def _row_plan(n: int, out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_axis_plan(n, out)` over the rows of an image: the sorted distinct
+    rows its 2*out indices read, each index's position among them (the
+    first `out` for the top rows, the rest for the bottom ones), and the
+    plan's fractions. Cached, so all three are read-only.
+
+    Keyed as `_axis_plan` is. An entry holds at most 4*out int64 values,
+    7 KiB at 224-point plans, so 1024 entries cost at most 7.3 MB."""
+    index, frac = _axis_plan(n, out)
+    rows, at = np.unique(index, return_inverse=True)
+    rows.flags.writeable = False
+    at.flags.writeable = False
+    return rows, at, frac
+
+
 def is_crop_size(n) -> bool:
     """Whether `n` is a valid output length of a crop: an int >= 1, not a bool."""
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
 
 
-def _corners(image: np.ndarray, out_h: int, out_w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (2, out_h, 2, out_w*C) corner samples, in the image's dtype, of a
-    corner-aligned bilinear resample of an (H, W, C) image, with its row
-    fractions and its column fractions repeated per channel; both output
-    sizes must be ints >= 1."""
+def _resample(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Corner-aligned bilinear resample of an (H, W, C) image to a float32
+    (out_h, out_w, C) image; both output sizes must be ints >= 1. A uint8
+    image is scaled to [0, 1] by dividing by 255, after the gather, so only
+    the sampled pixels are scaled; any other input must be float32."""
     if image.ndim != 3 or 0 in image.shape[:2] or not (is_crop_size(out_h) and is_crop_size(out_w)):
         raise DimensionError(f"cannot resize an image of shape {image.shape} to ({out_h!r}, {out_w!r})")
     h, w, c = image.shape
-    ys, fy = _axis_plan(h, out_h)
+    rows, at, fy = _row_plan(h, out_h)
     cols, fx = _column_plan(w, c, out_w)
-    corners = image.reshape(h, w * c).take(cols, axis=1).take(ys, axis=0)
-    return corners.reshape(2, out_h, 2, out_w * c), fy, fx
-
-
-def _lerp(corners: np.ndarray, fy: np.ndarray, fx: np.ndarray) -> np.ndarray:
-    """Blend float32 `_corners` samples into the (out_h, out_w*C) image."""
-    left = corners[:, :, 0]
-    rows = corners[:, :, 1] - left  # rows[0] lerps the top corners, rows[1] the bottom ones
-    rows *= fx
-    rows += left
-    out = rows[1] - rows[0]
+    flat = image.reshape(h, w * c)
+    if len(rows) < h:
+        flat = flat.take(rows, axis=0)
+    samples = flat.take(cols, axis=1)
+    if samples.dtype == np.uint8:
+        samples = np.divide(samples, 255.0, dtype=np.float32)
+    n = out_w * c
+    left = samples[:, :n]
+    lines = samples[:, n:] - left  # the columns of each distinct row, blended
+    lines *= fx
+    lines += left
+    planes = lines.take(at, axis=0)  # the top rows, then the bottom ones
+    top = planes[:out_h]
+    out = planes[out_h:] - top
     out *= fy[:, None]
-    out += rows[0]
-    return out
+    out += top
+    return out.reshape(out_h, out_w, c)
 
 
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Corner-aligned bilinear resample of an (H, W, C) float image to a
-    float32 (out_h, out_w, C) image; both output sizes must be ints >= 1."""
-    image = np.asarray(image, dtype=np.float32)
-    return _lerp(*_corners(image, out_h, out_w)).reshape(out_h, out_w, image.shape[2])
+    """Corner-aligned bilinear resample of an (H, W, C) image, read as
+    float32 and not scaled, to a float32 (out_h, out_w, C) image; both
+    output sizes must be ints >= 1."""
+    return _resample(np.asarray(image, dtype=np.float32), out_h, out_w)
 
 
 def _pixel_box(x_tl: float, y_tl: float, x_br: float, y_br: float) -> tuple[int, int, int, int]:
@@ -150,17 +174,20 @@ def _enlarged(bbox: BoundingBox, ratio: float) -> tuple[float, float, float, flo
 
 
 def _crop_padded(pixels: np.ndarray, box: tuple[int, int, int, int]) -> np.ndarray:
-    """Crop a half-open pixel box, zero-padding outside the frame."""
+    """Copy a half-open pixel box out of uint8 pixels, zero-padding outside
+    the frame."""
     x0, y0, x1, y1 = box
     if x1 <= x0 or y1 <= y0:
         raise DegenerateCropError("crop region is empty")
     h, w = pixels.shape[:2]
     if x1 <= 0 or y1 <= 0 or x0 >= w or y0 >= h:
         raise DegenerateCropError("crop region lies entirely outside the frame")
-    out = np.zeros((y1 - y0, x1 - x0, 3), dtype=np.float32)
+    if x0 >= 0 and y0 >= 0 and x1 <= w and y1 <= h:
+        return pixels[y0:y1, x0:x1].copy()
+    out = np.zeros((y1 - y0, x1 - x0, 3), dtype=np.uint8)
     sx0, sy0 = max(x0, 0), max(y0, 0)
     sx1, sy1 = min(x1, w), min(y1, h)
-    out[sy0 - y0 : sy1 - y0, sx0 - x0 : sx1 - x0] = pixels[sy0:sy1, sx0:sx1] / 255.0
+    out[sy0 - y0 : sy1 - y0, sx0 - x0 : sx1 - x0] = pixels[sy0:sy1, sx0:sx1]
     return out
 
 
@@ -172,15 +199,17 @@ def _check_ratio(ratio: float):
 
 
 def build_local_context(frame: Frame, bbox: BoundingBox, ratio: float, size: tuple[int, int]) -> np.ndarray:
-    """Crop around the pedestrian, enlarged by `ratio` (>= 1) about the box center."""
+    """The frame around the pedestrian's box, enlarged by `ratio` (>= 1)
+    about its center and zero-padded outside the frame, resized to `size`
+    with intensities scaled to [0, 1]: a float32 (*size, 3) image."""
     _check_ratio(ratio)
     box = _pixel_box(*_enlarged(bbox, ratio))
-    patch = _crop_padded(frame.pixels, box)
-    return bilinear_resize(patch, size[0], size[1])
+    return _resample(_crop_padded(frame.pixels, box), size[0], size[1])
 
 
 def build_local_surround(frame: Frame, bbox: BoundingBox, ratio: float, size: tuple[int, int]) -> np.ndarray:
-    """Like the local context, but the un-enlarged pedestrian box is greyed out first."""
+    """The local context with the un-enlarged pedestrian box painted
+    `GREY_MASK_VALUE` in the uint8 patch before the resize."""
     _check_ratio(ratio)
     gx0, gy0, gx1, gy1 = _pixel_box(bbox.x_tl, bbox.y_tl, bbox.x_br, bbox.y_br)
     x0, y0, x1, y1 = _pixel_box(*_enlarged(bbox, ratio))
@@ -189,16 +218,14 @@ def build_local_surround(frame: Frame, bbox: BoundingBox, ratio: float, size: tu
     # frame, which is what cropping a greyed copy of the frame would give.
     top, left = max(gy0, y0, 0), max(gx0, x0, 0)
     bottom, right = max(min(gy1, y1, frame.height), top), max(min(gx1, x1, frame.width), left)
-    patch[top - y0 : bottom - y0, left - x0 : right - x0] = _GREY
-    return bilinear_resize(patch, size[0], size[1])
+    patch[top - y0 : bottom - y0, left - x0 : right - x0] = GREY_MASK_VALUE
+    return _resample(patch, size[0], size[1])
 
 
 def build_global_context(frame: Frame, size: tuple[int, int]) -> np.ndarray:
-    """Whole-frame resize to `size`, intensities scaled to [0, 1]."""
-    # Scaling is elementwise, so scaling the sampled pixels gives the bits
-    # of resizing the scaled frame.
-    corners, fy, fx = _corners(frame.pixels, size[0], size[1])
-    return _lerp(corners.astype(np.float32) / 255.0, fy, fx).reshape(size[0], size[1], frame.pixels.shape[2])
+    """The whole frame resized to `size` with intensities scaled to
+    [0, 1]: a float32 (*size, 3) image."""
+    return _resample(frame.pixels, size[0], size[1])
 
 
 @dataclass(frozen=True)

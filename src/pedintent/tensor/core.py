@@ -940,5 +940,5 @@ def backward(loss: Tensor):
     for leaf in tape.leaves:
         g = grads.get(leaf.node_id)
         leaf.grad = np.zeros_like(leaf.data) if g is None else np.asarray(g, dtype=leaf.data.dtype)
-        if not np.all(np.isfinite(leaf.grad)):
-            raise NumericalError("backward produced non-finite gradients")
+    if not all(np.all(np.isfinite(leaf.grad)) for leaf in tape.leaves):
+        raise NumericalError("backward produced non-finite gradients")

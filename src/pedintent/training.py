@@ -101,14 +101,20 @@ def weighted_bce(labels, probs: Tensor, weights: Optional[dict] = None) -> Tenso
     return mul(mean_over_axis(add(pos, neg), axis=0), -1.0)
 
 
-def adam_step(params: dict, grads: dict, state: TrainState, lr: float):
-    """Bias-corrected Adam update in place. Every gradient is checked
-    before anything changes, so a non-finite one raises with the
-    parameters, moments and step count as they were."""
+def _check_finite(params: dict, grads: dict, state: TrainState):
+    """Raise naming the first parameter, in `params` order, whose gradient
+    holds a NaN or an infinity."""
     for name in params:
         g = grads.get(name)
         if g is not None and not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for parameter {name!r} at step {state.step + 1}")
+
+
+def adam_step(params: dict, grads: dict, state: TrainState, lr: float):
+    """Bias-corrected Adam update in place. Every gradient is checked
+    before anything changes, so a non-finite one raises with the
+    parameters, moments and step count as they were."""
+    _check_finite(params, grads, state)
     state.step += 1
     t = state.step
     for name, p in params.items():
@@ -130,10 +136,15 @@ def adam_step(params: dict, grads: dict, state: TrainState, lr: float):
 def fit_step(params: dict, probs_fn: Callable[[], Tensor], labels, weights: Optional[dict], state: TrainState) -> float:
     """One optimisation step on one batch: probabilities from `probs_fn` on
     a fresh tape, weighted BCE, backward, Adam. Returns the batch loss
-    before the update."""
+    before the update. A non-finite gradient raises naming its parameter,
+    with the parameters, moments and step count unchanged."""
     with Tape():
         loss = weighted_bce(labels, probs_fn(), weights)
-        backward(loss)
+        try:
+            backward(loss)
+        except NumericalError:
+            _check_finite(params, {name: p.grad for name, p in params.items()}, state)
+            raise
     adam_step(params, {name: p.grad for name, p in params.items()}, state, state.lr)
     return float(loss.data)
 

@@ -1,7 +1,7 @@
 """Reference implementations that tests compare the package against, the
 op names a tape recorded, the packing of per-head q, k and v into the
-input of `attention`, and the crop kernel as it stood before it gathered
-columns along flat pixel rows."""
+input of `attention`, and the crop path as it stood before it scaled uint8
+samples after the gather."""
 
 import math
 
@@ -12,7 +12,7 @@ import pedintent.tensor.core as core
 
 from pedintent.data import CHANNEL_WIDTHS, NONVISUAL_CHANNELS, SPEED_CATEGORIES
 from pedintent.data.preprocess import is_crop_size
-from pedintent.errors import ConfigError, ContractError, DimensionError, IntegrityError
+from pedintent.errors import ConfigError, ContractError, DegenerateCropError, DimensionError, IntegrityError
 from pedintent.metrics import _validate
 from pedintent.tensor import Tensor, add, attention, concat_along_axis, matmul, mul, reshape, transpose
 
@@ -154,10 +154,11 @@ def gelu_input_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return dx.reshape(x.shape)
 
 
-# The crop kernel of `pedintent.data.preprocess` as it stood when it took
-# 12-byte pixels along the column axis and blended (2, out_h, 2, out_w, C)
-# corners, frozen: the current kernel must give the same bytes. Tests swap
-# these in for the module functions of the same names.
+# The crop path of `pedintent.data.preprocess` as it stood when each crop
+# scaled a float32 patch (or, for the whole frame, its corner samples) and
+# a kernel blended (2, out_h, 2, out_w, C) corners of 12-byte pixels,
+# frozen as whole functions: the current `build_*` functions and
+# `bilinear_resize` must give the same bytes.
 
 
 def _frozen_axis_plan(n: int, out: int) -> tuple[np.ndarray, np.ndarray]:
@@ -186,13 +187,73 @@ def frozen_lerp(corners: np.ndarray, fy: np.ndarray, fx: np.ndarray) -> np.ndarr
     return out
 
 
-def frozen_pixel_box(x_tl, y_tl, x_br, y_br) -> tuple[int, int, int, int]:
-    return int(np.floor(x_tl)), int(np.floor(y_tl)), int(np.ceil(x_br)), int(np.ceil(y_br))
-
-
 def frozen_resize(image, out_h: int, out_w: int) -> np.ndarray:
     """`bilinear_resize` by the frozen kernel."""
     return frozen_lerp(*frozen_corners(np.asarray(image, dtype=np.float32), out_h, out_w))
 
 
-FROZEN_CROP_KERNEL = {"_corners": frozen_corners, "_lerp": frozen_lerp, "_pixel_box": frozen_pixel_box}
+FROZEN_GREY = np.float32(128 / 255.0)  # the grey, scaled as the float patch held it
+
+
+def _frozen_pixel_box(x_tl, y_tl, x_br, y_br) -> tuple[int, int, int, int]:
+    return int(np.floor(x_tl)), int(np.floor(y_tl)), int(np.ceil(x_br)), int(np.ceil(y_br))
+
+
+def _frozen_enlarged(bbox, ratio: float) -> tuple[float, float, float, float]:
+    cx = (bbox.x_tl + bbox.x_br) / 2.0
+    cy = (bbox.y_tl + bbox.y_br) / 2.0
+    half_w = bbox.width * ratio / 2.0
+    half_h = bbox.height * ratio / 2.0
+    return cx - half_w, cy - half_h, cx + half_w, cy + half_h
+
+
+def frozen_crop_padded(pixels: np.ndarray, box) -> np.ndarray:
+    """The float32 patch of a half-open pixel box, scaled by 255 and
+    zero-padded outside the frame."""
+    x0, y0, x1, y1 = box
+    if x1 <= x0 or y1 <= y0:
+        raise DegenerateCropError("crop region is empty")
+    h, w = pixels.shape[:2]
+    if x1 <= 0 or y1 <= 0 or x0 >= w or y0 >= h:
+        raise DegenerateCropError("crop region lies entirely outside the frame")
+    out = np.zeros((y1 - y0, x1 - x0, 3), dtype=np.float32)
+    sx0, sy0 = max(x0, 0), max(y0, 0)
+    sx1, sy1 = min(x1, w), min(y1, h)
+    out[sy0 - y0 : sy1 - y0, sx0 - x0 : sx1 - x0] = pixels[sy0:sy1, sx0:sx1] / 255.0
+    return out
+
+
+def _frozen_check_ratio(ratio: float):
+    if ratio < 1.0:
+        raise ConfigError("enlargement ratio must be >= 1")
+    if not ratio < math.inf:
+        raise ConfigError(f"enlargement ratio must be finite, got {ratio}")
+
+
+def frozen_local_context(frame, bbox, ratio: float, size) -> np.ndarray:
+    _frozen_check_ratio(ratio)
+    patch = frozen_crop_padded(frame.pixels, _frozen_pixel_box(*_frozen_enlarged(bbox, ratio)))
+    return frozen_resize(patch, size[0], size[1])
+
+
+def frozen_local_surround(frame, bbox, ratio: float, size) -> np.ndarray:
+    _frozen_check_ratio(ratio)
+    gx0, gy0, gx1, gy1 = _frozen_pixel_box(bbox.x_tl, bbox.y_tl, bbox.x_br, bbox.y_br)
+    x0, y0, x1, y1 = _frozen_pixel_box(*_frozen_enlarged(bbox, ratio))
+    patch = frozen_crop_padded(frame.pixels, (x0, y0, x1, y1))
+    top, left = max(gy0, y0, 0), max(gx0, x0, 0)
+    bottom, right = max(min(gy1, y1, frame.height), top), max(min(gx1, x1, frame.width), left)
+    patch[top - y0 : bottom - y0, left - x0 : right - x0] = FROZEN_GREY
+    return frozen_resize(patch, size[0], size[1])
+
+
+def frozen_global_context(frame, size) -> np.ndarray:
+    corners, fy, fx = frozen_corners(frame.pixels, size[0], size[1])
+    return frozen_lerp(corners.astype(np.float32) / 255.0, fy, fx)
+
+
+FROZEN_BUILD = {
+    "build_local_context": frozen_local_context,
+    "build_local_surround": frozen_local_surround,
+    "build_global_context": frozen_global_context,
+}

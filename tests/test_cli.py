@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pedintent import cli, errors
+from pedintent import cli, errors, training
 from pedintent.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_run_config, main
 from pedintent.data import load_annotations, split_tracks
 from pedintent.model import build, load_model, named_model_spec, save_model
-from pedintent.tensor import load_checkpoint, save_checkpoint
+from pedintent.tensor import load_checkpoint, mul, save_checkpoint
 
 
 def sha(path):
@@ -131,6 +132,18 @@ class TestTrainEval:
         assert rc == EXIT_DATA
         err = capsys.readouterr().err.strip()
         assert "no training windows" in err and len(err.splitlines()) == 1
+
+    def test_non_finite_gradient_exit_3_names_the_parameter(self, dataset, tmp_path, monkeypatch, capsys):
+        """A loss scaled to 3e38 is finite, but gradients overflow: the one
+        line names the parameter and the step."""
+        bce = training.weighted_bce
+        monkeypatch.setattr(training, "weighted_bce", lambda *args: mul(bce(*args), 3e38))
+        cfg = write_config(tmp_path / "c.json")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["train", "--config", str(cfg), "--data", str(dataset), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err.strip()
+        assert re.fullmatch(r".*non-finite gradient for parameter '[\w.]+' at step 1", err), err
 
     @pytest.mark.parametrize(
         "name", ["resolved_config.json", "checkpoint.itn", "history.csv", "metrics.csv", "annotations.jsonl", "frames.pvf"]

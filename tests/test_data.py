@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FROZEN_CROP_KERNEL, assemble_nonvisual, frozen_resize, window_channels
+from oracles import (
+    FROZEN_BUILD,
+    FROZEN_GREY,
+    assemble_nonvisual,
+    frozen_global_context,
+    frozen_local_context,
+    frozen_local_surround,
+    frozen_resize,
+    window_channels,
+)
 from pedintent.data import (
     CHANNEL_COLUMNS,
     VISUAL_INPUTS,
@@ -36,7 +45,7 @@ from pedintent.errors import (
     WindowError,
 )
 from pedintent.data import preprocess
-from pedintent.data.preprocess import _axis_plan, _column_plan
+from pedintent.data.preprocess import GREY_MASK_VALUE, _axis_plan, _column_plan, _resample, _row_plan
 from pedintent.model import NAMED_CONFIGS, EncoderConfig, ModelSpec, named_model_spec
 from pedintent.model.assembly import stack_windows
 
@@ -241,6 +250,21 @@ class TestResize:
         assert index.tolist() == [3 * x + ch for x in columns.tolist() for ch in range(3)]
         assert frac.tobytes() == np.repeat(fractions, 3).tobytes()
         for arr in (index, frac):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_row_plans_are_cached_bounded_read_only(self):
+        """The distinct rows of `_axis_plan`'s indices, sorted, and each
+        index's place among them; the fractions are the axis plan's own."""
+        assert _row_plan.cache_info().maxsize == 1024
+        rows, at, frac = _row_plan(150, 5)
+        assert _row_plan(150, 5)[0] is rows
+        index, fractions = _axis_plan(150, 5)
+        assert rows.tolist() == sorted(set(index.tolist())) and rows[at].tolist() == index.tolist()
+        assert frac is fractions
+        assert len(_row_plan(3, 5)[0]) == 3 and len(_row_plan(150, 5)[0]) == 9  # at most min(n, 2*out) rows
+        assert rows.nbytes + at.nbytes <= 4 * 5 * 8  # the docstring's bound: 4*out int64 values
+        for arr in (rows, at, frac):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
@@ -479,22 +503,23 @@ def _same_bytes(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _assert_builds_match_frozen(frame, bbox, ratio, size):
+    """Each `build_*` function and its frozen counterpart give the same
+    dtype, shape and bytes, or the same error."""
+    cases = [
+        (build_local_context, frozen_local_context, (frame, bbox, ratio, size)),
+        (build_local_surround, frozen_local_surround, (frame, bbox, ratio, size)),
+        (build_global_context, frozen_global_context, (frame, size)),
+    ]
+    for fn, frozen, args in cases:
+        assert _outcome(fn, *args) == _outcome(frozen, *args), (fn.__name__, frame.pixels.shape, bbox, ratio, size)
+
+
 class TestCropKernelMatchesTheFrozenKernel:
-    """The resize gathers along flat pixel rows and blends flat rows; the
-    frozen kernel took 12-byte pixels and blended over a channel axis. Both
-    must give the same bytes."""
-
-    @pytest.fixture
-    def frozen(self, monkeypatch):
-        """Runs a function with the frozen kernel in place of the module's."""
-
-        def run(fn, *args):
-            with monkeypatch.context() as m:
-                for name, impl in FROZEN_CROP_KERNEL.items():
-                    m.setattr(preprocess, name, impl)
-                return fn(*args)
-
-        return run
+    """The kernel gathers uint8 samples, scales only those and blends the
+    distinct rows before the row planes; the frozen crop path scaled a
+    float32 patch first and blended (2, out_h, 2, out_w, C) corners of
+    12-byte pixels. The public functions must give the frozen bytes."""
 
     @pytest.mark.parametrize("channels", [1, 3])
     @pytest.mark.parametrize(
@@ -512,7 +537,7 @@ class TestCropKernelMatchesTheFrozenKernel:
             img = rng.normal(size=(h, w, int(rng.choice([1, 3])))) * 100
             assert _same_bytes(bilinear_resize(img, oh, ow), frozen_resize(img, oh, ow)), (img.shape, oh, ow)
 
-    def test_build_functions(self, frozen):
+    def test_build_functions(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
             h, w = (int(n) for n in rng.integers(1, 48, 2))
@@ -521,25 +546,76 @@ class TestCropKernelMatchesTheFrozenKernel:
             if rng.random() < 0.25:  # whole-pixel boxes put edges exactly on the grid
                 box = [float(np.round(v)) for v in box]
             x, y, bw, bh = box
-            bbox = BoundingBox(x, y, x + bw, y + bh)
             ratio = float(rng.choice([1.0, rng.uniform(1.0, 3.0)]))
             size = tuple(int(n) for n in rng.choice([1, 2, 7, 32], 2))
-            cases = [(build_local_context, frame, bbox, ratio, size), (build_local_surround, frame, bbox, ratio, size)]
-            for fn, *args in cases + [(build_global_context, frame, size)]:
-                assert _outcome(fn, *args) == _outcome(frozen, fn, *args), fn.__name__
+            _assert_builds_match_frozen(frame, BoundingBox(x, y, x + bw, y + bh), ratio, size)
 
-    def test_benchmark_frames(self, frozen):
-        """40x96 frames cropped to 32x32, as the benchmark's workloads read them."""
+    @pytest.mark.parametrize(
+        "bbox",
+        [
+            BoundingBox(0.0, 9.0, 5.0, 17.0),  # leaves at the left
+            BoundingBox(10.0, 0.0, 17.0, 4.5),  # at the top
+            BoundingBox(24.5, 8.0, 29.0, 15.0),  # at the right
+            BoundingBox(9.0, 17.5, 16.0, 22.0),  # at the bottom
+            BoundingBox(0.0, 0.0, 4.0, 6.0),  # at the top left corner
+            BoundingBox(26.0, 19.0, 29.0, 22.0),  # at the bottom right corner
+            BoundingBox(2.0, 1.0, 27.0, 21.0),  # on all four sides
+        ],
+    )
+    @pytest.mark.parametrize("ratio", [1.0, 1.5, 2.7])
+    def test_boxes_partly_outside_the_frame(self, bbox, ratio):
+        """Padded patches, with the grey box cut by the frame's edge."""
+        frame = make_frame(np.random.default_rng(24).integers(0, 256, size=(22, 29, 3)))
+        for size in ((32, 32), (7, 12), (1, 1)):
+            _assert_builds_match_frozen(frame, bbox, ratio, size)
+
+    def test_tall_frame_gathers_only_the_rows_it_reads(self):
+        """A frame taller than 2*out_h, so the kernel gathers its distinct
+        rows before the columns."""
+        frame = make_frame(np.random.default_rng(25).integers(0, 256, size=(150, 40, 3)))
+        assert len(_row_plan(150, 32)[0]) <= 64
+        # local patches of 130 rows, and of 177 rows padded at the top
+        for bbox, ratio in ((BoundingBox(8.0, 10.0, 30.0, 140.0), 1.0), (BoundingBox(12.0, 3.0, 30.0, 120.0), 1.5)):
+            _assert_builds_match_frozen(frame, bbox, ratio, (32, 32))
+            _assert_builds_match_frozen(frame, bbox, ratio, (7, 5))
+
+    def test_benchmark_frames(self, monkeypatch):
+        """40x96 frames cropped to 32x32, as the benchmark's workloads read
+        them, through `extract_windows` with the frozen `build_*`
+        functions in place of the module's."""
         tracks, frames = generate_synthetic(7, 3, "random")
         cfg = ClipConfig(inputs=VISUAL_INPUTS)
-        for track in tracks:
-            got = extract_windows(track, 16, (30, 60), 15, frames=frames, clip_cfg=cfg)
-            want = frozen(extract_windows, track, 16, (30, 60), 15, frames, cfg)
-            assert got and len(got) == len(want)
-            for a, b in zip(got, want):
+        got = [extract_windows(track, 16, (30, 60), 15, frames=frames, clip_cfg=cfg) for track in tracks]
+        for name, frozen in FROZEN_BUILD.items():
+            monkeypatch.setattr(preprocess, name, frozen)
+        want = [extract_windows(track, 16, (30, 60), 15, frames=frames, clip_cfg=cfg) for track in tracks]
+        for a_windows, b_windows in zip(got, want):
+            assert a_windows and len(a_windows) == len(b_windows)
+            for a, b in zip(a_windows, b_windows):
                 for name in VISUAL_INPUTS:
                     assert getattr(a, name).shape == (16, 32, 32, 3), name
                     assert _same_bytes(getattr(a, name), getattr(b, name)), name
+
+
+class TestTheFactsTheKernelReliesOn:
+    def test_scaling_any_uint8_value_gives_one_float32(self):
+        """p / 255 has the same float32 bits for every uint8 p whether it is
+        divided in float64 and rounded, divided in float32, or divided in
+        place, as the kernel does on its samples."""
+        pixels = np.arange(256, dtype=np.uint8)
+        in_float64 = (pixels / 255.0).astype(np.float32)
+        in_float32 = pixels.astype(np.float32) / 255.0
+        in_place = pixels.astype(np.float32)
+        in_place /= np.float32(255.0)
+        kernel = _resample(pixels.reshape(1, 256, 1), 1, 256).reshape(-1)
+        assert in_float32.dtype == np.float32 and kernel.dtype == np.float32
+        for scaled in (in_float32, in_place, kernel):
+            assert scaled.tobytes() == in_float64.tobytes()
+
+    def test_scaled_grey_has_the_float_grey_bits(self):
+        grey = _resample(np.full((2, 3, 3), GREY_MASK_VALUE, np.uint8), 1, 1)
+        assert grey.tobytes() == np.full(3, FROZEN_GREY).tobytes()
+        assert np.float32(GREY_MASK_VALUE / 255.0).tobytes() == FROZEN_GREY.tobytes()
 
 
 class TestExtractWindows:

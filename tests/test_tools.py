@@ -1,10 +1,11 @@
 """tools/: the pair summary of bench_pairs.py, the process reaping of
 bench_collect.py and the probability and trained-parameter comparisons of
-compare_probs.py on fixed numbers."""
+compare_probs.py on fixed numbers, with its clip digests."""
 
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -195,16 +196,52 @@ def test_compare_probs_report_states_the_post_step_difference():
         "probabilities": {"ours1 seed 0": [0.25, 0.5], "ours3 seed 3": [0.75]},
         "trained_probabilities": {"ours1 seed 0": [0.25, 0.5], "ours3 seed 3": [0.75]},
         "digests": {"ours1 seed 0": "aa", "ours3 seed 3": "bb"},
+        "clips": {"local_context": "c1", "global_context": "c2"},
     }
     change = {
         "probabilities": {"ours1 seed 0": [0.25, 0.5], "ours3 seed 3": [0.75]},
         "trained_probabilities": {"ours1 seed 0": [0.25, 0.5 + 2**-20], "ours3 seed 3": [0.75 - 2**-23]},
         "digests": {"ours1 seed 0": "ab", "ours3 seed 3": "bb"},
+        "clips": {"local_context": "c1", "global_context": "c2"},
     }
     assert compare_probs.report(parent, change) == [
         f"ours1 seed 0: max |parent - change| 0, after one step {2**-20:.3g}, trained parameters different",
         f"ours3 seed 3: max |parent - change| 0, after one step {2**-23:.3g}, trained parameters identical",
         f"overall: 0 (ours1 seed 0); after one step {2**-20:.3g} (ours1 seed 0); trained parameters identical for 1 of 2",
+        "clips: local_context identical, global_context identical",
     ]
     with pytest.raises(ValueError, match="different configs"):
         compare_probs.report(parent, {**change, "trained_probabilities": {"ours1 seed 0": [0.25, 0.5]}})
+
+
+def test_compare_probs_report_says_which_clips_differ():
+    """The clips line names each input with whether its digest is the
+    parent's; sides that render different inputs are refused."""
+    compare_probs = _load("compare_probs")
+    side = {
+        "probabilities": {"ours1 seed 0": [0.5]},
+        "trained_probabilities": {"ours1 seed 0": [0.5]},
+        "digests": {"ours1 seed 0": "aa"},
+        "clips": {"local_context": "c1", "local_surround": "c2", "global_context": "c3"},
+    }
+    changed = {**side, "clips": {**side["clips"], "local_surround": "c4"}}
+    assert compare_probs.report(side, changed)[-1] == "clips: local_context identical, local_surround different, global_context identical"
+    with pytest.raises(ValueError, match="different inputs: \\['global_context'\\]"):
+        compare_probs.report(side, {**side, "clips": {"local_context": "c1", "local_surround": "c2"}})
+
+
+def test_compare_probs_clip_digests():
+    """One digest per input over its clips in window order: a changed
+    byte, dtype, shape or window order changes it."""
+    compare_probs = _load("compare_probs")
+    rng = np.random.default_rng(0)
+    windows = [SimpleNamespace(local_context=rng.random((2, 3, 3, 3)).astype(np.float32)) for _ in range(2)]
+    digest = compare_probs.clip_digests(windows, ("local_context",))
+    assert list(digest) == ["local_context"]
+    assert compare_probs.clip_digests([SimpleNamespace(local_context=w.local_context.copy()) for w in windows], ("local_context",)) == digest
+    clip = windows[1].local_context
+    bumped = clip.copy()
+    bumped[0, 0, 0, 0] = np.nextafter(bumped[0, 0, 0, 0], np.float32(2))
+    for other in (bumped, clip.astype(np.float64), clip.reshape(2, 9, 3)):
+        assert compare_probs.clip_digests([windows[0], SimpleNamespace(local_context=other)], ("local_context",)) != digest
+    assert compare_probs.clip_digests(windows[::-1], ("local_context",)) != digest

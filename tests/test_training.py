@@ -9,7 +9,7 @@ import pytest
 from pedintent.data import extract_windows, generate_synthetic
 from pedintent.errors import BalanceError, ConfigError, ContractError, NumericalError, WindowError
 from pedintent.model import build, ensemble_predict, forward_batch, named_model_spec
-from pedintent.tensor import Tape, Tensor, backward
+from pedintent.tensor import Tape, Tensor, add, backward, mul
 from pedintent import training
 from pedintent.training import (
     EVAL_CHUNK,
@@ -145,6 +145,36 @@ class TestAdam:
 
 
 class TestFitStep:
+    def test_non_finite_gradient_names_its_parameter_and_changes_nothing(self):
+        """`backward` finds the non-finite gradient; `fit_step` names the
+        first parameter, in `params` order, that holds one, and leaves the
+        parameters, moments and step count as they were."""
+        x = Tensor(np.array([[1.0, 0.5, 2.0], [0.0, 1.0, 1.0]], np.float32))
+        params = {name: Tensor(np.full(3, 0.1, np.float32), requires_grad=True) for name in ("a", "w")}
+        params["c"] = Tensor(np.zeros((), np.float32), requires_grad=True)
+        a, w, c = params.values()
+        state = fresh_state(lr=0.1)
+        fit_step(params, lambda: ensemble_predict(x, add(a, w), c), [1, 0], None, state)
+        w.data = np.zeros(3, np.float32)
+        before = {name: (p.data.tobytes(), state.m[name].tobytes(), state.v[name].tobytes()) for name, p in params.items()}
+        # w is 0, so the forward stays finite, but w's gradient is scaled by 9e76
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match=r"^non-finite gradient for parameter 'w' at step 2$"):
+            fit_step(params, lambda: ensemble_predict(x, add(a, mul(mul(w, 3e38), 3e38)), c), [1, 0], None, state)
+        assert np.all(np.isinf(w.grad)) and np.all(np.isfinite(a.grad)) and np.isfinite(c.grad)
+        after = {name: (p.data.tobytes(), state.m[name].tobytes(), state.v[name].tobytes()) for name, p in params.items()}
+        assert after == before
+        assert state.step == 1
+
+    def test_names_the_first_parameter_in_params_order(self):
+        """The tape meets w before a, and both gradients overflow: backward
+        assigns every gradient before it raises, so a is named."""
+        x = Tensor(np.array([[1.0, 0.5, 2.0], [0.0, 1.0, 1.0]], np.float32))
+        params = {name: Tensor(np.zeros(3, np.float32), requires_grad=True) for name in ("a", "w")}
+        a, w = params.values()
+        big = lambda t: mul(mul(t, 3e38), 3e38)  # noqa: E731
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'a' at step 1"):
+            fit_step(params, lambda: ensemble_predict(x, add(big(w), big(a)), Tensor(np.zeros((), np.float32))), [1, 0], None, fresh_state())
+
     def test_returns_loss_before_update_and_takes_one_adam_step(self):
         w = Tensor(np.zeros(3, np.float32), requires_grad=True)
         b = Tensor(np.zeros((), np.float32), requires_grad=True)

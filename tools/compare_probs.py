@@ -1,6 +1,7 @@
 """Largest difference between a parent checkout's float32 eval
-probabilities and this tree's, before and after one training step, and
-whether that step gives the same parameters.
+probabilities and this tree's, before and after one training step,
+whether that step gives the same parameters, and whether the two trees
+render the same clips.
 
 Builds every named config fresh at seeds 0 and 3 in each tree, scores the
 same fixed synthetic windows (all three clips) in eval mode, then runs one
@@ -9,8 +10,10 @@ generator seeded with the config seed) and scores them again in eval mode.
 For each config and seed it prints the maximum absolute difference of the
 probabilities before and after the step and whether the sha256 of the
 updated parameters equals the parent's, then the overall maxima and the
-count of identical parameter sets. Trained parameters that differ only by
-rounding show as "different"; the post-step difference says by how much:
+count of identical parameter sets, then one line saying, per visual
+input, whether the sha256 of its clips over the fixed windows is the
+parent's. Trained parameters that differ only by rounding show as
+"different"; the post-step difference says by how much:
 
     git clone -q . ../parent && git -C ../parent checkout -q <parent-sha>
     python3 tools/compare_probs.py --parent ../parent
@@ -18,7 +21,13 @@ rounding show as "different"; the post-step difference says by how much:
 Each tree's results come from a child process that imports that tree's
 src/ (`--dump` prints them as JSON), so the two trees never share a
 module. The exit status is 1 when the two trees score different configs or
-windows.
+windows, or render different inputs; different clip bytes only show in
+the clips line.
+
+The windows lie in 40x96 frames, cropped to 32x32: 48 of their 192 local
+crops are zero-padded at the frame's edge, the rest lie inside it. Boxes
+leaving the frame on each side, tall frames and other sizes are left to
+the unit tests of the crop kernel.
 """
 
 from __future__ import annotations
@@ -46,11 +55,26 @@ def parameter_digest(params: dict) -> str:
     return h.hexdigest()
 
 
+def clip_digests(windows, inputs) -> dict[str, str]:
+    """Per visual input, the sha256 over the windows' clips of that input,
+    in window order: each clip's dtype, shape and bytes."""
+    out = {}
+    for name in inputs:
+        h = hashlib.sha256()
+        for window in windows:
+            clip = getattr(window, name)
+            h.update(f"{clip.dtype} {clip.shape}".encode())
+            h.update(clip.tobytes())
+        out[name] = h.hexdigest()
+    return out
+
+
 def results() -> dict[str, dict]:
     """"probabilities": "<config> seed <s>" -> float32 eval probabilities
     on the fixed windows; "trained_probabilities": the same after one
     seeded training step on them; "digests": the parameter digest after
-    that step. From the pedintent package on the import path."""
+    that step; "clips": the `clip_digests` of the windows. From the
+    pedintent package on the import path."""
     import numpy as np
 
     from pedintent.data import ClipConfig, extract_windows, generate_synthetic
@@ -79,7 +103,7 @@ def results() -> dict[str, dict]:
             )
             trained[key] = forward_batch(model, windows).data.tolist()
             digests[key] = parameter_digest(model.params)
-    return {"probabilities": probs, "trained_probabilities": trained, "digests": digests}
+    return {"probabilities": probs, "trained_probabilities": trained, "digests": digests, "clips": clip_digests(windows, cfg.inputs)}
 
 
 def max_abs_differences(parent: dict[str, list[float]], change: dict[str, list[float]]) -> dict[str, float]:
@@ -106,8 +130,9 @@ def same_parameters(parent: dict[str, str], change: dict[str, str]) -> dict[str,
 
 def report(parent: dict, change: dict) -> list[str]:
     """The printed lines for two trees' `results`: one per config and seed,
-    then the overall line. Raises ValueError when the trees score or train
-    different configs or window counts."""
+    the overall line, then the clips line. Raises ValueError when the trees
+    score or train different configs or window counts, or render different
+    inputs."""
     before = max_abs_differences(parent["probabilities"], change["probabilities"])
     after = max_abs_differences(parent["trained_probabilities"], change["trained_probabilities"])
     same = same_parameters(parent["digests"], change["digests"])
@@ -121,6 +146,10 @@ def report(parent: dict, change: dict) -> list[str]:
         f"overall: {before[worst]:.3g} ({worst}); after one step {after[worst_after]:.3g} ({worst_after}); "
         f"trained parameters identical for {sum(same.values())} of {len(same)}"
     )
+    if parent["clips"].keys() != change["clips"].keys():
+        raise ValueError(f"the trees render different inputs: {sorted(parent['clips'].keys() ^ change['clips'].keys())}")
+    clips = (f"{name} {'identical' if digest == change['clips'][name] else 'different'}" for name, digest in parent["clips"].items())
+    lines.append("clips: " + ", ".join(clips))
     return lines
 
 
