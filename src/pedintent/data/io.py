@@ -49,6 +49,7 @@ from .types import Frame, PedestrianTrack
 FRAME_MAGIC = b"PVF1"
 
 _RECORD_FIELDS = ("pid", "frame", "bbox", "center", "pose", "speed", "event_frame", "label")
+_NUMBER_FIELDS = ("bbox", "center", "pose")
 
 # Longest line handed to orjson. orjson 3.8.3 segfaulted on a line nesting
 # 200K arrays on an 8 MiB stack and 20K on a 1 MiB thread stack; a line this
@@ -56,19 +57,36 @@ _RECORD_FIELDS = ("pid", "frame", "bbox", "center", "pose", "speed", "event_fram
 _ORJSON_MAX_LINE = 4096
 
 
-def _check_record(obj, lineno: int):
-    """The checks of one record that need no other record: its fields, id, frame indices and label."""
-    if not isinstance(obj, dict):
-        raise ParseError(f"line {lineno}: record must be a JSON object")
-    for key in _RECORD_FIELDS:
-        if key not in obj:
-            raise ParseError(f"line {lineno}: missing field {key!r}")
-    if not isinstance(obj["pid"], str):
+def _record(obj, lineno: int, line: str):
+    """The pid, (event_frame, label) and (frame, lineno, bbox, center,
+    pose, speed) row of one record, after the checks that need no other
+    record: its fields, id, frame indices and label, and no JSON true/false
+    among the numbers of bbox, center or pose, which numpy would load as 1
+    or 0.
+
+    Such a bool sits in a list, so before the line's last "]". A record as
+    `save_annotations` writes it holds no "u" (of true) and, its lists
+    coming before "speed" and "label", no "l" (of false) before that "]".
+    Only other lines are scanned for bools."""
+    try:
+        pid, frame, event_frame, label = obj["pid"], obj["frame"], obj["event_frame"], obj["label"]
+        row = (frame, lineno, obj["bbox"], obj["center"], obj["pose"], obj["speed"])
+    except (KeyError, TypeError):
+        if not isinstance(obj, dict):
+            raise ParseError(f"line {lineno}: record must be a JSON object") from None
+        missing = next(key for key in _RECORD_FIELDS if key not in obj)
+        raise ParseError(f"line {lineno}: missing field {missing!r}") from None
+    if not isinstance(pid, str):
         raise ParseError(f"line {lineno}: field 'pid' must be a string")
-    if type(obj["frame"]) is not int or type(obj["event_frame"]) is not int:
+    if type(frame) is not int or type(event_frame) is not int:
         raise ParseError(f"line {lineno}: fields 'frame'/'event_frame' must be integers")
-    if type(obj["label"]) is not int or obj["label"] not in (0, 1):
+    if type(label) is not int or label not in (0, 1):
         raise ParseError(f"line {lineno}: field 'label' must be 0 or 1")
+    if "u" in line or line.find("l") < line.rfind("]"):
+        for key, value in zip(_NUMBER_FIELDS, row[2:5]):
+            if type(value) is list and any(type(v) is bool for v in value):
+                raise ParseError(f"line {lineno}: field {key!r} must hold numbers, got a JSON true/false")
+    return pid, (event_frame, label), row
 
 
 def _parse_line(line: str, lineno: int):
@@ -118,13 +136,9 @@ def load_annotations(path) -> list[PedestrianTrack]:
                 line = line.strip()
                 if not line:
                     continue
-                obj = _parse_line(line, lineno)
-                _check_record(obj, lineno)
-                pid = obj["pid"]
-                event = (obj["event_frame"], obj["label"])
+                pid, event, row = _record(_parse_line(line, lineno), lineno, line)
                 if meta.setdefault(pid, event) != event:
                     raise IntegrityError(f"line {lineno}: pedestrian {pid!r} has inconsistent event_frame/label")
-                row = (obj["frame"], lineno, obj["bbox"], obj["center"], obj["pose"], obj["speed"])
                 grouped.setdefault(pid, []).append(row)
     except UnicodeDecodeError as e:
         raise ParseError(f"annotations {path} are not UTF-8 text ({e.reason})") from e

@@ -20,7 +20,7 @@ from ..data.types import CHANNEL_WIDTHS, NONVISUAL_CHANNELS, VISUAL_INPUTS, Obse
 from ..errors import CheckpointError, ConfigError, InputError
 from ..tensor import Tensor, add, layer_norm, load_checkpoint, matmul, save_checkpoint, tensor_slice
 from .common import add_affine, add_param, glorot_uniform
-from .embeddings import TubeletConfig, feature_tokenize, positional_encoding
+from .embeddings import TubeletConfig, feature_tokenize, positional_encoding, tubelet_patches
 from .encoder import EncoderConfig, causal_mask, encode, init_encoder_params
 from .fusion import FusionConfig, fuse, head, init_fusion_params
 from .vivit import ViViTConfig, init_vivit_params, vivit_forward
@@ -250,19 +250,20 @@ def _branch_outputs(model: Model, nonvis, clips: Mapping, training: bool, rng) -
             encoded = tensor_slice(encoded, (Ellipsis, slice(0, 1), slice(None)))
         branches.append(encoded)
     for name, cfg in spec.visual_configs:
-        clip = clips.get(name)
-        if clip is None:
+        if name not in clips:
             raise InputError(f"model enables visual input {name!r} but the window provides none")
-        clip = clip if isinstance(clip, Tensor) else Tensor(clip)
-        branches.append(vivit_forward(clip, cfg, params, f"{name}.", training=training, rng=rng))
-        del clip  # a clip stacked by the read above dies with its branch
+        # No name is bound to the read: patches stacked by it are
+        # vivit_forward's alone, so untaped they die at the projection.
+        branches.append(vivit_forward(clips[name], cfg, params, f"{name}.", training=training, rng=rng))
     return branches
 
 
 def forward_arrays(model: Model, nonvis, clips: Mapping, training: bool = False, rng=None) -> Tensor:
     """Probability tensor for pre-stacked inputs: nonvis (..., T, F) and
-    clips name -> (..., T+1, H, W, 3). The caller owns the arrays; the
-    forward reads each clip once, when its branch starts."""
+    clips name -> tubelet patches (..., T_slices, N_sp, flat_size), as
+    `stack_windows` returns them. The caller owns the arrays; the forward
+    reads each clip once, when its branch starts, and a name missing from
+    `clips` raises InputError."""
     branches = _branch_outputs(model, nonvis, clips, training, rng)
     fused = fuse(branches, model.spec.fusion, model.params, training=training, rng=rng)
     return head(fused, model.params["head.w"], model.params["head.b"])
@@ -276,7 +277,11 @@ def stack_windows(
 ):
     """Batch windows into model inputs: nonvis (B, T, F) holds the spec's
     channel columns of each window's `nonvisual` array, in
-    `NONVISUAL_CHANNELS` order, and clips name -> (B, T+1, H, W, 3).
+    `NONVISUAL_CHANNELS` order, and clips name -> the tubelet patches of
+    the windows' (T+1, H, W, 3) clips of that input, a C-ordered
+    (B, T_slices, N_sp, flat_size) array cut by the input's tubelet config
+    (`embeddings.tubelet_patches`): each clip is copied once, cast to
+    `dtype` in that copy, and no (B, T+1, H, W, 3) stack is made.
 
     `inputs` names what to stack, "nonvisual" and visual input names; None
     stacks every input the spec enables. An input left out comes back as
@@ -293,22 +298,27 @@ def stack_windows(
         columns = nonvisual_columns(model_spec.channels)
         nonvis = np.stack([w.nonvisual for w in windows]).take(columns, axis=-1).astype(dtype, copy=False)
     clips = {
-        name: np.stack([w.clip(name) for w in windows]).astype(dtype, copy=False)
-        for name in model_spec.visual_inputs
+        name: tubelet_patches([w.clip(name) for w in windows], cfg.tubelet, dtype)
+        for name, cfg in model_spec.visual_configs
         if inputs is None or name in inputs
     }
     return nonvis, clips
 
 
 class _ClipsOnRead(Mapping):
-    """Visual input name -> the batch's clips of that input, stacked by
-    `stack_windows` at each read; the reader owns what it reads."""
+    """Visual input name -> the batch's tubelet patches of that input,
+    stacked by `stack_windows` at each read; the reader owns what it
+    reads. Membership stacks nothing (Mapping's `__contains__` and `get`
+    would read, and so stack)."""
 
     def __init__(self, spec: ModelSpec, windows: Sequence[ObservationWindow], dtype):
         self.spec, self.windows, self.dtype = spec, windows, dtype
 
     def __getitem__(self, name: str) -> np.ndarray:
         return stack_windows(self.spec, self.windows, self.dtype, inputs=(name,))[1][name]
+
+    def __contains__(self, name) -> bool:
+        return name in self.spec.visual_inputs
 
     def __iter__(self):
         return iter(self.spec.visual_inputs)
@@ -319,10 +329,13 @@ class _ClipsOnRead(Mapping):
 
 def forward_batch(model: Model, windows: Sequence[ObservationWindow], training: bool = False, rng=None) -> Tensor:
     """Probability tensor for a batch of windows. The non-visual array is
-    stacked once, and each clip input only when its branch reads it, so at
-    most one stacked clip is alive during a forward and none once its
-    branch has returned. A window lacking an enabled visual input raises
-    InputError before any branch runs."""
+    stacked once, and each clip input's patch array only when its branch
+    reads it. Untaped, as eval scoring runs, that array dies at the
+    branch's tubelet projection, so no copy of a clip's pixels is alive
+    while any encoder runs; under a tape, as training runs, the tape keeps
+    it for the projection's weight gradient until the tape is freed. A
+    window lacking an enabled visual input raises InputError before any
+    branch runs."""
     nonvis, _ = stack_windows(model.spec, windows, dtype=model.dtype, inputs=("nonvisual",))
     clips = _ClipsOnRead(model.spec, windows, model.dtype)
     return forward_arrays(model, nonvis, clips, training=training, rng=rng)

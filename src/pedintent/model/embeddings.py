@@ -1,15 +1,24 @@
 """Token construction: sinusoidal position codes, tubelet embedding for
 video clips, and the per-column feature tokenizer with cls token.
+
+A clip reaches its video encoder as tubelet patches, not pixels:
+`tubelet_patches` copies each (T, H, W, 3) clip of a batch once, straight
+into a (B, T/t, (H/h)(W/w), t·h·w·3) array, and `tubelet_embed` projects
+that array in one matmul. The patch array is the only copy of the batch's
+pixels a forward makes. Untaped, as eval scoring runs, nothing refers to
+it once it is projected; a tape keeps it for the projection's weight
+gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import ConfigError, DimensionError
-from ..tensor import Tensor, add, concat_along_axis, broadcast_to, matmul, mul, reshape, transpose
+from ..tensor import Tensor, add, concat_along_axis, broadcast_to, matmul, mul, reshape
 
 
 def positional_encoding(seq_len: int, d_model: int, dtype=np.float32) -> np.ndarray:
@@ -45,24 +54,42 @@ class TubeletConfig:
         return self.t_patch * self.h_patch * self.w_patch * 3
 
 
-def tubelet_embed(clip: Tensor, cfg: TubeletConfig, weight: Tensor, bias: Tensor) -> Tensor:
-    """Project non-overlapping (t, h, w) patches of a (..., T, H, W, 3) clip
-    into tokens, ordered time-major, then row, then column."""
-    t, h, w, c = clip.shape[-4:]
+def tubelet_patches(clips: Sequence[np.ndarray], cfg: TubeletConfig, dtype=np.float32) -> np.ndarray:
+    """The non-overlapping (t, h, w) patches of B clips of one (T, H, W, 3)
+    shape, as one new C-ordered (B, T/t, (H/h)(W/w), t·h·w·3) array of
+    `dtype`: per clip, time slices, then each slice's patches row-major,
+    each patch flattened as (t, h, w, 3).
+
+    Each clip is copied once, straight into its place, and cast in that
+    copy, so no stacked (B, T, H, W, 3) batch is made. The caller owns the
+    array. DimensionError when a clip has other than 3 trailing channels,
+    dims the tubelet does not divide, or another shape than the first."""
+    if not len(clips):
+        raise DimensionError("no clips to cut into tubelet patches")
+    shape = np.shape(clips[0])
+    if len(shape) != 4:
+        raise DimensionError(f"a clip must be (T, H, W, 3), got shape {shape}")
+    t, h, w, c = shape
     if c != 3:
         raise DimensionError("clips must have 3 trailing channels")
-    if t % cfg.t_patch or h % cfg.h_patch or w % cfg.w_patch:
-        raise DimensionError(
-            f"clip dims ({t},{h},{w}) not divisible by tubelet ({cfg.t_patch},{cfg.h_patch},{cfg.w_patch})"
-        )
-    lead = clip.shape[:-4]
-    ts, hs, ws = t // cfg.t_patch, h // cfg.h_patch, w // cfg.w_patch
-    x = reshape(clip, lead + (ts, cfg.t_patch, hs, cfg.h_patch, ws, cfg.w_patch, 3))
-    base = len(lead)
-    perm = tuple(range(base)) + tuple(base + i for i in (0, 2, 4, 1, 3, 5, 6))
-    x = transpose(x, perm)
-    x = reshape(x, lead + (ts * hs * ws, cfg.flat_size))
-    return matmul(x, weight, bias)
+    tp, hp, wp = cfg.t_patch, cfg.h_patch, cfg.w_patch
+    if t % tp or h % hp or w % wp:
+        raise DimensionError(f"clip dims ({t},{h},{w}) not divisible by tubelet ({tp},{hp},{wp})")
+    ts, hs, ws = t // tp, h // hp, w // wp
+    # np.empty, not np.stack of the transposed views: the stack keeps their
+    # memory order, and the reshape below would copy it again.
+    patches = np.empty((len(clips), ts, hs, ws, tp, hp, wp * 3), dtype)
+    for i, clip in enumerate(clips):
+        if np.shape(clip) != shape:
+            raise DimensionError(f"clip {i} has shape {np.shape(clip)}, clip 0 {shape}")
+        patches[i] = np.reshape(clip, (ts, tp, hs, hp, ws, wp * 3)).transpose(0, 2, 4, 1, 3, 5)
+    return patches.reshape(len(clips), ts, hs * ws, cfg.flat_size)
+
+
+def tubelet_embed(patches, weight: Tensor, bias: Tensor) -> Tensor:
+    """Tokens of (..., flat_size) tubelet patches, an array or Tensor laid
+    out as `tubelet_patches` returns them: one biased matmul, (..., d_model)."""
+    return matmul(patches, weight, bias)
 
 
 def feature_tokenize(features: Tensor, weight: Tensor, bias: Tensor, cls: Tensor) -> Tensor:

@@ -2,6 +2,11 @@
 the factorised variant (per-slice spatial attention, then temporal
 attention over mean-pooled slice vectors).
 
+`vivit_forward` takes a clip as its tubelet patches (see
+`embeddings.tubelet_patches`), projects them, and hands both variants
+tokens shaped (..., T_slices, N_sp, d_model): the factorised variant
+attends within the N_sp axis as it is, the joint one flattens the two.
+
 Each visual input type gets its own parameter set; there is no weight
 sharing across branches. The factorised variant adds positional encoding
 only on the temporal stage, which keeps a spatially-constant clip a fixed
@@ -57,22 +62,24 @@ def init_vivit_params(params: dict, prefix: str, cfg: ViViTConfig, rng: np.rando
 
 
 def vivit_spatiotemporal(
-    clip: Tensor,
+    tokens: Tensor,
     cfg: ViViTConfig,
     params: dict,
     prefix: str,
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """Joint attention over all space-time tokens: (..., N, d_model)."""
-    tokens = tubelet_embed(clip, cfg.tubelet, params[f"{prefix}tubelet.w"], params[f"{prefix}tubelet.b"])
+    """Joint attention over all space-time tokens: (..., T_slices, N_sp,
+    d_model) tokens -> (..., T_slices·N_sp, d_model)."""
+    slices, n_spatial, d = tokens.shape[-3:]
+    tokens = reshape(tokens, tokens.shape[:-3] + (slices * n_spatial, d))
     pe = positional_encoding(tokens.shape[-2], cfg.d_model, dtype=tokens.data.dtype)
     tokens = add(tokens, Tensor(pe, dtype=tokens.data.dtype))
     return encode(tokens, cfg.spatial, params, f"{prefix}spatial.", training=training, rng=rng)
 
 
 def vivit_factorised(
-    clip: Tensor,
+    tokens: Tensor,
     cfg: ViViTConfig,
     params: dict,
     prefix: str,
@@ -80,29 +87,30 @@ def vivit_factorised(
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
     """Spatial attention per temporal slice, mean-pool, then temporal
-    attention over the slice vectors: (..., T_slices, d_model)."""
-    t = clip.shape[-4]
-    tb = cfg.tubelet
-    slices = t // tb.t_patch
-    tokens = tubelet_embed(clip, tb, params[f"{prefix}tubelet.w"], params[f"{prefix}tubelet.b"])
-    n_spatial = tokens.shape[-2] // slices
-    lead = tokens.shape[:-2]
-    tokens = reshape(tokens, lead + (slices, n_spatial, cfg.d_model))
+    attention over the slice vectors: (..., T_slices, N_sp, d_model)
+    tokens -> (..., T_slices, d_model)."""
     encoded = encode(tokens, cfg.spatial, params, f"{prefix}spatial.", training=training, rng=rng)
     pooled = mean_over_axis(encoded, axis=-2)  # (..., T_slices, d_model)
-    pe = positional_encoding(slices, cfg.d_model, dtype=pooled.data.dtype)
+    pe = positional_encoding(pooled.shape[-2], cfg.d_model, dtype=pooled.data.dtype)
     pooled = add(pooled, Tensor(pe, dtype=pooled.data.dtype))
     return encode(pooled, cfg.temporal, params, f"{prefix}temporal.", training=training, rng=rng)
 
 
 def vivit_forward(
-    clip: Tensor,
+    patches,
     cfg: ViViTConfig,
     params: dict,
     prefix: str,
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
+    """Encode (..., T_slices, N_sp, flat_size) tubelet patches, an array or
+    Tensor laid out as `tubelet_patches` returns them. The patches are
+    projected first and this frame's reference to them is dropped: untaped,
+    a caller that keeps none (as `forward_batch` does) frees the patch array
+    before any attention runs; a tape's matmul entry keeps it for the
+    weight gradient."""
+    tokens = tubelet_embed(patches, params[f"{prefix}tubelet.w"], params[f"{prefix}tubelet.b"])
+    del patches
     fn = vivit_spatiotemporal if cfg.variant == "spatiotemporal" else vivit_factorised
-    return fn(clip, cfg, params, prefix, training=training, rng=rng)
-
+    return fn(tokens, cfg, params, prefix, training=training, rng=rng)

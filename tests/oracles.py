@@ -1,7 +1,8 @@
 """Reference implementations that tests compare the package against, the
 op names a tape recorded, the packing of per-head q, k and v into the
-input of `attention`, and the crop path as it stood before it scaled uint8
-samples after the gather."""
+input of `attention`, the crop path as it stood before it scaled uint8
+samples after the gather, and the tubelet path as it stood when a batch's
+clips were stacked and then transposed into patches."""
 
 import math
 
@@ -257,3 +258,32 @@ FROZEN_BUILD = {
     "build_local_surround": frozen_local_surround,
     "build_global_context": frozen_global_context,
 }
+
+
+# The tubelet path of `pedintent.model` as it stood when `stack_windows`
+# stacked the (T+1, H, W, 3) clips into one (B, T+1, H, W, 3) array and
+# `tubelet_embed` reshaped, transposed and reshaped that stack into patches
+# before its matmul, frozen as one function: `tubelet_patches` followed by
+# `tubelet_embed` must give the same bytes, and the same DimensionError
+# messages.
+
+
+def frozen_tubelet_tokens(clips, cfg, weight, bias, dtype=np.float32) -> Tensor:
+    """(B, N, d_model) tokens of B stacked clips, N = T/t · H/h · W/w in
+    time-major, then row, then column order."""
+    clip = Tensor(np.stack(clips).astype(dtype, copy=False))
+    t, h, w, c = clip.shape[-4:]
+    if c != 3:
+        raise DimensionError("clips must have 3 trailing channels")
+    if t % cfg.t_patch or h % cfg.h_patch or w % cfg.w_patch:
+        raise DimensionError(
+            f"clip dims ({t},{h},{w}) not divisible by tubelet ({cfg.t_patch},{cfg.h_patch},{cfg.w_patch})"
+        )
+    lead = clip.shape[:-4]
+    ts, hs, ws = t // cfg.t_patch, h // cfg.h_patch, w // cfg.w_patch
+    x = reshape(clip, lead + (ts, cfg.t_patch, hs, cfg.h_patch, ws, cfg.w_patch, 3))
+    base = len(lead)
+    perm = tuple(range(base)) + tuple(base + i for i in (0, 2, 4, 1, 3, 5, 6))
+    x = transpose(x, perm)
+    x = reshape(x, lead + (ts * hs * ws, cfg.flat_size))
+    return matmul(x, weight, bias)

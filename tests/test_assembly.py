@@ -1,8 +1,11 @@
 """Model construction from specs, named configurations, forward contracts."""
 
+import contextlib
 import dataclasses
+import gc
 import hashlib
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -23,7 +26,7 @@ from pedintent.model import (
     named_model_spec,
     save_model,
 )
-from pedintent.model import assembly, encoder
+from pedintent.model import assembly, encoder, vivit
 from pedintent.model.assembly import stack_windows
 from pedintent.model.verify import check_model_gradients
 from pedintent.model.vivit import vivit_forward
@@ -262,6 +265,62 @@ class TestStackPerBranch:
         assert alive_at_start == [(name, [name]) for name in model.spec.visual_inputs]
         assert alive_at_stack == [[]] * (1 + len(model.spec.visual_inputs))
         assert {name: len(refs) for name, refs in stacked.items()} == {name: 1 for name in model.spec.visual_inputs}
+
+    @pytest.mark.parametrize("config", ["ours3", "ours4_factorised"])
+    def test_patch_buffer_dead_when_its_first_encode_starts(self, windows, monkeypatch, config):
+        """Untaped, as eval scoring runs, a branch's patch array and the
+        buffer under it die at its tubelet projection; under a tape, as
+        training runs, the tape keeps the buffer for the projection's
+        weight gradient until the tape is freed."""
+        model = build(named_model_spec(config))
+        for training in (False, True):
+            buffers = {}  # visual input name -> weakrefs to its patch array and the buffer under it
+            alive_at_first_encode = {}  # input -> whether any of its buffers was alive then
+
+            def recording_stack(*args, **kwargs):
+                nonvis, clips = stack_windows(*args, **kwargs)
+                for name, patches in clips.items():
+                    buffers[name] = [weakref.ref(a) for a in (patches, patches.base) if a is not None]
+                return nonvis, clips
+
+            def recording_encode(tokens, cfg, params, prefix, **kwargs):
+                name = prefix.split(".")[0]
+                alive_at_first_encode.setdefault(name, any(r() is not None for r in buffers[name]))
+                return encoder.encode(tokens, cfg, params, prefix, **kwargs)
+
+            monkeypatch.setattr(assembly, "stack_windows", recording_stack)
+            monkeypatch.setattr(vivit, "encode", recording_encode)
+            tape = Tape() if training else contextlib.nullcontext()
+            with tape:
+                forward_batch(model, windows[:4], training=training, rng=np.random.default_rng(0))
+                alive_after = any(r() is not None for refs in buffers.values() for r in refs)
+            del tape
+            assert alive_at_first_encode == dict.fromkeys(model.spec.visual_inputs, training)
+            assert alive_after == training
+            assert all(r() is None for refs in buffers.values() for r in refs)
+
+    def test_eval_peak_holds_one_input_buffer(self):
+        """The tracemalloc peak of an eval forward over 8 ours4_factorised
+        windows, taken after extraction, stays under one input's patch
+        buffer plus half a buffer of slack. The slack holds the finiteness
+        mask of the buffer (a quarter of it) and the branches' activations;
+        a second copy of the input, such as a stacked (B, T+1, H, W, 3)
+        clip next to its transposed patches, does not fit."""
+        tracks, frames = generate_synthetic(21, 4, "separable_motion", track_len=70)
+        cfg = ClipConfig(inputs=("local_surround", "global_context"), local_size=(32, 32), global_size=(32, 32))
+        batch = [w for t in tracks for w in extract_windows(t, 16, (30, 60), 15, frames=frames, clip_cfg=cfg)][:8]
+        assert len(batch) == 8
+        model = build(named_model_spec("ours4_factorised"))
+        forward_batch(model, batch)  # a first call allocates what later calls reuse
+        buffer = sum(w.local_surround.nbytes for w in batch)  # float32 patches hold the clips' bytes
+        gc.collect()
+        tracemalloc.start()
+        try:
+            forward_batch(model, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert buffer <= peak < 1.5 * buffer, (peak, buffer)
 
     @pytest.mark.parametrize("config", ["ours3", "ours4_factorised", "ours9_causal"])
     def test_same_bits_as_forward_arrays(self, windows, config):

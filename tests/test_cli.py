@@ -445,6 +445,9 @@ class TestMalformedNumbers:
             ("bbox", [-1.0, 2.0, 3.0, 4.0]),
             ("frame", True),
             ("label", True),
+            ("pose", [0.0] * 35 + [True]),
+            ("pose", [True] * 36),
+            ("center", [False, 3.0]),
         ],
         ids=[
             "string-in-bbox",
@@ -457,6 +460,9 @@ class TestMalformedNumbers:
             "negative-bbox",
             "bool-frame",
             "bool-label",
+            "true-ending-pose",
+            "all-true-pose-row",
+            "false-in-center",
         ],
     )
     def test_train_exit_2(self, tmp_path, capsys, field, value):

@@ -2,6 +2,7 @@
 channel stacking, rebalancing."""
 
 import dataclasses
+import json
 import time
 
 import numpy as np
@@ -36,17 +37,19 @@ from pedintent.data import (
     generate_synthetic,
     resample_balance,
 )
+from pedintent.data.io import load_annotations
 from pedintent.errors import (
     BalanceError,
     ConfigError,
     DegenerateCropError,
     DimensionError,
     IntegrityError,
+    ParseError,
     WindowError,
 )
 from pedintent.data import preprocess
 from pedintent.data.preprocess import GREY_MASK_VALUE, _axis_plan, _column_plan, _resample, _row_plan
-from pedintent.model import NAMED_CONFIGS, EncoderConfig, ModelSpec, named_model_spec
+from pedintent.model import NAMED_CONFIGS, EncoderConfig, ModelSpec, TubeletConfig, named_model_spec
 from pedintent.model.assembly import stack_windows
 
 
@@ -142,6 +145,72 @@ class TestTypes:
         for nonvisual, clip in [(np.zeros((3, 46)), None), (np.zeros(47), None), (np.zeros((3, 47)), np.zeros((3, 2, 2, 3)))]:
             with pytest.raises(IntegrityError):
                 ObservationWindow(nonvisual.astype(np.float32), label=0, time_to_event=30, local_context=clip)
+
+
+_RECORD = {"pid": "p", "frame": 0, "bbox": [1.0, 2.0, 3.0, 4.0], "center": [2.0, 3.0], "pose": [0.5] * 36}
+_RECORD.update(speed="stopped", event_frame=50, label=1)
+
+
+def _load_records(tmp_path, *records, keys=None):
+    """`load_annotations` of one line per record, each record's keys in
+    `keys` order if given."""
+    path = tmp_path / "a.jsonl"
+    lines = [json.dumps(r if keys is None else {k: r[k] for k in keys}) for r in records]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return load_annotations(path)
+
+
+class TestBoolsAmongNumbers:
+    """numpy would load a JSON true/false among the numbers of bbox, center
+    or pose as 1 or 0; the loader refuses it as a ParseError naming the
+    line and the field."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pose", [0.0] * 35 + [True]),
+            ("pose", [True] * 36),
+            ("pose", [False] + [0.0] * 35),
+            ("bbox", [1, 2, 3, True]),
+            ("center", [False, 3.0]),
+        ],
+        ids=["pose-ending-in-true", "all-true-pose-row", "false-in-pose", "true-among-int-bbox", "false-in-center"],
+    )
+    def test_refused_naming_line_and_field(self, tmp_path, field, value):
+        with pytest.raises(ParseError, match=rf"^line 2: field '{field}' must hold numbers, got a JSON true/false$"):
+            _load_records(tmp_path, _RECORD, {**_RECORD, "frame": 1, field: value})
+
+    def test_refused_whatever_the_key_order(self, tmp_path):
+        """The text test the loader skips the scan by holds for the
+        writer's key order; other orders are scanned."""
+        keys = ("label", "speed", "pid", "pose", "frame", "center", "event_frame", "bbox")
+        with pytest.raises(ParseError, match=r"^line 2: field 'bbox' must hold numbers"):
+            _load_records(tmp_path, _RECORD, {**_RECORD, "frame": 1, "bbox": [False, 2.0, 3.0, 4.0]}, keys=keys)
+        assert len(_load_records(tmp_path, _RECORD, {**_RECORD, "frame": 1}, keys=keys)[0]) == 2
+
+    def test_true_and_false_text_elsewhere_loads(self, tmp_path):
+        records = [{**_RECORD, "pid": "true_false_blue", "frame": f, "speed": "moving_slow"} for f in range(2)]
+        (track,) = _load_records(tmp_path, *records)
+        assert track.pedestrian_id == "true_false_blue" and track.pose.dtype == np.float64
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        field=st.sampled_from(("bbox", "center", "pose")),
+        position=st.integers(0, 35),
+        value=st.sampled_from((None, True, False)),
+        keys=st.permutations(tuple(_RECORD)),
+    )
+    def test_refused_exactly_when_a_number_is_a_bool(self, tmp_path_factory, field, position, value, keys):
+        numbers = list(_RECORD[field])
+        if value is not None:
+            numbers[position % len(numbers)] = value
+        records = (_RECORD, {**_RECORD, "frame": 1, field: numbers})
+        tmp_path = tmp_path_factory.mktemp("bools")
+        if value is None:
+            assert len(_load_records(tmp_path, *records, keys=keys)[0]) == 2
+        else:
+            with pytest.raises(ParseError, match=rf"^line 2: field '{field}' must hold numbers"):
+                _load_records(tmp_path, *records, keys=keys)
 
 
 def _positions(track, bbox):
@@ -724,7 +793,7 @@ class TestAssemble:
         return [(w, t) for t in tracks for w in extract_windows(t, 16, (0, 50), 5, frames=frames, clip_cfg=cfg)]
 
     def _assert_matches_the_oracle(self, pairs, spec, dtype):
-        nonvis, _ = stack_windows(spec, [w for w, _ in pairs], dtype=dtype)
+        nonvis, _ = stack_windows(spec, [w for w, _ in pairs], dtype=dtype, inputs=("nonvisual",))
         expected = np.stack([
             assemble_nonvisual(window_channels(t, t.event_frame - w.time_to_event, 16), spec.channels) for w, t in pairs
         ]).astype(dtype)
@@ -743,9 +812,11 @@ class TestAssemble:
         assert nonvis.shape == (1, 15, 4)
 
     def test_empty_channels(self, pairs):
-        spec = ModelSpec(local_context=named_model_spec("ours1").local_context)
-        nonvis, clips = stack_windows(spec, [w for w, _ in pairs[:2]])
+        # a tubelet that divides the fixture's 16-frame 8x8 clips
+        local = dataclasses.replace(named_model_spec("ours1").local_context, tubelet=TubeletConfig(2, 4, 4, 64))
+        nonvis, clips = stack_windows(ModelSpec(local_context=local), [w for w, _ in pairs[:2]])
         assert nonvis is None and list(clips) == ["local_context"]
+        assert clips["local_context"].shape == (2, 8, 2 * 2, 2 * 4 * 4 * 3)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", NAMED_CONFIGS)

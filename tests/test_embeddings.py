@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from pedintent.errors import ConfigError, DimensionError
-from pedintent.model import TubeletConfig, feature_tokenize, positional_encoding, tubelet_embed
+from pedintent.model import TubeletConfig, feature_tokenize, positional_encoding, tubelet_embed, tubelet_patches
 from pedintent.tensor import Tape, Tensor, backward, mul, tensor_sum
 
-from oracles import recorded_ops
+from oracles import frozen_tubelet_tokens, recorded_ops
 
 
 class TestPositionalEncoding:
@@ -35,24 +35,29 @@ class TestPositionalEncoding:
             positional_encoding(4, 7)
 
 
-def _tub_params(cfg, rng):
-    w = Tensor(rng.normal(size=(cfg.flat_size, cfg.d_model)).astype(np.float32))
-    b = Tensor(np.zeros(cfg.d_model, dtype=np.float32))
+def _tub_params(cfg, rng, dtype=np.float32):
+    w = Tensor(rng.normal(size=(cfg.flat_size, cfg.d_model)).astype(dtype))
+    b = Tensor(rng.normal(size=cfg.d_model).astype(dtype))
     return w, b
+
+
+def _embed(clip, cfg, w, b, dtype=np.float32):
+    """Tokens (T/t, H/h · W/w, d) of one raw (T, H, W, 3) clip."""
+    return tubelet_embed(Tensor(tubelet_patches([clip], cfg, dtype)[0]), w, b)
 
 
 class TestTubeletEmbed:
     def test_token_count(self):
         cfg = TubeletConfig(2, 16, 16, 64)
-        clip = Tensor(np.zeros((8, 112, 112, 3), np.float32))
         w, b = _tub_params(cfg, np.random.default_rng(0))
-        assert tubelet_embed(clip, cfg, w, b).shape == (4 * 7 * 7, 64)
+        assert _embed(np.zeros((8, 112, 112, 3), np.float32), cfg, w, b).shape == (4, 7 * 7, 64)
 
     def test_zero_clip_zero_bias(self):
         cfg = TubeletConfig(2, 4, 4, 8)
-        clip = Tensor(np.zeros((4, 8, 8, 3), np.float32))
-        w, b = _tub_params(cfg, np.random.default_rng(1))
-        assert np.array_equal(tubelet_embed(clip, cfg, w, b).data, np.zeros((8, 8), np.float32))
+        w, _ = _tub_params(cfg, np.random.default_rng(1))
+        b = Tensor(np.zeros(8, np.float32))
+        out = _embed(np.zeros((4, 8, 8, 3), np.float32), cfg, w, b).data
+        assert np.array_equal(out, np.zeros((2, 4, 8), np.float32))
 
     def test_identity_projection_single_patch(self):
         cfg = TubeletConfig(2, 2, 2, 24)  # flat size = 2*2*2*3 = 24
@@ -60,19 +65,18 @@ class TestTubeletEmbed:
         clip_arr = rng.random((2, 2, 2, 3)).astype(np.float32)
         w = Tensor(np.eye(24, dtype=np.float32))
         b = Tensor(np.zeros(24, np.float32))
-        out = tubelet_embed(Tensor(clip_arr), cfg, w, b)
-        assert np.array_equal(out.data[0], clip_arr.reshape(-1))
+        out = _embed(clip_arr, cfg, w, b)
+        assert np.array_equal(out.data[0, 0], clip_arr.reshape(-1))
 
     def test_linearity(self):
         cfg = TubeletConfig(2, 4, 4, 6)
         rng = np.random.default_rng(3)
-        w, b = _tub_params(cfg, rng)
-        a = rng.random((4, 8, 8, 3)).astype(np.float64)
-        c = rng.random((4, 8, 8, 3)).astype(np.float64)
-        w64 = Tensor(w.data.astype(np.float64))
-        b64 = Tensor(np.zeros(6, np.float64))
-        lhs = tubelet_embed(Tensor(2.0 * a + 3.0 * c, dtype=np.float64), cfg, w64, b64).data
-        rhs = 2.0 * tubelet_embed(Tensor(a), cfg, w64, b64).data + 3.0 * tubelet_embed(Tensor(c), cfg, w64, b64).data
+        w, _ = _tub_params(cfg, rng, np.float64)
+        b = Tensor(np.zeros(6, np.float64))
+        a = rng.random((4, 8, 8, 3))
+        c = rng.random((4, 8, 8, 3))
+        lhs = _embed(2.0 * a + 3.0 * c, cfg, w, b, np.float64).data
+        rhs = 2.0 * _embed(a, cfg, w, b, np.float64).data + 3.0 * _embed(c, cfg, w, b, np.float64).data
         assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_token_order_time_major(self):
@@ -82,7 +86,7 @@ class TestTubeletEmbed:
         clip[1, :, 2:, :] = 1.0  # time slice 1, column block 1 -> token index 3
         w = Tensor(np.eye(12, dtype=np.float32))
         b = Tensor(np.zeros(12, np.float32))
-        out = tubelet_embed(Tensor(clip), cfg, w, b).data
+        out = _embed(clip, cfg, w, b).data.reshape(-1, 12)
         nonzero = np.flatnonzero(out.any(axis=1))
         assert nonzero.tolist() == [3]
 
@@ -92,20 +96,94 @@ class TestTubeletEmbed:
         w, b = _tub_params(cfg, rng)
         clip = rng.random((4, 4, 8, 3)).astype(np.float32)  # 2 time x 1 row x 2 col
         swapped = clip[[2, 3, 0, 1]]  # swap the two temporal tubelets
-        base = tubelet_embed(Tensor(clip), cfg, w, b).data
-        perm = tubelet_embed(Tensor(swapped), cfg, w, b).data
-        assert np.allclose(perm, base[[2, 3, 0, 1]], atol=1e-6)
+        base = _embed(clip, cfg, w, b).data
+        perm = _embed(swapped, cfg, w, b).data
+        assert np.array_equal(perm, base[[1, 0]])
 
     def test_indivisible_dims(self):
         cfg = TubeletConfig(2, 16, 16, 8)
-        with pytest.raises(DimensionError):
-            tubelet_embed(Tensor(np.zeros((5, 32, 32, 3), np.float32)), cfg, *_tub_params(cfg, np.random.default_rng(0)))
+        with pytest.raises(DimensionError, match=r"^clip dims \(5,32,32\) not divisible by tubelet \(2,16,16\)$"):
+            tubelet_patches([np.zeros((5, 32, 32, 3), np.float32)], cfg)
 
     def test_batched(self):
         cfg = TubeletConfig(2, 4, 4, 6)
         w, b = _tub_params(cfg, np.random.default_rng(5))
-        clip = Tensor(np.random.default_rng(6).random((3, 4, 8, 8, 3)).astype(np.float32))
-        assert tubelet_embed(clip, cfg, w, b).shape == (3, 2 * 2 * 2, 6)
+        clips = np.random.default_rng(6).random((3, 4, 8, 8, 3)).astype(np.float32)
+        assert tubelet_embed(Tensor(tubelet_patches(clips, cfg)), w, b).shape == (3, 2, 2 * 2, 6)
+
+
+class TestTubeletPatches:
+    def test_layout_owner_and_dtype(self):
+        """One new C-ordered array of the asked dtype; row i is clip i's
+        patches, whatever the memory order of the clip it was cut from."""
+        cfg = TubeletConfig(2, 2, 4, 8)
+        rng = np.random.default_rng(7)
+        clips = [rng.random((4, 6, 8, 3)).astype(np.float32) for _ in range(3)]
+        clips[1] = np.asfortranarray(clips[1])
+        out = tubelet_patches(clips, cfg, np.float64)
+        assert out.shape == (3, 2, 3 * 2, 48) and out.dtype == np.float64 and out.flags.c_contiguous
+        assert not any(np.shares_memory(out, c) for c in clips)
+        for row, clip in zip(out, clips):
+            one = tubelet_patches([clip.astype(np.float64)], cfg, np.float64)[0]
+            assert np.array_equal(row, one)
+        # patch (slice 1, row 2, column 0) is clip[2:4, 4:6, 0:4]
+        assert np.array_equal(out[2, 1, 2 * 2 + 0], clips[2][2:4, 4:6, 0:4].reshape(-1))
+
+    @pytest.mark.parametrize(
+        "clips, message",
+        [
+            ([], r"^no clips to cut into tubelet patches$"),
+            ([np.zeros((4, 8, 8), np.float32)], r"^a clip must be \(T, H, W, 3\), got shape \(4, 8, 8\)$"),
+            ([np.zeros((4, 8, 8, 4), np.float32)], r"^clips must have 3 trailing channels$"),
+            (
+                [np.zeros((4, 8, 8, 3), np.float32), np.zeros((4, 8, 4, 3), np.float32)],
+                r"^clip 1 has shape \(4, 8, 4, 3\), clip 0 \(4, 8, 8, 3\)$",
+            ),
+        ],
+        ids=["empty", "rank", "channels", "ragged"],
+    )
+    def test_refusals(self, clips, message):
+        with pytest.raises(DimensionError, match=message):
+            tubelet_patches(clips, TubeletConfig(2, 4, 4, 8))
+
+
+# (clip shape, tubelet) pairs: square and non-square patch grids.
+_GEOMETRIES = [((4, 8, 8, 3), (2, 4, 4)), ((4, 8, 12, 3), (2, 4, 4)), ((6, 12, 8, 3), (3, 4, 2)), ((2, 6, 10, 3), (1, 3, 5))]
+
+
+class TestSameBitsAsTheStackedPath:
+    """`tubelet_patches` then `tubelet_embed` against the frozen stack,
+    reshape, transpose and matmul path: equal bytes for the tokens each
+    variant encodes, and the same refusals."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("geometry", _GEOMETRIES, ids=lambda g: "x".join(map(str, g[0][:3])) + "/" + "x".join(map(str, g[1])))
+    @pytest.mark.parametrize("variant", ["spatiotemporal", "factorised"])
+    def test_projections(self, variant, geometry, batch, dtype):
+        shape, patch = geometry
+        cfg = TubeletConfig(*patch, 16)
+        rng = np.random.default_rng(batch)
+        w, b = _tub_params(cfg, rng, dtype)
+        clips = [rng.random(shape).astype(np.float32) for _ in range(batch)]
+        frozen = frozen_tubelet_tokens(clips, cfg, w, b, dtype).data  # (B, N, d)
+        tokens = tubelet_embed(tubelet_patches(clips, cfg, dtype), w, b).data  # (B, T_slices, N_sp, d)
+        slices = shape[0] // patch[0]
+        expected = frozen if variant == "spatiotemporal" else frozen.reshape(batch, slices, -1, 16)
+        seen = tokens.reshape(batch, -1, 16) if variant == "spatiotemporal" else tokens
+        assert seen.shape == expected.shape and seen.dtype == expected.dtype
+        assert seen.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 32, 32, 3), (4, 30, 32, 3), (4, 32, 32, 4)], ids=["time", "height", "channels"])
+    def test_dimension_errors(self, shape):
+        cfg = TubeletConfig(2, 16, 16, 8)
+        w, b = _tub_params(cfg, np.random.default_rng(0))
+        clips = [np.zeros(shape, np.float32)] * 2
+        with pytest.raises(DimensionError) as frozen:
+            frozen_tubelet_tokens(clips, cfg, w, b)
+        with pytest.raises(DimensionError) as new:
+            tubelet_patches(clips, cfg)
+        assert str(new.value) == str(frozen.value)
 
 
 class TestFeatureTokenize:

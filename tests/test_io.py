@@ -107,6 +107,29 @@ class TestAnnotations:
         with pytest.raises(ParseError, match="bbox"):
             load_annotations(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("null", "record must be a JSON object"),
+            ('"p1"', "record must be a JSON object"),
+            ("{}", "missing field 'pid'"),
+            (json.dumps({"pid": 5, "frame": 1.5, "label": 7}), "missing field 'bbox'"),
+            (json.dumps({k: v for k, v in {**json.loads(record()), "pid": 5}.items() if k != "label"}), "missing field 'label'"),
+            (json.dumps({**json.loads(record()), "pid": 5, "frame": 1.5}), "field 'pid' must be a string"),
+            (json.dumps({**json.loads(record()), "frame": 1.5, "label": 7}), "fields 'frame'/'event_frame' must be integers"),
+            (json.dumps({**json.loads(record()), "label": 7, "pose": [True] * 36}), "field 'label' must be 0 or 1"),
+        ],
+        ids=["null", "string", "empty", "missing-before-types", "last-field", "pid", "frame", "label-before-bools"],
+    )
+    def test_record_refusals_name_the_first_fault(self, tmp_path, line, message):
+        """A missing field is named before any ill-typed one, the first in
+        field order, and the field checks run in the order of this list."""
+        path = tmp_path / "a.jsonl"
+        write_lines(path, [record(), line])
+        with pytest.raises(ParseError) as info:
+            load_annotations(path)
+        assert str(info.value) == f"line 2: {message}"
+
     def test_save_load_round_trip(self, tmp_path):
         tracks, _ = generate_synthetic(3, 4, "separable_motion", track_len=20, frame_size=(40, 64))
         path = tmp_path / "a.jsonl"

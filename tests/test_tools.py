@@ -197,18 +197,22 @@ def test_compare_probs_report_states_the_post_step_difference():
         "trained_probabilities": {"ours1 seed 0": [0.25, 0.5], "ours3 seed 3": [0.75]},
         "digests": {"ours1 seed 0": "aa", "ours3 seed 3": "bb"},
         "clips": {"local_context": "c1", "global_context": "c2"},
+        "peaks": {"ours1": 1.5, "ours3": 3.0},
     }
     change = {
         "probabilities": {"ours1 seed 0": [0.25, 0.5], "ours3 seed 3": [0.75]},
         "trained_probabilities": {"ours1 seed 0": [0.25, 0.5 + 2**-20], "ours3 seed 3": [0.75 - 2**-23]},
         "digests": {"ours1 seed 0": "ab", "ours3 seed 3": "bb"},
         "clips": {"local_context": "c1", "global_context": "c2"},
+        "peaks": {"ours1": 1.5, "ours3": 2.0},
     }
     assert compare_probs.report(parent, change) == [
         f"ours1 seed 0: max |parent - change| 0, after one step {2**-20:.3g}, trained parameters different",
         f"ours3 seed 3: max |parent - change| 0, after one step {2**-23:.3g}, trained parameters identical",
         f"overall: 0 (ours1 seed 0); after one step {2**-20:.3g} (ours1 seed 0); trained parameters identical for 1 of 2",
         "clips: local_context identical, global_context identical",
+        "ours1: eval forward peak parent 1.500 MiB, change 1.500 MiB",
+        "ours3: eval forward peak parent 3.000 MiB, change 2.000 MiB",
     ]
     with pytest.raises(ValueError, match="different configs"):
         compare_probs.report(parent, {**change, "trained_probabilities": {"ours1 seed 0": [0.25, 0.5]}})
@@ -223,11 +227,52 @@ def test_compare_probs_report_says_which_clips_differ():
         "trained_probabilities": {"ours1 seed 0": [0.5]},
         "digests": {"ours1 seed 0": "aa"},
         "clips": {"local_context": "c1", "local_surround": "c2", "global_context": "c3"},
+        "peaks": {"ours1": 1.5},
     }
     changed = {**side, "clips": {**side["clips"], "local_surround": "c4"}}
-    assert compare_probs.report(side, changed)[-1] == "clips: local_context identical, local_surround different, global_context identical"
+    assert compare_probs.report(side, changed)[-2] == "clips: local_context identical, local_surround different, global_context identical"
     with pytest.raises(ValueError, match="different inputs: \\['global_context'\\]"):
         compare_probs.report(side, {**side, "clips": {"local_context": "c1", "local_surround": "c2"}})
+
+
+def test_compare_probs_prints_each_trees_peaks_without_a_verdict(monkeypatch, capsys):
+    """After the clips line comes one line per config with both trees'
+    eval forward peaks; however far apart the peaks are, the exit status
+    stays 0."""
+    compare_probs = _load("compare_probs")
+    side = {
+        "probabilities": {"ours1 seed 0": [0.5], "ours3 seed 0": [0.5]},
+        "trained_probabilities": {"ours1 seed 0": [0.5], "ours3 seed 0": [0.5]},
+        "digests": {"ours1 seed 0": "aa", "ours3 seed 0": "bb"},
+        "clips": {"local_context": "c1"},
+    }
+    parent = {**side, "peaks": {"ours1": 3.203125, "ours3": 9.5}}
+    change = {**side, "peaks": {"ours1": 1.984375, "ours3": 250.0}}
+    assert compare_probs.report(parent, change)[-3:] == [
+        "clips: local_context identical",
+        "ours1: eval forward peak parent 3.203 MiB, change 1.984 MiB",
+        "ours3: eval forward peak parent 9.500 MiB, change 250.000 MiB",
+    ]
+    dumps = iter([parent, change])
+    monkeypatch.setattr(compare_probs, "_dump_of", lambda root: next(dumps))
+    assert compare_probs.main(["--parent", "."]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ours3: eval forward peak parent 9.500 MiB, change 250.000 MiB"
+
+
+def test_compare_probs_eval_peak_counts_the_measured_call_only():
+    """The peak is that of the second call: what the warm-up call leaves
+    allocated is not counted, what the measured call allocates is."""
+    compare_probs = _load("compare_probs")
+    kept, calls = [], []
+
+    def forward():
+        calls.append(1)
+        if len(calls) == 1:
+            kept.append(np.ones(1 << 18))  # 2 MiB kept by the warm-up
+        return np.ones(1 << 17).sum()  # 1 MiB freed by each call
+
+    peak = compare_probs.eval_peak_mib(forward)
+    assert len(calls) == 2 and 1.0 <= peak < 1.5
 
 
 def test_compare_probs_clip_digests():

@@ -12,8 +12,11 @@ probabilities before and after the step and whether the sha256 of the
 updated parameters equals the parent's, then the overall maxima and the
 count of identical parameter sets, then one line saying, per visual
 input, whether the sha256 of its clips over the fixed windows is the
-parent's. Trained parameters that differ only by rounding show as
-"different"; the post-step difference says by how much:
+parent's, then one line per named config with each tree's tracemalloc
+peak of the eval forward over the fixed windows (seed 0 build, after one
+warm-up forward), as figures with no verdict. Trained parameters that
+differ only by rounding show as "different"; the post-step difference
+says by how much:
 
     git clone -q . ../parent && git -C ../parent checkout -q <parent-sha>
     python3 tools/compare_probs.py --parent ../parent
@@ -22,7 +25,7 @@ Each tree's results come from a child process that imports that tree's
 src/ (`--dump` prints them as JSON), so the two trees never share a
 module. The exit status is 1 when the two trees score different configs or
 windows, or render different inputs; different clip bytes only show in
-the clips line.
+the clips line, and the peaks never change it.
 
 The windows lie in 40x96 frames, cropped to 32x32: 48 of their 192 local
 crops are zero-padded at the frame's edge, the rest lie inside it. Boxes
@@ -33,11 +36,13 @@ the unit tests of the crop kernel.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,12 +74,26 @@ def clip_digests(windows, inputs) -> dict[str, str]:
     return out
 
 
+def eval_peak_mib(forward) -> float:
+    """tracemalloc peak of one call of `forward`, in MiB, after a warm-up
+    call and a collection."""
+    forward()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        forward()
+        return tracemalloc.get_traced_memory()[1] / float(1 << 20)
+    finally:
+        tracemalloc.stop()
+
+
 def results() -> dict[str, dict]:
     """"probabilities": "<config> seed <s>" -> float32 eval probabilities
     on the fixed windows; "trained_probabilities": the same after one
     seeded training step on them; "digests": the parameter digest after
-    that step; "clips": the `clip_digests` of the windows. From the
-    pedintent package on the import path."""
+    that step; "clips": the `clip_digests` of the windows; "peaks":
+    config -> `eval_peak_mib` of the eval forward of its seed-0 build over
+    the windows. From the pedintent package on the import path."""
     import numpy as np
 
     from pedintent.data import ClipConfig, extract_windows, generate_synthetic
@@ -87,11 +106,13 @@ def results() -> dict[str, dict]:
     )
     windows = [w for t in tracks for w in extract_windows(t, 8, (30, 60), 15, frames=frames, clip_cfg=cfg)]
     labels = np.array([w.label for w in windows])
-    probs, trained, digests = {}, {}, {}
+    probs, trained, digests, peaks = {}, {}, {}, {}
     for name in NAMED_CONFIGS:
         for seed in SEEDS:
             key = f"{name} seed {seed}"
             model = build(named_model_spec(name, seed))
+            if seed == SEEDS[0]:
+                peaks[name] = eval_peak_mib(lambda: forward_batch(model, windows))
             probs[key] = forward_batch(model, windows).data.tolist()
             state = TrainState(lr=TrainConfig().lr, rng=np.random.default_rng(seed))
             fit_step(
@@ -103,7 +124,8 @@ def results() -> dict[str, dict]:
             )
             trained[key] = forward_batch(model, windows).data.tolist()
             digests[key] = parameter_digest(model.params)
-    return {"probabilities": probs, "trained_probabilities": trained, "digests": digests, "clips": clip_digests(windows, cfg.inputs)}
+    clips = clip_digests(windows, cfg.inputs)
+    return {"probabilities": probs, "trained_probabilities": trained, "digests": digests, "clips": clips, "peaks": peaks}
 
 
 def max_abs_differences(parent: dict[str, list[float]], change: dict[str, list[float]]) -> dict[str, float]:
@@ -128,11 +150,16 @@ def same_parameters(parent: dict[str, str], change: dict[str, str]) -> dict[str,
     return {key: digest == change[key] for key, digest in parent.items()}
 
 
+def peak_lines(parent: dict[str, float], change: dict[str, float]) -> list[str]:
+    """One line per config: each tree's eval forward peak."""
+    return [f"{name}: eval forward peak parent {peak:.3f} MiB, change {change[name]:.3f} MiB" for name, peak in parent.items()]
+
+
 def report(parent: dict, change: dict) -> list[str]:
     """The printed lines for two trees' `results`: one per config and seed,
-    the overall line, then the clips line. Raises ValueError when the trees
-    score or train different configs or window counts, or render different
-    inputs."""
+    the overall line, the clips line, then the `peak_lines`. Raises
+    ValueError when the trees score or train different configs or window
+    counts, or render different inputs."""
     before = max_abs_differences(parent["probabilities"], change["probabilities"])
     after = max_abs_differences(parent["trained_probabilities"], change["trained_probabilities"])
     same = same_parameters(parent["digests"], change["digests"])
@@ -150,7 +177,7 @@ def report(parent: dict, change: dict) -> list[str]:
         raise ValueError(f"the trees render different inputs: {sorted(parent['clips'].keys() ^ change['clips'].keys())}")
     clips = (f"{name} {'identical' if digest == change['clips'][name] else 'different'}" for name, digest in parent["clips"].items())
     lines.append("clips: " + ", ".join(clips))
-    return lines
+    return lines + peak_lines(parent["peaks"], change["peaks"])
 
 
 def _dump_of(root: Path) -> dict:
