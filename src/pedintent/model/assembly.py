@@ -252,18 +252,19 @@ def _branch_outputs(model: Model, nonvis, clips: Mapping, training: bool, rng) -
     for name, cfg in spec.visual_configs:
         if name not in clips:
             raise InputError(f"model enables visual input {name!r} but the window provides none")
-        # No name is bound to the read: patches stacked by it are
-        # vivit_forward's alone, so untaped they die at the projection.
         branches.append(vivit_forward(clips[name], cfg, params, f"{name}.", training=training, rng=rng))
     return branches
 
 
 def forward_arrays(model: Model, nonvis, clips: Mapping, training: bool = False, rng=None) -> Tensor:
-    """Probability tensor for pre-stacked inputs: nonvis (..., T, F) and
-    clips name -> tubelet patches (..., T_slices, N_sp, flat_size), as
-    `stack_windows` returns them. The caller owns the arrays; the forward
-    reads each clip once, when its branch starts, and a name missing from
-    `clips` raises InputError."""
+    """Probability tensor for stacked inputs: nonvis (..., T, F) and clips
+    name -> tubelet patches (..., T_slices, N_sp, flat_size), as
+    `stack_windows` returns them, or a function of no arguments that
+    returns them (`matmul`'s function operand). The caller owns the
+    arrays; a branch reads its clip when it starts, and a function each
+    time the tubelet projection needs the patches: once in forward, and
+    once more when a tape's backward computes the projection's weight
+    gradient. A name missing from `clips` raises InputError."""
     branches = _branch_outputs(model, nonvis, clips, training, rng)
     fused = fuse(branches, model.spec.fusion, model.params, training=training, rng=rng)
     return head(fused, model.params["head.w"], model.params["head.b"])
@@ -306,16 +307,18 @@ def stack_windows(
 
 
 class _ClipsOnRead(Mapping):
-    """Visual input name -> the batch's tubelet patches of that input,
-    stacked by `stack_windows` at each read; the reader owns what it
-    reads. Membership stacks nothing (Mapping's `__contains__` and `get`
-    would read, and so stack)."""
+    """Visual input name -> a function that stacks the batch's tubelet
+    patches of that input by `stack_windows`, at each call; the caller
+    owns what a call returns. The batch is copied as a tuple, so a caller
+    that later changes its list cannot change what backward re-cuts.
+    Membership stacks nothing (Mapping's `__contains__` and `get` would
+    read)."""
 
     def __init__(self, spec: ModelSpec, windows: Sequence[ObservationWindow], dtype):
-        self.spec, self.windows, self.dtype = spec, windows, dtype
+        self.spec, self.windows, self.dtype = spec, tuple(windows), dtype
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        return stack_windows(self.spec, self.windows, self.dtype, inputs=(name,))[1][name]
+    def __getitem__(self, name: str):
+        return lambda: stack_windows(self.spec, self.windows, self.dtype, inputs=(name,))[1][name]
 
     def __contains__(self, name) -> bool:
         return name in self.spec.visual_inputs
@@ -329,13 +332,12 @@ class _ClipsOnRead(Mapping):
 
 def forward_batch(model: Model, windows: Sequence[ObservationWindow], training: bool = False, rng=None) -> Tensor:
     """Probability tensor for a batch of windows. The non-visual array is
-    stacked once, and each clip input's patch array only when its branch
-    reads it. Untaped, as eval scoring runs, that array dies at the
-    branch's tubelet projection, so no copy of a clip's pixels is alive
-    while any encoder runs; under a tape, as training runs, the tape keeps
-    it for the projection's weight gradient until the tape is freed. A
-    window lacking an enabled visual input raises InputError before any
-    branch runs."""
+    stacked once; each clip input's patch array is cut inside its branch's
+    tubelet projection and dies there, so no copy of a clip's pixels is
+    alive while any encoder runs, in eval and in training alike. A tape
+    keeps the way to cut it again, and backward re-cuts it once for the
+    projection's weight gradient. A window lacking an enabled visual input
+    raises InputError before any branch runs."""
     nonvis, _ = stack_windows(model.spec, windows, dtype=model.dtype, inputs=("nonvisual",))
     clips = _ClipsOnRead(model.spec, windows, model.dtype)
     return forward_arrays(model, nonvis, clips, training=training, rng=rng)

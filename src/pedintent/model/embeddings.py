@@ -5,9 +5,10 @@ A clip reaches its video encoder as tubelet patches, not pixels:
 `tubelet_patches` copies each (T, H, W, 3) clip of a batch once, straight
 into a (B, T/t, (H/h)(W/w), t·h·w·3) array, and `tubelet_embed` projects
 that array in one matmul. The patch array is the only copy of the batch's
-pixels a forward makes. Untaped, as eval scoring runs, nothing refers to
-it once it is projected; a tape keeps it for the projection's weight
-gradient.
+pixels a forward makes. Given as a function that cuts it, as
+`forward_batch` gives it, the array is made inside the projection and
+dies there, taped or not; a tape keeps the function and backward cuts the
+patches again for the projection's weight gradient.
 """
 
 from __future__ import annotations
@@ -87,8 +88,11 @@ def tubelet_patches(clips: Sequence[np.ndarray], cfg: TubeletConfig, dtype=np.fl
 
 
 def tubelet_embed(patches, weight: Tensor, bias: Tensor) -> Tensor:
-    """Tokens of (..., flat_size) tubelet patches, an array or Tensor laid
-    out as `tubelet_patches` returns them: one biased matmul, (..., d_model)."""
+    """Tokens of (..., flat_size) tubelet patches laid out as
+    `tubelet_patches` returns them: one biased matmul, (..., d_model).
+    `patches` is an array, a Tensor, or a function of no arguments that
+    returns the array, which `matmul` calls in forward and again for the
+    weight's gradient instead of keeping the array."""
     return matmul(patches, weight, bias)
 
 

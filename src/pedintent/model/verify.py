@@ -14,7 +14,7 @@ import numpy as np
 from ..errors import ContractError
 from ..tensor import Tape, Tensor, backward, tensor_sum
 from ..tensor.gradcheck import GradCheckReport, finite_difference_errors, gradcheck_report
-from .assembly import Model, forward_arrays, stack_windows
+from .assembly import Model, forward_batch
 
 
 def check_model_gradients(
@@ -26,15 +26,16 @@ def check_model_gradients(
 ) -> GradCheckReport:
     """Compare d(sum of output probabilities)/d(theta) against central
     differences on a random subset of parameter elements; the report names
-    the parameter holding the worst element."""
+    the parameter holding the worst element. The probabilities come from
+    `forward_batch`, the path training takes, so each tubelet projection's
+    weight gradient is the one its re-cut patches give."""
     if not 1e-6 <= eps <= 1e-3:
         raise ContractError("eps must lie in [1e-6, 1e-3]")
     if max_elements < 1:
         raise ContractError(f"max_elements is {max_elements}; the check needs at least 1 element")
-    nonvis, clips = stack_windows(model.spec, windows, dtype=model.dtype)
 
     def loss() -> Tensor:
-        return tensor_sum(forward_arrays(model, nonvis, clips, training=False))
+        return tensor_sum(forward_batch(model, windows, training=False))
 
     with Tape():
         backward(loss())

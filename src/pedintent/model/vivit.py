@@ -3,9 +3,10 @@ the factorised variant (per-slice spatial attention, then temporal
 attention over mean-pooled slice vectors).
 
 `vivit_forward` takes a clip as its tubelet patches (see
-`embeddings.tubelet_patches`), projects them, and hands both variants
-tokens shaped (..., T_slices, N_sp, d_model): the factorised variant
-attends within the N_sp axis as it is, the joint one flattens the two.
+`embeddings.tubelet_patches`), or a function that cuts them, projects
+them, and hands both variants tokens shaped (..., T_slices, N_sp,
+d_model): the factorised variant attends within the N_sp axis as it is,
+the joint one flattens the two.
 
 Each visual input type gets its own parameter set; there is no weight
 sharing across branches. The factorised variant adds positional encoding
@@ -104,12 +105,13 @@ def vivit_forward(
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """Encode (..., T_slices, N_sp, flat_size) tubelet patches, an array or
-    Tensor laid out as `tubelet_patches` returns them. The patches are
-    projected first and this frame's reference to them is dropped: untaped,
-    a caller that keeps none (as `forward_batch` does) frees the patch array
-    before any attention runs; a tape's matmul entry keeps it for the
-    weight gradient."""
+    """Encode (..., T_slices, N_sp, flat_size) tubelet patches laid out as
+    `tubelet_patches` returns them: an array, a Tensor, or a function of
+    no arguments that returns the array. The patches are projected first
+    and this frame's reference to them is dropped. A function's array, as
+    `forward_batch` passes it, lives only inside the projection, taped or
+    not, so none is alive when any attention runs; a tape keeps the
+    function to cut the patches again for the weight gradient."""
     tokens = tubelet_embed(patches, params[f"{prefix}tubelet.w"], params[f"{prefix}tubelet.b"])
     del patches
     fn = vivit_spatiotemporal if cfg.variant == "spatiotemporal" else vivit_factorised

@@ -16,22 +16,27 @@ al., arXiv:1912.01703). An activation therefore lives only while a rule
 reads it: `matmul` keeps a's rows for the weight's gradient and the
 weight for a's, `mul` each operand for the other's gradient, `add` only
 shapes, and a recorded `gelu` one derivative array in place of x and its
-cdf. Neither a tape nor its outputs form a reference cycle, replayed or
-not, so the forward of a step that raises partway is freed by reference
-counting.
+cdf. Where an input is a cheap copy of data the caller holds anyway, the
+tape keeps the way to rebuild it instead (gradient checkpointing, Chen et
+al., arXiv:1604.06174): `matmul` takes a function operand, called again
+for the weight's gradient, so a tubelet projection keeps no patch array,
+and `attention` splits its heads again from the packed input. Neither a
+tape nor its outputs form a reference cycle, replayed or not, so the
+forward of a step that raises partway is freed by reference counting.
 
 Values are finite: `Tensor()` checks its data, and an op producing NaN or
-Inf raises NumericalError. Most ops check their whole output (`_result`).
-An op that cannot turn finite inputs into non-finite outputs wraps its
-output unchecked (`_record`), since every input is a finite Tensor:
-`reshape`, `transpose`, `concat_along_axis`, `tensor_slice` and
-`broadcast_to` only move or copy values, and a finite x gives `gelu` a
-finite x * cdf. Ops that can overflow keep the check: `dropout`'s scale
-and `mean_over_axis`'s sum can exceed the largest float. `softmax` checks
-only each slice's max over its allowed entries (NaN and +inf show there)
-and wraps its output, which a finite input keeps in [0, 1], unchecked;
-every input it gets is a finite Tensor except attention's score tiles,
-which `attention` checks first.
+Inf raises NumericalError. Most ops check their whole output (`_result`);
+`matmul` checks a function operand only through its output, where a
+non-finite entry shows. An op that cannot turn finite inputs into
+non-finite outputs wraps its output unchecked (`_record`), since every
+input is a finite Tensor: `reshape`, `transpose`, `concat_along_axis`,
+`tensor_slice` and `broadcast_to` only move or copy values, and a finite x
+gives `gelu` a finite x * cdf. Ops that can overflow keep the check:
+`dropout`'s scale and `mean_over_axis`'s sum can exceed the largest float.
+`softmax` checks only each slice's max over its allowed entries (NaN and
++inf show there) and wraps its output, which a finite input keeps in
+[0, 1], unchecked; every input it gets is a finite Tensor except
+attention's score tiles, which `attention` checks first.
 
 `matmul` multiplies a (..., k) operand by a (k, m) or (k,) weight, the one
 product the model makes: a's leading axes are the rows of one GEMM,
@@ -41,8 +46,9 @@ projection is one op and the tape holds no copy of its bare product; the
 bits are those of a separate `add`. `add` and `mul` broadcast as numpy
 does, and backward sums each gradient back to its operand's shape.
 Backward rules compute no gradient for an operand that tracks none
-(`matmul`, `add`, `mul`): the clip pixels of a tubelet embedding, a
-constant positional encoding or loss weights.
+(`matmul`, `add`, `mul`): a constant positional encoding or loss
+weights. `matmul`'s function operand, the clip patches of a tubelet
+embedding, has no gradient at all.
 
 `attention` is the one fused op: softmax(q k^T) v over the heads of one
 packed q/k/v projection, which it splits itself, computed in cache-sized
@@ -274,7 +280,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # binary ops
 
 
-def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def _called(fn: Callable[[], np.ndarray], shape=None, dtype=None) -> np.ndarray:
+    """The array a function operand returns; when rebuilt, it must have
+    forward's `shape` and `dtype`."""
+    arr = fn()
+    if not isinstance(arr, np.ndarray):
+        raise ContractError(f"matmul's function operand returned {type(arr).__name__}, not an ndarray")
+    if shape is not None and (arr.shape != shape or arr.dtype != dtype):
+        raise ContractError(f"matmul's function operand rebuilt {arr.shape} {arr.dtype}, forward read {shape} {dtype}")
+    return arr
+
+
+def matmul(a, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Product of a (..., k) operand by a weight of shape (k, m) or (k,),
     plus an optional bias.
 
@@ -287,18 +304,36 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     `add(matmul(a, b), bias)`, the bias's gradient summed back to its
     shape. Backward computes no gradient for an operand that does not
     track one.
+
+    a may also be a function of no arguments that returns the (..., k)
+    ndarray: the clip patches of a tubelet embedding, which hold a copy of
+    pixels the caller keeps anyway. Forward calls it once. A function
+    operand tracks no gradient and is not wrapped as a Tensor, so it gets
+    no finiteness check of its own: a non-finite entry makes its output
+    row non-finite, which the output's check raises. When the weight's
+    gradient is recorded, the rule keeps the function, not a's rows, and
+    calls it again for that gradient, so a tape holds no copy of them.
+    The function must return the same bytes at each call and record no
+    op; a result that is not an ndarray, or a rebuilt array of another
+    shape or dtype than forward's, raises ContractError.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 1 or b.ndim not in (1, 2):
-        raise DimensionError(f"matmul takes a (..., k) operand and a (k, m) or (k,) weight: {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
+    rebuild = a if callable(a) else None
+    if rebuild is None:
+        a = _as_tensor(a)
+        ad, a_grad = a.data, a.requires_grad
+    else:
+        ad, a_grad = _called(rebuild), False
+    b = _as_tensor(b)
+    bd = b.data
+    if ad.ndim < 1 or bd.ndim not in (1, 2):
+        raise DimensionError(f"matmul takes a (..., k) operand and a (k, m) or (k,) weight: {ad.shape} x {bd.shape}")
+    if ad.shape[-1] != bd.shape[0]:
+        raise DimensionError(f"matmul inner dims differ: {ad.shape} x {bd.shape}")
     w = bd if bd.ndim == 2 else bd[:, None]
     n, k = math.prod(ad.shape[:-1]), ad.shape[-1]  # a contiguous a reshapes to (n, k) as a view
     rows = ad.reshape(n, k)
     out = np.matmul(rows, w).reshape(ad.shape[:-1] + bd.shape[1:])
-    inputs = (a, b)
+    inputs = (a, b) if rebuild is None else (b,)
     if bias is not None:
         bias = _as_tensor(bias)
         if np.result_type(out, bias.data) != out.dtype:
@@ -307,19 +342,24 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             out += bias.data
         except ValueError as e:
             raise DimensionError(f"bias {bias.shape} does not broadcast to the product {out.shape}") from e
-        inputs = (a, b, bias)
-    a_grad, b_grad, a_shape, b_shape, m = a.requires_grad, b.requires_grad, ad.shape, bd.shape, w.shape[1]
+        inputs += (bias,)
+    b_grad, a_shape, a_dtype, b_shape, m = b.requires_grad, ad.shape, ad.dtype, bd.shape, w.shape[1]
     bias_grad, bias_shape = (False, None) if bias is None else (bias.requires_grad, bias.shape)
-    # a's gradient reads only the weight, the weight's only a's rows
-    w, rows = (w if a_grad else None), (rows if b_grad else None)
+    # a's gradient reads only the weight, the weight's only a's rows, which
+    # a function operand rebuilds
+    w, rows = (w if a_grad else None), (rows if b_grad and rebuild is None else None)
 
     def backward(g):
         g2 = g.reshape(n, m)
         ga = np.matmul(g2, w.T).reshape(a_shape) if a_grad else None
-        gb = np.matmul(rows.T, g2).reshape(b_shape) if b_grad else None
+        gb = None
+        if b_grad:
+            r = rows if rebuild is None else _called(rebuild, a_shape, a_dtype).reshape(n, k)
+            gb = np.matmul(r.T, g2).reshape(b_shape)
+        grads = (ga, gb) if rebuild is None else (gb,)  # a function operand has no slot
         if bias_shape is None:
-            return ga, gb
-        return ga, gb, _unbroadcast(g, bias_shape) if bias_grad else None
+            return grads
+        return grads + (_unbroadcast(g, bias_shape) if bias_grad else None,)
 
     return _result(out, inputs, backward)
 
@@ -910,7 +950,9 @@ def backward(loss: Tensor):
 
     Populates `.grad` on every gradient-tracking leaf seen by the tape;
     leaves the loss does not depend on get exact zeros. Gradients are
-    assigned (not accumulated across calls); run one backward per tape.
+    assigned (not accumulated across calls), and each leaf's previous
+    `.grad` is dropped before any rule runs, so a step's gradients never
+    sit beside the last step's; run one backward per tape.
     Each entry's rule maps its output's gradient to its inputs', which are
     summed by node id into those of the inputs that track gradients. The
     entries are dropped as they are replayed, so each activation is freed
@@ -924,6 +966,8 @@ def backward(loss: Tensor):
     if tape is None or not tape.entries:
         raise ContractError("loss was not recorded on an active tape")
     entries, tape.entries, tape.replayed = tape.entries, [], True
+    for leaf in tape.leaves:  # last step's gradients go before this step's are built
+        leaf.grad = None
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
     while entries:
         entry = entries.pop()

@@ -1,6 +1,7 @@
 """Tensor kernel: forward semantics, backward rules, gradcheck oracle,
 checkpoint format."""
 
+import dataclasses
 import gc
 import hashlib
 import inspect
@@ -9,6 +10,7 @@ import os
 import stat
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -469,6 +471,129 @@ class TestElementwise:
             mean_over_axis(Tensor(np.full((2, 3), big, np.float32)), 0)
 
 
+class TestFunctionOperand:
+    """matmul's a as a function of no arguments that returns the array:
+    called once in forward, and once more in backward only for the
+    weight's gradient."""
+
+    @staticmethod
+    def _operand(arr):
+        calls = []
+
+        def fn():
+            calls.append(1)
+            return arr.copy()  # a fresh array at each call, as a re-cut is
+
+        return fn, calls
+
+    @pytest.mark.parametrize("wrt", ["b", "bias"])
+    @pytest.mark.parametrize(
+        "a_shape, b_shape, bias_shape",
+        [((3, 4, 5), (5, 2), (2,)), ((2, 3, 4, 5), (5, 3), (4, 1)), ((3, 4, 5), (5,), ())],
+        ids=["2d-weight", "broadcast-bias", "1d-weight"],
+    )
+    def test_gradients_match_finite_differences(self, wrt, a_shape, b_shape, bias_shape):
+        """Float64 weight and bias gradients with a function operand, the
+        other two constants."""
+        r = _rng(65)
+        fn, _ = self._operand(r.normal(size=a_shape))
+        args = {"b": t64(r.normal(size=b_shape)), "bias": t64(r.normal(size=bias_shape))}
+        c = t64(r.normal(size=a_shape[:-1] + b_shape[1:]))
+
+        def f(x):
+            return tensor_sum(mul(matmul(fn, **{**args, wrt: x}), c))
+
+        report = check_gradients(f, args[wrt], eps=1e-5)
+        assert report.max_rel_err < 1e-5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tracked, recalls", [(("b", "bias"), 1), (("bias",), 0), (("b",), 1)])
+    def test_same_bits_as_an_array_operand(self, dtype, tracked, recalls):
+        """Output and gradients are those of the same rows given as a
+        Tensor; backward calls the function again only for the weight's
+        gradient, and the rule returns no slot for the function."""
+        r = _rng(66)
+        arr = r.random((6, 8, 48)).astype(dtype)
+        arrays = {"b": r.normal(size=(48, 16)).astype(dtype), "bias": r.normal(size=16).astype(dtype)}
+        c = Tensor(r.normal(size=(6, 8, 16)).astype(dtype))
+        runs = []
+        for a in (None, Tensor(arr)):
+            fn, calls = self._operand(arr)
+            b, bias = (Tensor(arrays[k], requires_grad=k in tracked) for k in ("b", "bias"))
+            with Tape() as tape:
+                out = matmul(fn if a is None else a, b, bias)
+                assert len(tape.entries[0].inputs) == (2 if a is None else 3)
+                assert len(calls) == (1 if a is None else 0)
+                backward(tensor_sum(mul(out, c)))
+            assert len(calls) == (1 + recalls if a is None else 0)
+            runs.append([out.data.tobytes()] + [t.grad.tobytes() if t.requires_grad else None for t in (b, bias)])
+        assert runs[0] == runs[1]
+
+    def test_tape_keeps_no_rows(self):
+        """Once forward returns, the array the function gave is dead, though
+        the tape will need the weight's gradient."""
+        refs = []
+
+        def fn():
+            arr = np.ones((4, 5), np.float32)
+            refs.append(weakref.ref(arr))
+            return arr
+
+        w = Tensor(np.ones((5, 3), np.float32), requires_grad=True)
+        with Tape():
+            out = matmul(fn, w)
+            assert len(refs) == 1 and refs[0]() is None
+            backward(tensor_sum(out))
+        assert len(refs) == 2 and refs[1]() is None
+        assert np.array_equal(w.grad, np.full((5, 3), 4.0, np.float32))
+
+    def test_contract_errors(self):
+        """A result that is not an ndarray, and a rebuilt array of another
+        shape or dtype than forward's, raise ContractError."""
+        w = Tensor(np.ones((5, 3), np.float32), requires_grad=True)
+        for result in ([[1.0] * 5], Tensor(np.ones((2, 5), np.float32)), 1.0):
+            with pytest.raises(ContractError, match="not an ndarray"):
+                matmul(lambda: result, w)
+        first = np.ones((2, 5), np.float32)
+        for rebuilt in (np.ones((2, 6), np.float32), np.ones((1, 2, 5), np.float32), np.ones((2, 5))):
+            results = iter([first, rebuilt])
+            with Tape():
+                out = matmul(lambda: next(results), w)
+                with pytest.raises(ContractError, match=r"rebuilt .*forward read \(2, 5\) float32"):
+                    backward(tensor_sum(out))
+
+    def test_shape_errors_name_the_array(self):
+        with pytest.raises(DimensionError, match=r"\(2, 3\) x \(4, 2\)"):
+            matmul(lambda: np.ones((2, 3)), Tensor(np.ones((4, 2))))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises_through_the_output(self, bad):
+        arr = np.ones((3, 4), np.float32)
+        arr[1, 2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            matmul(lambda: arr, Tensor(np.full((4, 2), 0.5, np.float32)), Tensor(np.zeros(2, np.float32)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_non_finite_pixel_raises_from_forward_batch(self, bad, training):
+        """A NaN or infinite pixel in one window's clip raises NumericalError
+        from `forward_batch`, eval and training alike, though the patches
+        reach the projection unchecked."""
+        from pedintent.data import ClipConfig, extract_windows, generate_synthetic
+        from pedintent.model import build, forward_batch, named_model_spec
+
+        tracks, frames = generate_synthetic(21, 2, "separable_motion", track_len=70)
+        cfg = ClipConfig(inputs=("local_context",))
+        batch = [w for t in tracks for w in extract_windows(t, 8, (30, 60), 15, frames=frames, clip_cfg=cfg)][:3]
+        model = build(named_model_spec("ours1"))
+        forward_batch(model, batch, training=training, rng=np.random.default_rng(0))  # finite pixels pass
+        clip = batch[1].local_context.copy()
+        clip[3, 5, 7, 1] = bad
+        batch[1] = dataclasses.replace(batch[1], local_context=clip)
+        with np.errstate(invalid="ignore"), Tape(), pytest.raises(NumericalError):
+            forward_batch(model, batch, training=training, rng=np.random.default_rng(0))
+
+
 class TestBackward:
     def test_sum_of_squares(self):
         x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
@@ -530,6 +655,22 @@ class TestBackward:
             with pytest.raises(ContractError):
                 backward(loss)
         assert np.allclose(x.grad, 2.0)
+
+    def test_previous_gradients_dropped_before_any_rule_runs(self):
+        """A leaf's gradient from the last backward is gone when this
+        backward's first rule runs, and the new one is assigned, not added."""
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        seen = []
+        for _ in range(2):
+            with Tape():
+                y = mul(x, 3.0)
+                loss = tensor_sum(y)
+                entry = loss.tape.entries[0]
+                rule = entry.backward
+                entry.backward = lambda g, rule=rule: (seen.append(x.grad), rule(g))[1]
+                backward(loss)
+            assert np.array_equal(x.grad, [3.0, 3.0])
+        assert [g is None for g in seen] == [True, True]
 
     def test_purity_bit_identical(self):
         rng = np.random.default_rng(5)

@@ -198,6 +198,7 @@ def test_compare_probs_report_states_the_post_step_difference():
         "digests": {"ours1 seed 0": "aa", "ours3 seed 3": "bb"},
         "clips": {"local_context": "c1", "global_context": "c2"},
         "peaks": {"ours1": 1.5, "ours3": 3.0},
+        "step_peaks": {"ours1": 20.0, "ours3": 90.0},
     }
     change = {
         "probabilities": {"ours1 seed 0": [0.25, 0.5], "ours3 seed 3": [0.75]},
@@ -205,14 +206,15 @@ def test_compare_probs_report_states_the_post_step_difference():
         "digests": {"ours1 seed 0": "ab", "ours3 seed 3": "bb"},
         "clips": {"local_context": "c1", "global_context": "c2"},
         "peaks": {"ours1": 1.5, "ours3": 2.0},
+        "step_peaks": {"ours1": 20.0, "ours3": 72.5},
     }
     assert compare_probs.report(parent, change) == [
         f"ours1 seed 0: max |parent - change| 0, after one step {2**-20:.3g}, trained parameters different",
         f"ours3 seed 3: max |parent - change| 0, after one step {2**-23:.3g}, trained parameters identical",
         f"overall: 0 (ours1 seed 0); after one step {2**-20:.3g} (ours1 seed 0); trained parameters identical for 1 of 2",
         "clips: local_context identical, global_context identical",
-        "ours1: eval forward peak parent 1.500 MiB, change 1.500 MiB",
-        "ours3: eval forward peak parent 3.000 MiB, change 2.000 MiB",
+        "ours1: eval forward peak parent 1.500 MiB, change 1.500 MiB; fit_step peak parent 20.000 MiB, change 20.000 MiB",
+        "ours3: eval forward peak parent 3.000 MiB, change 2.000 MiB; fit_step peak parent 90.000 MiB, change 72.500 MiB",
     ]
     with pytest.raises(ValueError, match="different configs"):
         compare_probs.report(parent, {**change, "trained_probabilities": {"ours1 seed 0": [0.25, 0.5]}})
@@ -228,6 +230,7 @@ def test_compare_probs_report_says_which_clips_differ():
         "digests": {"ours1 seed 0": "aa"},
         "clips": {"local_context": "c1", "local_surround": "c2", "global_context": "c3"},
         "peaks": {"ours1": 1.5},
+        "step_peaks": {"ours1": 20.0},
     }
     changed = {**side, "clips": {**side["clips"], "local_surround": "c4"}}
     assert compare_probs.report(side, changed)[-2] == "clips: local_context identical, local_surround different, global_context identical"
@@ -237,8 +240,8 @@ def test_compare_probs_report_says_which_clips_differ():
 
 def test_compare_probs_prints_each_trees_peaks_without_a_verdict(monkeypatch, capsys):
     """After the clips line comes one line per config with both trees'
-    eval forward peaks; however far apart the peaks are, the exit status
-    stays 0."""
+    eval forward and fit_step peaks; however far apart the peaks are, the
+    exit status stays 0."""
     compare_probs = _load("compare_probs")
     side = {
         "probabilities": {"ours1 seed 0": [0.5], "ours3 seed 0": [0.5]},
@@ -246,17 +249,18 @@ def test_compare_probs_prints_each_trees_peaks_without_a_verdict(monkeypatch, ca
         "digests": {"ours1 seed 0": "aa", "ours3 seed 0": "bb"},
         "clips": {"local_context": "c1"},
     }
-    parent = {**side, "peaks": {"ours1": 3.203125, "ours3": 9.5}}
-    change = {**side, "peaks": {"ours1": 1.984375, "ours3": 250.0}}
-    assert compare_probs.report(parent, change)[-3:] == [
+    parent = {**side, "peaks": {"ours1": 3.203125, "ours3": 9.5}, "step_peaks": {"ours1": 30.0, "ours3": 93.859375}}
+    change = {**side, "peaks": {"ours1": 1.984375, "ours3": 250.0}, "step_peaks": {"ours1": 300.0, "ours3": 72.984375}}
+    lines = [
         "clips: local_context identical",
-        "ours1: eval forward peak parent 3.203 MiB, change 1.984 MiB",
-        "ours3: eval forward peak parent 9.500 MiB, change 250.000 MiB",
+        "ours1: eval forward peak parent 3.203 MiB, change 1.984 MiB; fit_step peak parent 30.000 MiB, change 300.000 MiB",
+        "ours3: eval forward peak parent 9.500 MiB, change 250.000 MiB; fit_step peak parent 93.859 MiB, change 72.984 MiB",
     ]
+    assert compare_probs.report(parent, change)[-3:] == lines
     dumps = iter([parent, change])
     monkeypatch.setattr(compare_probs, "_dump_of", lambda root: next(dumps))
     assert compare_probs.main(["--parent", "."]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "ours3: eval forward peak parent 9.500 MiB, change 250.000 MiB"
+    assert capsys.readouterr().out.splitlines()[-1] == lines[-1]
 
 
 def test_compare_probs_eval_peak_counts_the_measured_call_only():
@@ -271,8 +275,25 @@ def test_compare_probs_eval_peak_counts_the_measured_call_only():
             kept.append(np.ones(1 << 18))  # 2 MiB kept by the warm-up
         return np.ones(1 << 17).sum()  # 1 MiB freed by each call
 
-    peak = compare_probs.eval_peak_mib(forward)
+    peak = compare_probs.call_peak_mib(forward)
     assert len(calls) == 2 and 1.0 <= peak < 1.5
+
+
+def test_compare_probs_step_peak_nets_what_the_call_frees():
+    """What the measured call frees of the warm-up's allocations before it
+    allocates lowers its peak, as a training step that drops the last
+    step's gradients before it builds its own: 1 MiB freed, then 3 MiB
+    allocated, peaks 2 MiB above the start."""
+    compare_probs = _load("compare_probs")
+    kept = []
+
+    def step():
+        kept.clear()  # frees the 1 MiB the last call kept
+        total = np.ones(3 << 17).sum()  # 3 MiB, freed at once
+        kept.append(np.ones(1 << 17))
+        return total
+
+    assert 2.0 <= compare_probs.call_peak_mib(step) < 2.5
 
 
 def test_compare_probs_clip_digests():

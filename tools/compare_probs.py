@@ -13,10 +13,10 @@ updated parameters equals the parent's, then the overall maxima and the
 count of identical parameter sets, then one line saying, per visual
 input, whether the sha256 of its clips over the fixed windows is the
 parent's, then one line per named config with each tree's tracemalloc
-peak of the eval forward over the fixed windows (seed 0 build, after one
-warm-up forward), as figures with no verdict. Trained parameters that
-differ only by rounding show as "different"; the post-step difference
-says by how much:
+peaks of the eval forward and of one `fit_step` over the fixed windows
+(seed 0 builds, each after one warm-up call), as figures with no verdict.
+Trained parameters that differ only by rounding show as "different"; the
+post-step difference says by how much:
 
     git clone -q . ../parent && git -C ../parent checkout -q <parent-sha>
     python3 tools/compare_probs.py --parent ../parent
@@ -74,15 +74,19 @@ def clip_digests(windows, inputs) -> dict[str, str]:
     return out
 
 
-def eval_peak_mib(forward) -> float:
-    """tracemalloc peak of one call of `forward`, in MiB, after a warm-up
-    call and a collection."""
-    forward()
-    gc.collect()
+def call_peak_mib(fn) -> float:
+    """tracemalloc peak of one call of `fn` above what is traced when the
+    call starts, in MiB, after a warm-up call and a collection: what the
+    warm-up leaves allocated does not count, and what the call frees of
+    it, such as the last training step's gradients, lowers the peak."""
     tracemalloc.start()
     try:
-        forward()
-        return tracemalloc.get_traced_memory()[1] / float(1 << 20)
+        fn()
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - start) / float(1 << 20)
     finally:
         tracemalloc.stop()
 
@@ -91,9 +95,10 @@ def results() -> dict[str, dict]:
     """"probabilities": "<config> seed <s>" -> float32 eval probabilities
     on the fixed windows; "trained_probabilities": the same after one
     seeded training step on them; "digests": the parameter digest after
-    that step; "clips": the `clip_digests` of the windows; "peaks":
-    config -> `eval_peak_mib` of the eval forward of its seed-0 build over
-    the windows. From the pedintent package on the import path."""
+    that step; "clips": the `clip_digests` of the windows; "peaks" and
+    "step_peaks": config -> `call_peak_mib` of the eval forward, and of
+    one `fit_step`, of a seed-0 build over the windows. From the pedintent
+    package on the import path."""
     import numpy as np
 
     from pedintent.data import ClipConfig, extract_windows, generate_synthetic
@@ -106,26 +111,34 @@ def results() -> dict[str, dict]:
     )
     windows = [w for t in tracks for w in extract_windows(t, 8, (30, 60), 15, frames=frames, clip_cfg=cfg)]
     labels = np.array([w.label for w in windows])
-    probs, trained, digests, peaks = {}, {}, {}, {}
+
+    def step(model, state):
+        fit_step(model.params, lambda: forward_batch(model, windows, training=True, rng=state.rng), labels, class_weights(labels), state)
+
+    def fresh(name, seed):
+        return build(named_model_spec(name, seed)), TrainState(lr=TrainConfig().lr, rng=np.random.default_rng(seed))
+
+    probs, trained, digests, peaks, step_peaks = {}, {}, {}, {}, {}
     for name in NAMED_CONFIGS:
+        spare, spare_state = fresh(name, SEEDS[0])
+        peaks[name] = call_peak_mib(lambda: forward_batch(spare, windows))
+        step_peaks[name] = call_peak_mib(lambda: step(spare, spare_state))
         for seed in SEEDS:
             key = f"{name} seed {seed}"
-            model = build(named_model_spec(name, seed))
-            if seed == SEEDS[0]:
-                peaks[name] = eval_peak_mib(lambda: forward_batch(model, windows))
+            model, state = fresh(name, seed)
             probs[key] = forward_batch(model, windows).data.tolist()
-            state = TrainState(lr=TrainConfig().lr, rng=np.random.default_rng(seed))
-            fit_step(
-                model.params,
-                lambda: forward_batch(model, windows, training=True, rng=state.rng),
-                labels,
-                class_weights(labels),
-                state,
-            )
+            step(model, state)
             trained[key] = forward_batch(model, windows).data.tolist()
             digests[key] = parameter_digest(model.params)
     clips = clip_digests(windows, cfg.inputs)
-    return {"probabilities": probs, "trained_probabilities": trained, "digests": digests, "clips": clips, "peaks": peaks}
+    return {
+        "probabilities": probs,
+        "trained_probabilities": trained,
+        "digests": digests,
+        "clips": clips,
+        "peaks": peaks,
+        "step_peaks": step_peaks,
+    }
 
 
 def max_abs_differences(parent: dict[str, list[float]], change: dict[str, list[float]]) -> dict[str, float]:
@@ -150,9 +163,14 @@ def same_parameters(parent: dict[str, str], change: dict[str, str]) -> dict[str,
     return {key: digest == change[key] for key, digest in parent.items()}
 
 
-def peak_lines(parent: dict[str, float], change: dict[str, float]) -> list[str]:
-    """One line per config: each tree's eval forward peak."""
-    return [f"{name}: eval forward peak parent {peak:.3f} MiB, change {change[name]:.3f} MiB" for name, peak in parent.items()]
+def peak_lines(parent: dict, change: dict) -> list[str]:
+    """One line per config: each tree's eval forward and `fit_step` peaks,
+    from two trees' `results`."""
+    return [
+        f"{name}: eval forward peak parent {peak:.3f} MiB, change {change['peaks'][name]:.3f} MiB; "
+        f"fit_step peak parent {parent['step_peaks'][name]:.3f} MiB, change {change['step_peaks'][name]:.3f} MiB"
+        for name, peak in parent["peaks"].items()
+    ]
 
 
 def report(parent: dict, change: dict) -> list[str]:
@@ -177,7 +195,7 @@ def report(parent: dict, change: dict) -> list[str]:
         raise ValueError(f"the trees render different inputs: {sorted(parent['clips'].keys() ^ change['clips'].keys())}")
     clips = (f"{name} {'identical' if digest == change['clips'][name] else 'different'}" for name, digest in parent["clips"].items())
     lines.append("clips: " + ", ".join(clips))
-    return lines + peak_lines(parent["peaks"], change["peaks"])
+    return lines + peak_lines(parent, change)
 
 
 def _dump_of(root: Path) -> dict:
